@@ -233,30 +233,34 @@ _ASSERT_CACHE: dict = {}
 
 
 def _cache_key(e: Expr, bound: dict):
-    # id-keyed: caches hold a reference to e, keeping ids stable
+    # terms compare by structure, so equal rebuilt terms share entries
     if not bound:
-        return (id(e),)
-    return (id(e), tuple(sorted(bound.items(), key=repr)))
+        return e
+    return (e, tuple(sorted(bound.items(), key=repr)))
+
+
+def _memo(cache: dict, key, raw, *args):
+    """raw(*args), remembered under key; NonNumeric is remembered too."""
+    hit = cache.get(key)
+    if hit is not None:
+        if isinstance(hit, NonNumeric):
+            raise hit
+        return hit
+    try:
+        out = raw(*args)
+    except NonNumeric as exc:
+        if len(cache) < 400000:
+            cache[key] = exc
+        raise
+    if len(cache) < 400000:
+        cache[key] = out
+    return out
 
 
 def canon_term(e: Expr, bound: Optional[dict] = None) -> RF:
     """Numeric term -> rational function; raises NonNumeric otherwise."""
     bound = bound or {}
-    key = _cache_key(e, bound)
-    hit = _TERM_CACHE.get(key)
-    if hit is not None:
-        if isinstance(hit[1], Exception):
-            raise hit[1]
-        return hit[1]
-    try:
-        out = _canon_term_raw(e, bound)
-    except NonNumeric as exc:
-        if len(_TERM_CACHE) < 400000:
-            _TERM_CACHE[key] = (e, exc)
-        raise
-    if len(_TERM_CACHE) < 400000:
-        _TERM_CACHE[key] = (e, out)
-    return out
+    return _memo(_TERM_CACHE, _cache_key(e, bound), _canon_term_raw, e, bound)
 
 
 def _canon_term_raw(e: Expr, bound: dict) -> RF:
@@ -334,21 +338,7 @@ def _reduce_select(e: Index, bound: Optional[dict]):
 def canon_struct(e: Expr, bound: Optional[dict] = None):
     """Structural key for a term of any sort."""
     bound = bound or {}
-    key = _cache_key(e, bound)
-    hit = _STRUCT_CACHE.get(key)
-    if hit is not None:
-        if isinstance(hit[1], Exception):
-            raise hit[1]
-        return hit[1]
-    try:
-        out = _canon_struct_raw(e, bound)
-    except NonNumeric as exc:
-        if len(_STRUCT_CACHE) < 400000:
-            _STRUCT_CACHE[key] = (e, exc)
-        raise
-    if len(_STRUCT_CACHE) < 400000:
-        _STRUCT_CACHE[key] = (e, out)
-    return out
+    return _memo(_STRUCT_CACHE, _cache_key(e, bound), _canon_struct_raw, e, bound)
 
 
 def _canon_struct_raw(e: Expr, bound: dict):
@@ -478,21 +468,8 @@ def _mk_or(keys):
 def canon_assertion(e: Expr, bound: Optional[dict] = None, depth: int = 0):
     """Canonical key of a boolean expression."""
     bound = bound or {}
-    key = (_cache_key(e, bound), depth)
-    hit = _ASSERT_CACHE.get(key)
-    if hit is not None:
-        if isinstance(hit[1], Exception):
-            raise hit[1]
-        return hit[1]
-    try:
-        out = _canon_assertion_raw(e, bound, depth)
-    except NonNumeric as exc:
-        if len(_ASSERT_CACHE) < 400000:
-            _ASSERT_CACHE[key] = (e, exc)
-        raise
-    if len(_ASSERT_CACHE) < 400000:
-        _ASSERT_CACHE[key] = (e, out)
-    return out
+    return _memo(_ASSERT_CACHE, (_cache_key(e, bound), depth),
+                 _canon_assertion_raw, e, bound, depth)
 
 
 def _canon_assertion_raw(e: Expr, bound: dict, depth: int):

@@ -54,16 +54,16 @@ _NNF_CACHE: dict = {}
 
 def nnf(e: Expr) -> Expr:
     """Negation normal form over &&, ||; expands ==> and <==> and
-    set-membership structure. Memoized by identity: trees are immutable
-    and saturation re-normalizes the same hypotheses constantly."""
-    hit = _NNF_CACHE.get(id(e))
-    if hit is not None and hit[0] is e:
-        return hit[1]
+    set-membership structure. Memoized by structure: saturation
+    re-normalizes the same hypotheses constantly, often rebuilt."""
+    hit = _NNF_CACHE.get(e)
+    if hit is not None:
+        return hit
     out = _nnf_raw(e)
     if len(_NNF_CACHE) < 400000:
-        _NNF_CACHE[id(e)] = (e, out)
+        _NNF_CACHE[e] = out
         # normal forms are fixpoints; route repeat calls to the result
-        _NNF_CACHE.setdefault(id(out), (out, out))
+        _NNF_CACHE.setdefault(out, out)
     return out
 
 
@@ -175,6 +175,12 @@ def _linearize(e: Expr) -> Optional[list[LinCon]]:
         return [LinCon(items, const, False),
                 LinCon(tuple((m, -c) for m, c in items), -const, False)]
     return None  # '!=' is handled by case splits, not FM
+
+
+def _con_multiset(cons: list[LinCon]) -> tuple:
+    """Order-free cache key for a constraint list; equal constraints
+    from different hypotheses share it."""
+    return tuple(sorted(cons, key=hash))
 
 
 def _ln_bounds(c: Fraction) -> Optional[tuple[Fraction, Fraction]]:
@@ -638,14 +644,14 @@ class Prover:
                 return True
         cons = self._collect_lincons(hyps)
         diseqs = self._collect_int_diseqs(hyps)
-        key = (tuple(sorted(id(c) for c in cons)),
+        key = (_con_multiset(cons),
                tuple(sorted(repr(d) for d in diseqs)))
         hit = self._fm_cache.get(key)
         if hit is not None:
-            return hit[1]
+            return hit
         out = self._fm_refute(cons, diseqs)
         if len(self._fm_cache) < 100000:
-            self._fm_cache[key] = (cons, out)
+            self._fm_cache[key] = out
         return out
 
     # ── instantiation ──
@@ -883,12 +889,11 @@ class Prover:
     def _collect_lincons(self, hyps: list[Expr]) -> list[LinCon]:
         cons: list[LinCon] = []
         for h in hyps:
-            hit = self._lin_cache.get(id(h))
-            if hit is None:
-                hit = (h, _linearize(h))
+            lc = self._lin_cache.get(h, False)
+            if lc is False:
+                lc = _linearize(h)
                 if len(self._lin_cache) < 200000:
-                    self._lin_cache[id(h)] = hit
-            lc = hit[1]
+                    self._lin_cache[h] = lc
             if lc:
                 cons.extend(lc)
         return cons
@@ -899,14 +904,14 @@ class Prover:
             return False
         cons = self._collect_lincons(hyps)
         diseqs = self._collect_int_diseqs(hyps)
-        key = (tuple(sorted(id(c) for c in cons)),
+        key = (_con_multiset(cons),
                tuple(sorted(repr(d) for d in diseqs)), repr(neg_goal))
         hit = self._fm_cache.get(key)
         if hit is not None:
-            return hit[1]
+            return hit
         out = self._fm_refute(cons + neg_goal, diseqs)
         if len(self._fm_cache) < 100000:
-            self._fm_cache[key] = (cons, out)
+            self._fm_cache[key] = out
         return out
 
     def _collect_int_diseqs(self, hyps: list[Expr]) -> list:

@@ -77,9 +77,9 @@ class CheckResult:
         return f"ACCEPTED ({proved} obligation(s) proved, {tag})"
 
 
-# implications already settled under a given sort environment; keyed by
-# canonical forms, so structurally different spellings share entries and
-# any semantic change misses
+# implications already settled under a given sort environment and prover
+# budget; keyed by canonical forms, so structurally different spellings
+# share entries and any semantic change misses
 _IMPL_CACHE: dict = {}
 
 
@@ -130,7 +130,7 @@ class Checker:
             key = None
             try:
                 from ..assertions.normform import canon_assertion
-                key = (self._env_key, repr(canon_assertion(ante)),
+                key = (self._env_key, self.prover_budget, repr(canon_assertion(ante)),
                        repr(canon_assertion(goal)))
             except (NonNumeric, ZeroDivisionError):
                 pass

@@ -16,7 +16,7 @@ from typing import Mapping, Optional
 from ..lang.ast import Command, Program, Sample, Seq, While
 from ..semantics.evalexpr import eval_expr
 from ..semantics.rng import TrialRng
-from ..semantics.trial import AdversaryStrategy, TrialInterpreter
+from ..semantics.trial import AdversaryStrategy, TrialAborted, TrialInterpreter
 from ..semantics.exact import initial_memory
 from ..semantics.values import Memory, Value
 from .instrument import SitePath, SiteSpec
@@ -32,8 +32,9 @@ class GhostTrial:
 
 class _GhostInterpreter(TrialInterpreter):
     def __init__(self, program: Program, adversaries, rng: TrialRng,
-                 sites: Mapping[SitePath, SiteSpec], logical_env: Mapping[str, Value]):
-        super().__init__(program, adversaries, rng)
+                 sites: Mapping[SitePath, SiteSpec], logical_env: Mapping[str, Value],
+                 loop_cap: int):
+        super().__init__(program, adversaries, rng, loop_cap)
         self.sites = dict(sites)
         self.logical_env = dict(logical_env)
         self.ghost = Fraction(0)
@@ -69,7 +70,7 @@ class _GhostInterpreter(TrialInterpreter):
                 self.run(store, c.body)
                 iters += 1
                 if iters >= self.loop_cap:
-                    raise RuntimeError("instrumented loop exceeded budget")
+                    raise TrialAborted(f"loop exceeded {self.loop_cap} iterations")
             self._path = outer
             return
         from ..lang.ast import Call, If
@@ -95,10 +96,11 @@ def run_ghost_trial(program: Program, entry: str, arg: Value,
                     logical_env: Mapping[str, Value], seed: int, trial: int = 0,
                     adversaries: Optional[Mapping[str, AdversaryStrategy]] = None,
                     overrides: Optional[dict[str, Value]] = None,
-                    result_var: str = "res") -> GhostTrial:
+                    result_var: str = "res", loop_cap: int = 1_000_000) -> GhostTrial:
     proc = program.procs[entry]
     rng = TrialRng(seed, trial)
-    interp = _GhostInterpreter(program, adversaries or {}, rng, sites, logical_env)
+    interp = _GhostInterpreter(program, adversaries or {}, rng, sites, logical_env,
+                               loop_cap)
     store = initial_memory(program, overrides).to_dict()
     store[proc.arg] = arg
     interp.run(store, proc.body)

@@ -79,21 +79,52 @@ def is_numeric(t: Type) -> bool:
 # ── Expressions (also the assertion term language) ─────────────────
 
 
+def _keeps_hash(cls):
+    """Compute a frozen node's dataclass hash once and keep it on the node.
+
+    The normal-form and prover caches look terms up by structure, so
+    the same subterms are hashed again and again. The kept hash is left
+    out of pickles: string hashes differ between processes.
+    """
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls._hash = None
+    cls.__hash__ = __hash__
+    cls.__getstate__ = _state_without_hash
+    return cls
+
+
+def _state_without_hash(node) -> dict:
+    state = dict(node.__dict__)
+    state.pop("_hash", None)
+    return state
+
+
 @dataclass(frozen=True)
 class Expr:
     pass
 
 
+@_keeps_hash
 @dataclass(frozen=True)
 class Var(Expr):
     name: str
 
 
+@_keeps_hash
 @dataclass(frozen=True)
 class BoolLit(Expr):
     value: bool
 
 
+@_keeps_hash
 @dataclass(frozen=True)
 class NumLit(Expr):
     # integers carry IntT, decimals carry RealT; value is always exact
@@ -101,11 +132,13 @@ class NumLit(Expr):
     type: Type = INT
 
 
+@_keeps_hash
 @dataclass(frozen=True)
 class SetLit(Expr):
     elems: tuple[Expr, ...]
 
 
+@_keeps_hash
 @dataclass(frozen=True)
 class BinOp(Expr):
     op: str  # + - * / < <= > >= == != && || ==> <==> in
@@ -113,18 +146,21 @@ class BinOp(Expr):
     right: Expr
 
 
+@_keeps_hash
 @dataclass(frozen=True)
 class UnOp(Expr):
     op: str  # ! -
     arg: Expr
 
 
+@_keeps_hash
 @dataclass(frozen=True)
 class Index(Expr):
     arr: Expr
     idx: Expr
 
 
+@_keeps_hash
 @dataclass(frozen=True)
 class Store(Expr):
     arr: Expr
@@ -132,6 +168,7 @@ class Store(Expr):
     value: Expr
 
 
+@_keeps_hash
 @dataclass(frozen=True)
 class FuncCall(Expr):
     name: str
@@ -140,17 +177,20 @@ class FuncCall(Expr):
 
 # Quantifier domains: a finite set expression, an inclusive integer
 # range, or a bare sort (prover-side only).
+@_keeps_hash
 @dataclass(frozen=True)
 class SetDom:
     set_expr: Expr
 
 
+@_keeps_hash
 @dataclass(frozen=True)
 class RangeDom:
     lo: Expr
     hi: Expr
 
 
+@_keeps_hash
 @dataclass(frozen=True)
 class SortDom:
     sort: Type
@@ -159,6 +199,7 @@ class SortDom:
 Domain = Union[SetDom, RangeDom, SortDom]
 
 
+@_keeps_hash
 @dataclass(frozen=True)
 class Quant(Expr):
     kind: str  # "forall" | "exists"

@@ -11,15 +11,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ast import (
-    ArrayT, Assign, BinOp, BOOL, BoolLit, Call, Command, DB, DistExpr, Expr,
-    ExtCall, ExternDecl, FuncCall, If, Index, INT, LValue, NumLit, Procedure,
-    Program, Quant, QUERY, RangeDom, REAL, Sample, Seq, SetDom, SETINT,
-    SetLit, Skip, SortDom, Store, Type, UnOp, Var, While, seq_of,
+    ArrayT, Assign, Assume, BinOp, BOOL, BoolLit, Call, Command, DB, DistExpr,
+    Expr, ExtCall, ExternDecl, FuncCall, Havoc, If, Index, INT, LValue, NumLit,
+    Procedure, Program, Quant, QUERY, RangeDom, REAL, Sample, Seq, SetDom,
+    SETINT, SetLit, Skip, SortDom, Store, Type, UnOp, Var, While, seq_of,
 )
 
 KEYWORDS = {
     "proc", "extern", "var", "extvar", "return", "skip", "if", "else",
     "while", "true", "false", "forall", "exists", "in", "store",
+    "havoc", "assume",
     "bool", "int", "real", "query", "db", "set",
 }
 
@@ -374,6 +375,15 @@ class Parser:
             self.expect_sym(")")
             body = self.parse_block()
             return While(guard, body)
+        # instrumented programs (written by `ubhl embed`) only
+        if self.accept_word("havoc"):
+            target = self.parse_lvalue()
+            self.expect_sym(";")
+            return Havoc(target)
+        if self.accept_word("assume"):
+            assertion = self.parse_expr()
+            self.expect_sym(";")
+            return Assume(assertion)
         lv = self.parse_lvalue()
         if self.accept_sym("<$"):
             name_tok = self.expect_ident()

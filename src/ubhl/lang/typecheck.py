@@ -11,11 +11,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .ast import (
-    ArrayT, Assign, BinOp, BOOL, BoolLit, BoolT, Call, Command, DB, DbT,
-    DistExpr, Expr, ExtCall, FuncCall, If, Index, INT, IntT, LValue, NumLit,
-    Program, Quant, QUERY, RangeDom, REAL, RealT, Sample, Seq, SetDom,
-    SETINT, SetIntT, SetLit, Skip, SortDom, Store, Type, UnOp, Var, While,
-    free_vars, is_numeric,
+    ArrayT, Assign, Assume, BinOp, BOOL, BoolLit, BoolT, Call, Command, DB,
+    DbT, DistExpr, Expr, ExtCall, FuncCall, Havoc, If, Index, INT, IntT,
+    LValue, NumLit, Program, Quant, QUERY, RangeDom, REAL, RealT, Sample, Seq,
+    SetDom, SETINT, SetIntT, SetLit, Skip, SortDom, Store, Type, UnOp, Var,
+    While, free_vars, is_numeric,
 )
 
 
@@ -297,6 +297,13 @@ def _cmd_vars(c: Command) -> set[str]:
         for a in c.args:
             out |= free_vars(a)
         return out
+    if isinstance(c, Havoc):
+        out = {c.target.base}
+        if c.target.idx is not None:
+            out |= free_vars(c.target.idx)
+        return out
+    if isinstance(c, Assume):
+        return free_vars(c.assertion)
     raise UbhlTypeError(f"unknown command node: {c!r}")
 
 
@@ -380,6 +387,17 @@ def _check_command(c: Command, prog: Program, env: TypeEnv,
         if not compatible(t_lv, decl.ret_type):
             raise TypeMismatch(
                 f"external {c.ext} returns {decl.ret_type}, target is {t_lv}")
+        return
+    if isinstance(c, Havoc):
+        if c.target.base in prog.extvars:
+            raise ExternalMemoryViolation(
+                f"internal code writes external variable {c.target.base!r}")
+        _lvalue_type(c.target, env)
+        return
+    if isinstance(c, Assume):
+        # the assumed fact is an assertion: quantifiers are allowed
+        _check_no_external(c.assertion, prog)
+        check_assertion(c.assertion, env)
         return
     raise UbhlTypeError(f"unknown command node: {c!r}")
 

@@ -3,6 +3,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from ubhl.lang.ast import pretty_command
+from ubhl.lang.parser import parse_program
+from ubhl.lang.typecheck import typecheck
+
 REPO = Path(__file__).resolve().parent.parent
 CASES = REPO / "cases"
 
@@ -89,12 +95,35 @@ def test_obligations_export(tmp_path):
     assert "(check-sat)" in text
 
 
-def test_embed_subcommand(tmp_path):
+@pytest.fixture(scope="module")
+def rnm_embedded(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("embed")
     out = run_cli("embed", str(CASES / "rnm" / "program.ubhl"),
-                  str(CASES / "rnm" / "proof.json"), "--out", str(tmp_path))
+                  str(CASES / "rnm" / "proof.json"), "--out", str(out_dir))
     assert out.returncode == 0, out.stdout + out.stderr
-    inst = (tmp_path / "instrumented.ubhl").read_text()
+    return out_dir
+
+
+def test_embed_subcommand(rnm_embedded):
+    inst = (rnm_embedded / "instrumented.ubhl").read_text()
     assert "havoc noisy[r];" in inst
     assert "assume" in inst
-    manifest = json.loads((tmp_path / "wp-manifest.json").read_text())
+    manifest = json.loads((rnm_embedded / "wp-manifest.json").read_text())
     assert manifest["consistent"] is True
+
+
+def test_instrumented_program_reads_back(rnm_embedded):
+    """The instrumented rnm body, declared as a program of its own (the
+    logicals and the ghost become vars), parses, typechecks and prints
+    back byte-identically."""
+    inst = (rnm_embedded / "instrumented.ubhl").read_text()
+    manifest = json.loads((rnm_embedded / "wp-manifest.json").read_text())
+    logicals = json.loads((CASES / "rnm" / "proof.json").read_text())["logicals"]
+    source = (CASES / "rnm" / "program.ubhl").read_text()
+    decls = source[:source.index("proc main")]
+    decls += "".join(f"var {name} : {t};\n" for name, t in logicals.items())
+    decls += f"var {manifest['ghost']} : real;\n"
+    body = "\n".join("  " + line for line in inst.splitlines())
+    program = parse_program(f"{decls}\nproc main(w) {{\n{body}\n}} return rstar\n")
+    typecheck(program)
+    assert pretty_command(program.procs["main"].body) + "\n" == inst

@@ -16,6 +16,7 @@ from ubhl.embed.wp import MissingInvariant, wp
 from ubhl.lang.ast import Assume, GhostAdd, Havoc, REAL, Seq, Skip
 from ubhl.lang.parser import parse_expr, parse_program
 from ubhl.lang.typecheck import assertion_env, typecheck
+from ubhl.semantics.trial import TrialAborted, run_trial
 
 from corpus import generate_corpus
 
@@ -144,6 +145,24 @@ def test_two_lap_ghost_sum():
         out = run_ghost_trial(TWO_LAP, "main", 0, sites, {}, seed=3, trial=trial)
         assert float(out.ghost) == pytest.approx(beta)
         assert len(out.executed_sites) == 2
+
+
+COUNTER = parse_program("""
+var i : int;
+proc main(w) { i <- 0; while (i < 10) { i <- i + 1; } } return i
+""")
+typecheck(COUNTER)
+
+
+def test_ghost_loop_cap_aborts_like_trial():
+    """Loop-cap overflow is a TrialAborted on the ghost path, as on the
+    trial path, so both classify it the same way."""
+    with pytest.raises(TrialAborted):
+        run_trial(COUNTER, "main", 0, {}, seed=1, loop_cap=3)
+    with pytest.raises(TrialAborted):
+        run_ghost_trial(COUNTER, "main", 0, {}, {}, seed=1, loop_cap=3)
+    out = run_ghost_trial(COUNTER, "main", 0, {}, {}, seed=1, loop_cap=11)
+    assert out.memory.get("res") == 10 and out.ghost == 0
 
 
 def _has_loop(command) -> bool:

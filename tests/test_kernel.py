@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ubhl
 from ubhl.checker.axioms import (
     SchemaMismatch, default_registry, instantiate_axiom,
 )
@@ -191,3 +196,19 @@ def test_index_symbolic_equalities():
     assert index_equal(parse_expr("(beta/(Q+1))*(Q+1)"), parse_expr("beta"))
     assert index_equal(parse_expr("size(R0)*(beta/size(R0))"), parse_expr("beta"))
     assert not index_equal(parse_expr("beta/2"), parse_expr("beta"))
+
+
+def test_verdict_does_not_depend_on_an_earlier_budget():
+    """A starved check must not leave its failures for a later check
+    with the default budget in the same process."""
+    code = (
+        "from ubhl.cases.registry import check_case\n"
+        "starved = check_case('sv', prover_budget=5)\n"
+        "assert not starved.fully_proved, starved.summary()\n"
+        "print(check_case('sv').summary())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ubhl.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ACCEPTED (42 obligation(s) proved, fully discharged)"

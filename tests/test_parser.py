@@ -140,3 +140,13 @@ proc main(w) { x <- 1; y <$ lap(1, 0); } return x
     loop = rnm.procs["main"].body.second.second
     got = A.modified_vars(loop.body, rnm)
     assert got == {"r", "noisy", "flag", "rstar", "best", "R"}
+
+
+def test_havoc_and_assume_statements():
+    src = ("var a : real[];\nvar i : int;\n\nproc main(w) {\n"
+           "  havoc a[i];\n  assume forall j in 0 .. i . a[j] >= 0;\n} return i\n")
+    p = parse_program(src)
+    body = p.procs["main"].body
+    assert body.first == A.Havoc(A.LValue("a", A.Var("i")))
+    assert isinstance(body.second, A.Assume)
+    assert A.pretty_program(p) == src

@@ -83,3 +83,14 @@ def test_assertion_sort_checking():
                    " <= (2/eps)*log(size(R0)/beta)"), env)
     with pytest.raises(TypeMismatch):
         check_assertion(parse_expr("noisy[r] + 1"), env)
+
+
+def test_havoc_and_assume_typing():
+    ok = "var x : real;\nproc main(w) { havoc x; assume x >= 0 && forall j in 0 .. 3 . j <= x; } return 0"
+    typecheck(parse_program(ok))
+    with pytest.raises(UnboundVariable):
+        typecheck(parse_program("proc main(w) { havoc y; } return 0"))
+    with pytest.raises(TypeMismatch):
+        typecheck(parse_program("var x : real;\nproc main(w) { assume x + 1; } return 0"))
+    with pytest.raises(ExternalMemoryViolation):
+        typecheck(parse_program("extvar h : int;\nproc main(w) { havoc h; } return 0"))
