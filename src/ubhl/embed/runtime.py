@@ -32,9 +32,8 @@ class GhostTrial:
 
 class _GhostInterpreter(TrialInterpreter):
     def __init__(self, program: Program, adversaries, rng: TrialRng,
-                 sites: Mapping[SitePath, SiteSpec], logical_env: Mapping[str, Value],
-                 loop_cap: int):
-        super().__init__(program, adversaries, rng, loop_cap)
+                 sites: Mapping[SitePath, SiteSpec], logical_env: Mapping[str, Value]):
+        super().__init__(program, adversaries, rng)
         self.sites = dict(sites)
         self.logical_env = dict(logical_env)
         self.ghost = Fraction(0)
@@ -96,11 +95,10 @@ def run_ghost_trial(program: Program, entry: str, arg: Value,
                     logical_env: Mapping[str, Value], seed: int, trial: int = 0,
                     adversaries: Optional[Mapping[str, AdversaryStrategy]] = None,
                     overrides: Optional[dict[str, Value]] = None,
-                    result_var: str = "res", loop_cap: int = 1_000_000) -> GhostTrial:
+                    result_var: str = "res") -> GhostTrial:
     proc = program.procs[entry]
     rng = TrialRng(seed, trial)
-    interp = _GhostInterpreter(program, adversaries or {}, rng, sites, logical_env,
-                               loop_cap)
+    interp = _GhostInterpreter(program, adversaries or {}, rng, sites, logical_env)
     store = initial_memory(program, overrides).to_dict()
     store[proc.arg] = arg
     interp.run(store, proc.body)
