@@ -240,3 +240,50 @@ def test_feasible_alpha_fixpoint():
     assert alpha >= max(a_sv, a_lap)
     assert alpha <= max(a_sv, a_lap) * (1 + 1e-6)
     assert abs(alpha - 9.30) < 0.05
+
+
+# ── eval_query against the plain Fraction fold ──
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from ubhl.dp.queries import Database, DimensionMismatch, Query  # noqa: E402
+
+
+def _plain_fold(q, d):
+    acc = q.offset
+    for w, c in zip(q.weights, d.counts):
+        acc += w * c
+    return acc
+
+
+_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.just(0),
+    st.integers(-20, 20),
+    st.fractions(max_denominator=16),
+    st.builds(Fraction, st.integers(-2 ** 53, 2 ** 53),
+              st.integers(2 ** 50, 2 ** 54)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(0, 9), _rationals)
+def test_eval_query_matches_fraction_fold(data, dim, offset):
+    weights = tuple(data.draw(st.lists(_rationals, min_size=dim, max_size=dim)))
+    counts = tuple(data.draw(st.lists(_rationals, min_size=dim, max_size=dim)))
+    q, d = Query(offset, weights), Database(counts)
+    got, want = eval_query(q, d), _plain_fold(q, d)
+    assert got == want
+    assert type(got) is type(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6))
+def test_eval_query_dimension_mismatch(nq, nd):
+    q = make_query([Fraction(1, 2)] * nq, offset=3)
+    d = make_db([1] * nd)
+    if nq == nd:
+        assert eval_query(q, d) == 3 + Fraction(nq, 2)
+    else:
+        with pytest.raises(DimensionMismatch):
+            eval_query(q, d)
