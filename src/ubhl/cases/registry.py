@@ -17,10 +17,10 @@ from ..dp.queries import Database
 from ..lang.ast import Expr
 from ..lang.parser import parse_expr, parse_program
 from ..lang.typecheck import typecheck
-from ..semantics.evalexpr import UbhlRuntimeError, eval_in_memory
+from ..semantics.evalexpr import UbhlRuntimeError, compile_expr, eval_in_memory
 from ..semantics.trial import (
-    AdversaryStrategy, EstimateReport, TrialAborted, clopper_pearson_upper,
-    run_trial,
+    AdversaryStrategy, Classifier, CompiledProgram, EstimateReport, TrialAborted,
+    clopper_pearson_upper, run_chunked, run_trial,
 )
 from ..semantics.values import ArrayVal, Value
 from . import adversaries as adv
@@ -198,34 +198,24 @@ def rnm_analytic_bound(params: Optional[dict] = None) -> float:
     return size * lap_tail(eps / 2.0, radius)
 
 
-def _validate_chunk(args) -> tuple[int, dict[str, int]]:
-    (name, params, seed, start, count, adversary, extra_checks, loop_cap) = args
-    case = build_case(name, params)
-    program = parse_program(case.source)
-    strategies: dict[str, AdversaryStrategy] = {}
-    if case.adversary_menu:
-        strategies = {"adv": case.adversary_menu[adversary]}
-    extras_src = {k: parse_expr(v) for k, v in (extra_checks or {}).items()}
-    failures = 0
-    extra_counts = {k: 0 for k in extras_src}
-    if name == "mwsv":
-        extra_counts.setdefault("update_budget_violations", 0)
-    for i in range(start, start + count):
+def _case_classifier(spec) -> Classifier:
+    """Per-trial classifier of a validation run: key 0 when the bad
+    event holds, key j when the j-th extra check holds, and every key
+    when the trial aborts or fails at runtime."""
+    program, strategies, overrides, logical_env, checks, seed, loop_cap = spec
+    core = CompiledProgram(program)
+    codes = [(j, compile_expr(e)) for j, e in enumerate(checks)]
+    every = [j for j, _ in codes]
+
+    def classify(i):
         try:
-            mem = run_trial(program, "main", 0, strategies, seed, i,
-                            overrides=case.overrides, loop_cap=loop_cap)
-            if bool(eval_in_memory(case.bad_event, mem, case.logical_env)):
-                failures += 1
-            for key, e in extras_src.items():
-                if bool(eval_in_memory(e, mem, case.logical_env)):
-                    extra_counts[key] += 1
-            if name == "mwsv" and mem.get("u") > mem.get("c"):
-                extra_counts["update_budget_violations"] += 1
+            mem = run_trial(core, "main", 0, strategies, seed, i,
+                            overrides=overrides, loop_cap=loop_cap)
+            return [j for j, code in codes
+                    if bool(eval_in_memory(code, mem, logical_env))]
         except (TrialAborted, UbhlRuntimeError):
-            failures += 1
-            for key in extra_counts:
-                extra_counts[key] += 1
-    return failures, extra_counts
+            return every
+    return classify
 
 
 def validate_case(name: str, params: Optional[dict] = None, trials: int = 1000,
@@ -240,32 +230,20 @@ def validate_case(name: str, params: Optional[dict] = None, trials: int = 1000,
     typecheck(program)
     menu = case.adversary_menu
     adv_name = adversary
+    strategies: dict[str, AdversaryStrategy] = {}
     if menu:
         adv_name = adversary or "fixed"
         if adv_name not in menu:
             raise KeyError(f"case {name!r} has no adversary {adv_name!r}")
-
-    if jobs <= 1:
-        failures, extra_counts = _validate_chunk(
-            (name, case.params, seed, 0, trials, adv_name, extra_checks, loop_cap))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = (trials + jobs - 1) // jobs
-        tasks = []
-        start = 0
-        while start < trials:
-            n = min(chunk, trials - start)
-            tasks.append((name, case.params, seed, start, n, adv_name,
-                          extra_checks, loop_cap))
-            start += n
-        failures = 0
-        extra_counts = {}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for f, extras in pool.map(_validate_chunk, tasks):
-                failures += f
-                for k, v in extras.items():
-                    extra_counts[k] = extra_counts.get(k, 0) + v
+        strategies = {"adv": menu[adv_name]}
+    extras = dict(extra_checks or {})
+    if name == "mwsv":
+        extras.setdefault("update_budget_violations", "u > c")
+    checks = [case.bad_event] + [parse_expr(v) for v in extras.values()]
+    counts = run_chunked(_case_classifier,
+                         (program, strategies, case.overrides, case.logical_env,
+                          checks, seed, loop_cap), trials, jobs)
+    failures = counts[0]
     rate = failures / trials
     estimate = EstimateReport(
         trials=trials, failures=failures, failure_rate=rate,
@@ -277,4 +255,5 @@ def validate_case(name: str, params: Optional[dict] = None, trials: int = 1000,
     return ValidationReport(
         case=name, params=case.params, adversary=adv_name,
         estimate=estimate, theorem_index=theorem_index,
-        verdict=rate <= theorem_index, extras=extra_counts)
+        verdict=rate <= theorem_index,
+        extras={key: counts[j] for j, key in enumerate(extras, 1)})

@@ -1,5 +1,11 @@
 """Evaluation of expressions and assertions over a value store.
 
+`compile_expr` turns an expression into a closure over a store once
+(Feeley & Lapalme, "Using Closures for Code Generation", 1987); node
+types are dispatched at compile time only. Every runtime error is
+raised when the closure runs, at the node that causes it. `eval_expr`
+compiles and runs in one step, for one-off callers.
+
 The store is any mapping from names to values; assertion callers chain
 a memory with a logical environment. Arithmetic is exact on rationals;
 log and the MW potential produce floats converted back to exact
@@ -10,15 +16,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping
+from typing import Any, Callable, Mapping, Union
 
 from ..dp import mw as dpmw
 from ..dp import queries as dpq
 from ..lang.ast import (
-    BinOp, BoolLit, Expr, FuncCall, Index, IntT, NumLit, Quant, SetDom,
-    SetLit, SortDom, Store, UnOp, Var,
+    BinOp, BoolLit, Expr, FuncCall, Index, IntT, LValue, NumLit, Quant,
+    SetDom, SetLit, SortDom, Store, UnOp, Var,
 )
 from .values import ArrayVal, Memory, Value
+
+Code = Callable[[Mapping[str, Value]], Value]
 
 
 class UbhlRuntimeError(Exception):
@@ -47,164 +55,274 @@ def _num(v: Value) -> Fraction:
     raise UbhlRuntimeError(f"expected a number, got {v!r}")
 
 
-def apply_func(name: str, args: list[Value]) -> Value:
-    if name == "evalQ":
-        return dpq.eval_query(args[0], args[1])
-    if name == "invQ":
-        return dpq.inv_query(args[0])
-    if name == "negQ":
-        return dpq.neg_query(args[0])
-    if name == "error":
-        return dpq.error_query(args[0], args[1])
-    if name == "size":
-        if isinstance(args[0], frozenset):
-            return len(args[0])
-        sz = dpq.db_size(args[0])
-        return int(sz) if sz.denominator == 1 else sz
-    if name == "pick":
-        s = args[0]
-        return min(s) if s else 0  # total: empty set picks the int default
-    if name == "remove":
-        return frozenset(x for x in args[0] if x != args[1])
-    if name == "isempty":
-        return len(args[0]) == 0
-    if name == "setdiff":
-        return frozenset(args[0]) - frozenset(args[1])
-    if name == "abs":
-        return abs(args[0])
-    if name == "log":
-        x = float(_num(args[0]))
-        if x <= 0:
-            raise UbhlRuntimeError(f"log of non-positive value {x}")
-        return Fraction(math.log(x))
-    if name == "min":
-        return min(args[0], args[1])
-    if name == "max":
-        return max(args[0], args[1])
-    if name == "mwInit":
-        eta, x, n = args
-        return dpmw.mw_init(eta, int(x), int(n)).as_database()
-    if name == "mwStep":
-        db, up, eta, n = args
-        sdb = dpmw.SynthDB(tuple(c / db.size() for c in db.counts), int(n))
-        return dpmw.mw_step(sdb, up, eta, int(n)).as_database()
-    if name == "potential":
-        x_db, d_db = args
-        size = x_db.size()
-        if size <= 0:
-            raise UbhlRuntimeError("potential of an empty synthetic database")
-        sdb = dpmw.SynthDB(tuple(c / size for c in x_db.counts), 1)
-        return Fraction(dpmw.potential(sdb, d_db))
-    raise UbhlRuntimeError(f"unknown function {name!r}")
+def _size(a: list) -> Value:
+    if isinstance(a[0], frozenset):
+        return len(a[0])
+    sz = dpq.db_size(a[0])
+    return int(sz) if sz.denominator == 1 else sz
+
+
+def _log(a: list) -> Fraction:
+    x = float(_num(a[0]))
+    if x <= 0:
+        raise UbhlRuntimeError(f"log of non-positive value {x}")
+    return Fraction(math.log(x))
+
+
+def _mw_init(a: list) -> Value:
+    eta, x, n = a
+    return dpmw.mw_init(eta, int(x), int(n)).as_database()
+
+
+def _mw_step(a: list) -> Value:
+    db, up, eta, n = a
+    sdb = dpmw.SynthDB(tuple(c / db.size() for c in db.counts), int(n))
+    return dpmw.mw_step(sdb, up, eta, int(n)).as_database()
+
+
+def _potential(a: list) -> Fraction:
+    x_db, d_db = a
+    size = x_db.size()
+    if size <= 0:
+        raise UbhlRuntimeError("potential of an empty synthetic database")
+    sdb = dpmw.SynthDB(tuple(c / size for c in x_db.counts), 1)
+    return Fraction(dpmw.potential(sdb, d_db))
+
+
+# built-in functions over their evaluated argument list; the dp layer is
+# looked up at call time, so a wrapped dp function is seen
+_FUNCS: dict[str, Callable[[list], Value]] = {
+    "evalQ": lambda a: dpq.eval_query(a[0], a[1]),
+    "invQ": lambda a: dpq.inv_query(a[0]),
+    "negQ": lambda a: dpq.neg_query(a[0]),
+    "error": lambda a: dpq.error_query(a[0], a[1]),
+    "size": _size,
+    "pick": lambda a: min(a[0]) if a[0] else 0,  # total: empty set picks the int default
+    "remove": lambda a: frozenset(x for x in a[0] if x != a[1]),
+    "isempty": lambda a: len(a[0]) == 0,
+    "setdiff": lambda a: frozenset(a[0]) - frozenset(a[1]),
+    "abs": lambda a: abs(a[0]),
+    "log": _log,
+    "min": lambda a: min(a[0], a[1]),
+    "max": lambda a: max(a[0], a[1]),
+    "mwInit": _mw_init,
+    "mwStep": _mw_step,
+    "potential": _potential,
+}
+
+
+def _raises(exc: type, msg: str, *operands: Code) -> Code:
+    """A closure that evaluates its operands, then fails as the tree
+    walk did on reaching an unknown node or operator."""
+    def fail(s):
+        for f in operands:
+            f(s)
+        raise exc(msg)
+    return fail
+
+
+def _var(e: Var) -> Code:
+    name = e.name
+
+    def var(s):
+        try:
+            return s[name]
+        except KeyError:
+            raise UnboundVariableError(f"unbound variable {name!r}") from None
+    return var
+
+
+def _const(v: Value) -> Code:
+    return lambda s: v
+
+
+def _set_lit(e: SetLit) -> Code:
+    elems = [compile_expr(x) for x in e.elems]
+    return lambda s: frozenset(int(f(s)) for f in elems)
+
+
+def _un_op(e: UnOp) -> Code:
+    a = compile_expr(e.arg)
+    if e.op == "!":
+        return lambda s: not a(s)
+    if e.op == "-":
+        return lambda s: -a(s)
+    return _raises(UbhlRuntimeError, f"unknown unary op {e.op!r}", a)
+
+
+def _divide(l: Code, r: Code) -> Code:
+    def div(s):
+        lv, rv = l(s), r(s)
+        num, den = _num(lv), _num(rv)
+        if den == 0:
+            raise DivisionByZero("division by zero")
+        return num / den
+    return div
+
+
+# binary operators as closure factories over the compiled operands;
+# each evaluates left before right, and the logical ones short-circuit
+_BINOPS: dict[str, Callable[[Code, Code], Code]] = {
+    "&&": lambda l, r: lambda s: bool(l(s)) and bool(r(s)),
+    "||": lambda l, r: lambda s: bool(l(s)) or bool(r(s)),
+    "==>": lambda l, r: lambda s: (not l(s)) or bool(r(s)),
+    "<==>": lambda l, r: lambda s: bool(l(s)) == bool(r(s)),
+    "in": lambda l, r: lambda s: l(s) in r(s),
+    "+": lambda l, r: lambda s: l(s) + r(s),
+    "-": lambda l, r: lambda s: l(s) - r(s),
+    "*": lambda l, r: lambda s: l(s) * r(s),
+    "/": _divide,
+    "<": lambda l, r: lambda s: l(s) < r(s),
+    "<=": lambda l, r: lambda s: l(s) <= r(s),
+    ">": lambda l, r: lambda s: l(s) > r(s),
+    ">=": lambda l, r: lambda s: l(s) >= r(s),
+    "==": lambda l, r: lambda s: l(s) == r(s),
+    "!=": lambda l, r: lambda s: l(s) != r(s),
+}
+
+
+def _bin_op(e: BinOp) -> Code:
+    l, r = compile_expr(e.left), compile_expr(e.right)
+    make = _BINOPS.get(e.op)
+    if make is None:
+        return _raises(UbhlRuntimeError, f"unknown operator {e.op!r}", l, r)
+    return make(l, r)
+
+
+def _index(e: Index) -> Code:
+    arr, idx = compile_expr(e.arr), compile_expr(e.idx)
+
+    def index(s):
+        a, i = arr(s), idx(s)
+        if not isinstance(a, ArrayVal):
+            raise UbhlRuntimeError("indexing a non-array value")
+        return a.get(int(i))
+    return index
+
+
+def _store(e: Store) -> Code:
+    arr, idx, val = compile_expr(e.arr), compile_expr(e.idx), compile_expr(e.value)
+
+    def store(s):
+        a, i, v = arr(s), idx(s), val(s)
+        return a.set(int(i), v)
+    return store
+
+
+def _func_call(e: FuncCall) -> Code:
+    args = [compile_expr(a) for a in e.args]
+    fn = _FUNCS.get(e.name)
+    if fn is None:
+        return _raises(UbhlRuntimeError, f"unknown function {e.name!r}", *args)
+    return lambda s: fn([f(s) for f in args])
+
+
+def _quant(e: Quant) -> Code:
+    """A bounded quantifier; `exists` stops at the first true body,
+    `forall` at the first false one."""
+    dom, var, exists = e.dom, e.var, e.kind != "forall"
+    if isinstance(dom, SortDom):
+        return _raises(UnboundedQuantifierAtRuntime,
+                       f"cannot evaluate unbounded quantifier over {dom.sort}")
+    body = compile_expr(e.body)
+    if isinstance(dom, SetDom):
+        set_f = compile_expr(dom.set_expr)
+        domain = lambda s: sorted(set_f(s))  # noqa: E731
+    else:
+        lo, hi = compile_expr(dom.lo), compile_expr(dom.hi)
+        domain = lambda s: range(math.ceil(lo(s)), math.floor(hi(s)) + 1)  # noqa: E731
+
+    def quant(s):
+        values = domain(s)
+        inner = dict(s)
+        for v in values:
+            inner[var] = v
+            if bool(body(inner)) is exists:
+                return exists
+        return not exists
+    return quant
+
+
+_COMPILERS: dict[type, Callable[[Any], Code]] = {
+    Var: _var,
+    BoolLit: lambda e: _const(e.value),
+    NumLit: lambda e: _const(int(e.value) if isinstance(e.type, IntT) else e.value),
+    SetLit: _set_lit,
+    UnOp: _un_op,
+    BinOp: _bin_op,
+    Index: _index,
+    Store: _store,
+    FuncCall: _func_call,
+    Quant: _quant,
+}
+
+
+def compile_expr(e: Expr) -> Code:
+    """Closure computing `e` over a store; raises nothing itself."""
+    make = _COMPILERS.get(type(e))
+    if make is None:
+        return _raises(UbhlRuntimeError, f"unknown expression node: {e!r}")
+    return make(e)
+
+
+def compile_write(lv: LValue) -> Callable[[dict, Value], None]:
+    """Closure storing a value at `lv` in a store: the index, if any, is
+    evaluated when it runs, after the value."""
+    base = lv.base
+    if lv.idx is None:
+        def write(store, value):
+            store[base] = value
+        return write
+    idx = compile_expr(lv.idx)
+
+    def write_at(store, value):
+        i = int(idx(store))
+        arr = store[base]
+        if not isinstance(arr, ArrayVal):
+            raise UbhlRuntimeError(f"{base!r} is not an array")
+        store[base] = arr.set(i, value)
+    return write_at
+
+
+def dist_params(name: str, a: list) -> tuple:
+    """Checked parameters of distribution `name` from its evaluated
+    arguments: (p) for bern, (lo, hi) for unifint, (eps, mean) for lap.
+    Sampled, ghost and exact runs all check here, so a bad parameter
+    is the same runtime error on every path."""
+    if name == "bern":
+        p = Fraction(a[0])
+        if not 0 <= p <= 1:
+            raise UbhlRuntimeError(f"bern parameter {p} outside [0,1]")
+        return (p,)
+    if name == "unifint":
+        lo, hi = int(a[0]), int(a[1])
+        if hi < lo:
+            raise UbhlRuntimeError("unifint with empty range")
+        return lo, hi
+    if name == "lap":
+        eps = Fraction(a[0])
+        if eps <= 0:
+            raise UbhlRuntimeError("lap scale must be positive")
+        return eps, Fraction(a[1])
+    raise UbhlRuntimeError(f"unknown distribution {name!r}")
 
 
 def eval_expr(e: Expr, store: Mapping[str, Value]) -> Value:
-    """Evaluate a quantifier-free program expression."""
-    if isinstance(e, Var):
-        try:
-            return store[e.name]
-        except KeyError:
-            raise UnboundVariableError(f"unbound variable {e.name!r}") from None
-    if isinstance(e, BoolLit):
-        return e.value
-    if isinstance(e, NumLit):
-        return int(e.value) if isinstance(e.type, IntT) else e.value
-    if isinstance(e, SetLit):
-        return frozenset(int(eval_expr(x, store)) for x in e.elems)
-    if isinstance(e, UnOp):
-        v = eval_expr(e.arg, store)
-        if e.op == "!":
-            return not v
-        if e.op == "-":
-            return -v
-        raise UbhlRuntimeError(f"unknown unary op {e.op!r}")
-    if isinstance(e, BinOp):
-        if e.op == "&&":
-            return bool(eval_expr(e.left, store)) and bool(eval_expr(e.right, store))
-        if e.op == "||":
-            return bool(eval_expr(e.left, store)) or bool(eval_expr(e.right, store))
-        if e.op == "==>":
-            return (not eval_expr(e.left, store)) or bool(eval_expr(e.right, store))
-        if e.op == "<==>":
-            return bool(eval_expr(e.left, store)) == bool(eval_expr(e.right, store))
-        lv = eval_expr(e.left, store)
-        rv = eval_expr(e.right, store)
-        if e.op == "in":
-            return lv in rv
-        if e.op == "+":
-            return lv + rv
-        if e.op == "-":
-            return lv - rv
-        if e.op == "*":
-            return lv * rv
-        if e.op == "/":
-            num, den = _num(lv), _num(rv)
-            if den == 0:
-                raise DivisionByZero("division by zero")
-            return num / den
-        if e.op == "<":
-            return lv < rv
-        if e.op == "<=":
-            return lv <= rv
-        if e.op == ">":
-            return lv > rv
-        if e.op == ">=":
-            return lv >= rv
-        if e.op == "==":
-            return lv == rv
-        if e.op == "!=":
-            return lv != rv
-        raise UbhlRuntimeError(f"unknown operator {e.op!r}")
-    if isinstance(e, Index):
-        arr = eval_expr(e.arr, store)
-        idx = eval_expr(e.idx, store)
-        if not isinstance(arr, ArrayVal):
-            raise UbhlRuntimeError("indexing a non-array value")
-        return arr.get(int(idx))
-    if isinstance(e, Store):
-        arr = eval_expr(e.arr, store)
-        idx = eval_expr(e.idx, store)
-        val = eval_expr(e.value, store)
-        return arr.set(int(idx), val)
-    if isinstance(e, FuncCall):
-        args = [eval_expr(a, store) for a in e.args]
-        return apply_func(e.name, args)
-    if isinstance(e, Quant):
-        return _eval_quant(e, store)
-    raise UbhlRuntimeError(f"unknown expression node: {e!r}")
+    """Evaluate a quantifier-free program expression (or a bounded
+    assertion) once."""
+    return compile_expr(e)(store)
 
 
-def _eval_quant(e: Quant, store: Mapping[str, Value]) -> bool:
-    if isinstance(e.dom, SortDom):
-        raise UnboundedQuantifierAtRuntime(
-            f"cannot evaluate unbounded quantifier over {e.dom.sort}")
-    if isinstance(e.dom, SetDom):
-        domain = sorted(eval_expr(e.dom.set_expr, store))
-    else:
-        lo = eval_expr(e.dom.lo, store)
-        hi = eval_expr(e.dom.hi, store)
-        domain = list(range(math.ceil(lo), math.floor(hi) + 1))
-    inner = dict(store)
-    if e.kind == "forall":
-        for v in domain:
-            inner[e.var] = v
-            if not eval_expr(e.body, inner):
-                return False
-        return True
-    for v in domain:
-        inner[e.var] = v
-        if eval_expr(e.body, inner):
-            return True
-    return False
-
-
-def eval_in_memory(e: Expr, mem: Memory, env: Mapping[str, Value] | None = None) -> Value:
-    """Evaluate against a memory, with logical variables from `env`.
+def eval_in_memory(e: Union[Expr, Code], mem: Memory,
+                   env: Mapping[str, Value] | None = None) -> Value:
+    """Evaluate an expression, or its compiled closure, against a
+    memory, with logical variables from `env`.
 
     Memory bindings shadow logical ones; the sentinel error memory
     satisfies every assertion's negation by convention, handled by
     callers that count failures.
     """
+    code = e if callable(e) else compile_expr(e)
     store = dict(env) if env else {}
     store.update(mem.to_dict())
-    return eval_expr(e, store)
+    return code(store)

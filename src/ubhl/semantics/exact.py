@@ -16,11 +16,11 @@ from typing import Callable, Optional
 
 from ..dp.laplace import lap_masses_exact
 from ..lang.ast import (
-    Assign, Call, Command, DistExpr, ExtCall, If, LValue, Program, Sample,
-    Seq, Skip, While,
+    Assign, Call, Command, DistExpr, Expr, ExtCall, If, LValue, Program,
+    Sample, Seq, Skip, While,
 )
-from .evalexpr import UbhlRuntimeError, eval_expr
-from .values import ArrayVal, Memory, Value
+from .evalexpr import Code, UbhlRuntimeError, compile_expr, compile_write, dist_params
+from .values import Memory, Value
 
 ExtState = tuple[tuple[str, Value], ...]
 DetAdversary = Callable[[dict[str, Value], tuple[Value, ...]], tuple[dict[str, Value], Value]]
@@ -62,41 +62,6 @@ State = tuple[Memory, ExtState]
 Dist = dict[State, Fraction]
 
 
-def _write(mem: Memory, lv: LValue, value: Value) -> Memory:
-    if lv.idx is None:
-        return mem.set(lv.base, value)
-    idx = eval_expr(lv.idx, mem.to_dict())
-    arr = mem.get(lv.base)
-    if not isinstance(arr, ArrayVal):
-        raise UbhlRuntimeError(f"{lv.base!r} is not an array")
-    return mem.set(lv.base, arr.set(int(idx), value))
-
-
-def _dist_support(d: DistExpr, mem: Memory, budget: Budget) -> tuple[list[tuple[Value, Fraction]], Fraction]:
-    """Enumerate (value, mass) pairs and un-enumerated residual."""
-    store = mem.to_dict()
-    args = [eval_expr(a, store) for a in d.args]
-    if d.name == "bern":
-        p = Fraction(args[0])
-        if not 0 <= p <= 1:
-            raise UbhlRuntimeError(f"bern parameter {p} outside [0,1]")
-        return [(True, p), (False, 1 - p)], Fraction(0)
-    if d.name == "unifint":
-        lo, hi = int(args[0]), int(args[1])
-        if hi < lo:
-            raise UbhlRuntimeError("unifint with empty range")
-        mass = Fraction(1, hi - lo + 1)
-        return [(v, mass) for v in range(lo, hi + 1)], Fraction(0)
-    if d.name == "lap":
-        eps = Fraction(args[0])
-        if eps <= 0:
-            raise UbhlRuntimeError("lap scale must be positive")
-        mean = Fraction(args[1])
-        masses, residual = lap_masses_exact(eps, budget.laplace_radius)
-        return [(mean + k, m) for k, m in sorted(masses.items())], residual
-    raise UbhlRuntimeError(f"unknown distribution {d.name!r}")
-
-
 class ExactEvaluator:
     def __init__(self, program: Program, budget: Optional[Budget] = None,
                  adversaries: Optional[dict[str, DetAdversary]] = None):
@@ -104,6 +69,52 @@ class ExactEvaluator:
         self.budget = budget or Budget()
         self.adversaries = adversaries or {}
         self.residual = Fraction(0)
+        self._codes: dict[object, Code] = {}   # Expr or LValue -> closure
+
+    def _eval(self, e: Expr, mem: Memory) -> Value:
+        """`e` over `mem`, compiled once per evaluator."""
+        code = self._codes.get(e)
+        if code is None:
+            code = self._codes[e] = compile_expr(e)
+        return code(mem.to_dict())
+
+    def _write(self, mem: Memory, lv: LValue, value: Value) -> Memory:
+        write = self._codes.get(lv)
+        if write is None:
+            write = self._codes[lv] = compile_write(lv)
+        store = mem.to_dict()
+        write(store, value)
+        return Memory(store.items(), mem.error)
+
+    def _dist_support(self, d: DistExpr, mem: Memory) -> tuple[list[tuple[Value, Fraction]], Fraction]:
+        """Enumerate (value, mass) pairs and un-enumerated residual."""
+        params = dist_params(d.name, [self._eval(a, mem) for a in d.args])
+        if d.name == "bern":
+            p, = params
+            return [(True, p), (False, 1 - p)], Fraction(0)
+        if d.name == "unifint":
+            lo, hi = params
+            mass = Fraction(1, hi - lo + 1)
+            return [(v, mass) for v in range(lo, hi + 1)], Fraction(0)
+        eps, mean = params
+        masses, residual = lap_masses_exact(eps, self.budget.laplace_radius)
+        return [(mean + k, m) for k, m in sorted(masses.items())], residual
+
+    def _loops(self, guard: Expr, st: State, w: Fraction, out: Dist) -> bool:
+        """Whether a loop iterates again from `st`; if not, its mass goes
+        to `out`, on the error memory when the guard fails."""
+        m, e = st
+        if m.error:
+            _acc(out, st, w)
+            return False
+        try:
+            g = self._eval(guard, m)
+        except UbhlRuntimeError:
+            _acc(out, (_ERROR, e), w)
+            return False
+        if not g:
+            _acc(out, st, w)
+        return bool(g)
 
     # each step maps one state to a distribution over states; errors
     # collapse to the sentinel
@@ -124,14 +135,14 @@ class ExactEvaluator:
             _acc(out, (mem, ext), mass)
             return
         if isinstance(c, Assign):
-            value = eval_expr(c.expr, mem.to_dict())
-            _acc(out, (_write(mem, c.target, value), ext), mass)
+            value = self._eval(c.expr, mem)
+            _acc(out, (self._write(mem, c.target, value), ext), mass)
             return
         if isinstance(c, Sample):
-            pairs, residual = _dist_support(c.dist, mem, self.budget)
+            pairs, residual = self._dist_support(c.dist, mem)
             self.residual += mass * residual
             for value, p in pairs:
-                _acc(out, (_write(mem, c.target, value), ext), mass * p)
+                _acc(out, (self._write(mem, c.target, value), ext), mass * p)
             return
         if isinstance(c, Seq):
             mid: Dist = {}
@@ -140,7 +151,7 @@ class ExactEvaluator:
                 self._step(c.second, st, m, out)
             return
         if isinstance(c, If):
-            guard = eval_expr(c.guard, mem.to_dict())
+            guard = self._eval(c.guard, mem)
             branch = c.then if guard else c.els
             self._step(branch, (mem, ext), mass, out)
             return
@@ -150,61 +161,31 @@ class ExactEvaluator:
                 if not active:
                     return
                 nxt: Dist = {}
-                for (m0, e0), w in active.items():
-                    if m0.error:
-                        _acc(out, (m0, e0), w)
-                        continue
-                    try:
-                        g = eval_expr(c.guard, m0.to_dict())
-                    except UbhlRuntimeError:
-                        _acc(out, (_ERROR, e0), w)
-                        continue
-                    if not g:
-                        _acc(out, (m0, e0), w)
-                        continue
-                    self._step(c.body, (m0, e0), w, nxt)
+                for st, w in active.items():
+                    if self._loops(c.guard, st, w, out):
+                        self._step(c.body, st, w, nxt)
                 active = nxt
             # guard-true mass that survived the unrolling budget
-            for (m0, e0), w in active.items():
-                if m0.error:
-                    _acc(out, (m0, e0), w)
-                    continue
-                try:
-                    g = eval_expr(c.guard, m0.to_dict())
-                except UbhlRuntimeError:
-                    _acc(out, (_ERROR, e0), w)
-                    continue
-                if g:
+            for st, w in active.items():
+                if self._loops(c.guard, st, w, out):
                     self.residual += w
-                else:
-                    _acc(out, (m0, e0), w)
             return
         if isinstance(c, Call):
             callee = self.program.procs.get(c.proc)
             if callee is None:
                 raise UbhlRuntimeError(f"unknown procedure {c.proc!r}")
-            arg_val = eval_expr(c.arg, mem.to_dict())
-            entry = mem.set(callee.arg, arg_val)
-            mid: Dist = {}
-            self._step(callee.body, (entry, ext), mass, mid)
-            for (m1, e1), w in mid.items():
-                if m1.error:
-                    _acc(out, (m1, e1), w)
-                    continue
-                try:
-                    ret = eval_expr(callee.ret, m1.to_dict())
-                    _acc(out, (_write(m1, c.target, ret), e1), w)
-                except UbhlRuntimeError:
-                    _acc(out, (_ERROR, e1), w)
+            entry = mem.set(callee.arg, self._eval(c.arg, mem))
+            # the return is one more assignment after the body
+            self._step(Seq(callee.body, Assign(c.target, callee.ret)), (entry, ext), mass, out)
             return
         if isinstance(c, ExtCall):
             strat = self.adversaries.get(c.ext)
             if strat is None:
                 raise UbhlRuntimeError(f"no adversary bound for {c.ext!r}")
-            args = tuple(eval_expr(a, mem.to_dict()) for a in c.args)
+            args = tuple(self._eval(a, mem) for a in c.args)
             ext_dict = dict(ext)
             new_ext, value = strat(ext_dict, args)
-            _acc(out, (_write(mem, c.target, value), tuple(sorted(new_ext.items()))), mass)
+            _acc(out, (self._write(mem, c.target, value), tuple(sorted(new_ext.items()))), mass)
             return
         raise UbhlRuntimeError(f"unsupported command in exact mode: {c!r}")
 

@@ -1,28 +1,42 @@
 """Seeded Monte Carlo execution and failure-rate estimation.
 
-One trial is a deterministic function of (program, argument,
-adversaries, seed, trial index); aggregation is a commutative sum of
-counts, so trials can run in any order or in parallel.
+`CompiledProgram` compiles a program's commands and procedure calls
+into nested closures once (expressions: `evalexpr.compile_expr`); each
+trial runs them on a fresh store and a `RunState` (RNG stream,
+adversaries, external store, loop cap). Compiled with ghost sites, the
+same core also tracks the embedding's ghost (`ubhl.embed.runtime`).
+
+A trial is a deterministic function of (program, argument, adversaries,
+seed, trial index): the closures draw and evaluate in the order of the
+source. Counts add, so `run_chunked` runs trials in chunks, in one
+process or a pool, and sums what a per-trial classifier reports.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from itertools import repeat
+from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
 from ..dp.laplace import lap_sample
 from ..lang.ast import (
-    Assign, Call, Command, DistExpr, Expr, ExtCall, If, Program, Sample, Seq,
-    Skip, While,
+    Assign, Call, Command, Expr, ExtCall, If, Program, Sample, Seq, Skip,
+    While,
 )
-from .evalexpr import UbhlRuntimeError, eval_expr
+from .evalexpr import (
+    UbhlRuntimeError, compile_expr, compile_write, dist_params, eval_in_memory,
+)
 from .exact import initial_memory
 from .rng import TrialRng
-from .values import ArrayVal, Memory, Value
+from .values import Memory, Value
+
+Store = dict[str, Value]
+SitePath = tuple[str, ...]
 
 
 class TrialAborted(Exception):
@@ -42,98 +56,174 @@ class AdversaryStrategy:
         raise NotImplementedError
 
 
-class TrialInterpreter:
-    def __init__(self, program: Program, adversaries: Mapping[str, AdversaryStrategy],
-                 rng: TrialRng, loop_cap: int = 1_000_000):
-        self.program = program
-        self.adversaries = dict(adversaries)
-        self.rng = rng
-        self.loop_cap = loop_cap
+class RunState:
+    """What a trial changes besides its store. The ghost fields are
+    used only by a core compiled with sites."""
+
+    __slots__ = ("rng", "adversaries", "loop_cap", "ext", "ghost", "executed",
+                 "filtered")
+
+    def __init__(self, rng: TrialRng, adversaries: Mapping[str, AdversaryStrategy],
+                 loop_cap: int = 1_000_000):
+        self.rng, self.adversaries, self.loop_cap = rng, adversaries, loop_cap
         self.ext: dict[str, Value] = {}
-        self.ghost_log: list[tuple[tuple[str, ...], Value]] = []
+        self.ghost = Fraction(0)
+        self.executed: list[SitePath] = []
+        self.filtered = False
 
-    def run(self, store: dict[str, Value], c: Command) -> None:
-        if isinstance(c, Skip):
-            return
-        if isinstance(c, Assign):
-            self._write(store, c, eval_expr(c.expr, store))
-            return
-        if isinstance(c, Sample):
-            self._write(store, c, self._draw(c.dist, store))
-            return
-        if isinstance(c, Seq):
-            self.run(store, c.first)
-            self.run(store, c.second)
-            return
-        if isinstance(c, If):
-            branch = c.then if eval_expr(c.guard, store) else c.els
-            self.run(store, branch)
-            return
-        if isinstance(c, While):
+
+Step = Callable[[Store, RunState], None]
+
+_DRAW = {
+    "bern": lambda rng, p: rng.bernoulli(p),
+    "unifint": lambda rng, lo, hi: rng.unif_int(lo, hi),
+    "lap": lambda rng, eps, mean: lap_sample(float(eps), mean, rng),
+}
+
+
+class CompiledProgram:
+    """A program's procedures as closures, each compiled on first use.
+
+    With `sites` (site path -> spec with `index` and `post`), every
+    sampling site that has a spec also charges the spec's index to the
+    run's ghost and evaluates its post over the logical environment
+    chained with the store. A site's path is static: `1`/`2` into a
+    sequence, `t`/`e` into a branch, `b` into a loop body, and a called
+    procedure's body is compiled under its caller's path.
+    """
+
+    def __init__(self, program: Program, sites: Optional[Mapping[SitePath, Any]] = None,
+                 logical_env: Optional[Mapping[str, Value]] = None):
+        self.program = program
+        self._sites = None if sites is None else dict(sites)
+        self._logical_env = dict(logical_env or {})
+        self._defaults = initial_memory(program).to_dict()
+        self._procs: dict[tuple[str, SitePath], tuple[Step, Callable]] = {}
+
+    def execute(self, entry: str, arg: Value, run: RunState,
+                overrides: Optional[Mapping[str, Value]] = None,
+                result_var: str = "res") -> Store:
+        """Run procedure `entry` on `arg`; the final store."""
+        proc = self.program.procs[entry]
+        store = dict(self._defaults)
+        store.update(overrides or {})
+        store[proc.arg] = arg
+        body, ret = self._proc(entry, ())
+        body(store, run)
+        store[result_var] = ret(store)
+        return store
+
+    def _proc(self, name: str, path: SitePath) -> tuple[Step, Callable]:
+        key = (name, path)
+        if key not in self._procs:
+            proc = self.program.procs[name]
+            self._procs[key] = (self._command(proc.body, path), compile_expr(proc.ret))
+        return self._procs[key]
+
+    def _sub(self, path: SitePath, step: str) -> SitePath:
+        return path if self._sites is None else path + (step,)
+
+    def _command(self, c: Command, path: SitePath) -> Step:
+        make = _COMMANDS.get(type(c))
+        if make is None:
+            def unsupported(store, run):
+                raise UbhlRuntimeError(f"unsupported command: {c!r}")
+            return unsupported
+        return make(self, c, path)
+
+    def _seq(self, c: Seq, path: SitePath) -> Step:
+        first = self._command(c.first, self._sub(path, "1"))
+        second = self._command(c.second, self._sub(path, "2"))
+
+        def seq(store, run):
+            first(store, run)
+            second(store, run)
+        return seq
+
+    def _assign(self, c: Assign, path: SitePath) -> Step:
+        e, write = compile_expr(c.expr), compile_write(c.target)
+        return lambda store, run: write(store, e(store))
+
+    def _sample(self, c: Sample, path: SitePath) -> Step:
+        args, name = [compile_expr(a) for a in c.dist.args], c.dist.name
+        write, draw = compile_write(c.target), _DRAW.get(name)
+
+        def sample(store, run):
+            params = dist_params(name, [f(store) for f in args])
+            write(store, draw(run.rng, *params))
+        spec = self._sites.get(path) if self._sites is not None else None
+        if spec is None:
+            return sample
+        index, post, env = compile_expr(spec.index), compile_expr(spec.post), self._logical_env
+
+        def site(store, run):
+            sample(store, run)
+            scope = dict(env)
+            scope.update(store)
+            run.ghost += Fraction(index(scope))
+            run.executed.append(path)
+            if not bool(post(scope)):
+                run.filtered = True
+        return site
+
+    def _if(self, c: If, path: SitePath) -> Step:
+        guard = compile_expr(c.guard)
+        then = self._command(c.then, self._sub(path, "t"))
+        els = self._command(c.els, self._sub(path, "e"))
+        return lambda store, run: (then if guard(store) else els)(store, run)
+
+    def _while(self, c: While, path: SitePath) -> Step:
+        guard, body = compile_expr(c.guard), self._command(c.body, self._sub(path, "b"))
+
+        def loop(store, run):
             iters = 0
-            while eval_expr(c.guard, store):
-                self.run(store, c.body)
+            while guard(store):
+                body(store, run)
                 iters += 1
-                if iters >= self.loop_cap:
-                    raise TrialAborted(f"loop exceeded {self.loop_cap} iterations")
-            return
-        if isinstance(c, Call):
-            callee = self.program.procs[c.proc]
-            store[callee.arg] = eval_expr(c.arg, store)
-            self.run(store, callee.body)
-            self._write(store, c, eval_expr(callee.ret, store))
-            return
-        if isinstance(c, ExtCall):
-            strat = self.adversaries.get(c.ext)
+                if iters >= run.loop_cap:
+                    raise TrialAborted(f"loop exceeded {run.loop_cap} iterations")
+        return loop
+
+    def _call(self, c: Call, path: SitePath) -> Step:
+        arg, write, name = compile_expr(c.arg), compile_write(c.target), c.proc
+
+        def call(store, run):
+            callee = self.program.procs[name]
+            store[callee.arg] = arg(store)
+            body, ret = self._proc(name, path)
+            body(store, run)
+            write(store, ret(store))
+        return call
+
+    def _ext_call(self, c: ExtCall, path: SitePath) -> Step:
+        args, write, name = [compile_expr(a) for a in c.args], compile_write(c.target), c.ext
+
+        def ext_call(store, run):
+            strat = run.adversaries.get(name)
             if strat is None:
-                raise UbhlRuntimeError(f"no adversary bound for {c.ext!r}")
-            args = tuple(eval_expr(a, store) for a in c.args)
-            self.ext, value = strat.respond(self.ext, args, self.rng)
-            self._write(store, c, value)
-            return
-        raise UbhlRuntimeError(f"unsupported command: {c!r}")
-
-    def _write(self, store: dict[str, Value], c, value: Value) -> None:
-        lv = c.target
-        if lv.idx is None:
-            store[lv.base] = value
-            return
-        idx = int(eval_expr(lv.idx, store))
-        arr = store[lv.base]
-        if not isinstance(arr, ArrayVal):
-            raise UbhlRuntimeError(f"{lv.base!r} is not an array")
-        store[lv.base] = arr.set(idx, value)
-
-    def _draw(self, d: DistExpr, store: dict[str, Value]) -> Value:
-        args = [eval_expr(a, store) for a in d.args]
-        if d.name == "bern":
-            p = Fraction(args[0])
-            if not 0 <= p <= 1:
-                raise UbhlRuntimeError(f"bern parameter {p} outside [0,1]")
-            return self.rng.bernoulli(p)
-        if d.name == "unifint":
-            return self.rng.unif_int(int(args[0]), int(args[1]))
-        if d.name == "lap":
-            eps = float(args[0])
-            if eps <= 0:
-                raise UbhlRuntimeError("lap scale must be positive")
-            return lap_sample(eps, Fraction(args[1]), self.rng)
-        raise UbhlRuntimeError(f"unknown distribution {d.name!r}")
+                raise UbhlRuntimeError(f"no adversary bound for {name!r}")
+            run.ext, value = strat.respond(run.ext, tuple(f(store) for f in args), run.rng)
+            write(store, value)
+        return ext_call
 
 
-def run_trial(program: Program, entry: str, arg: Value,
+_COMMANDS: dict[type, Callable[[CompiledProgram, Any, SitePath], Step]] = {
+    Skip: lambda self, c, path: lambda store, run: None,
+    Seq: CompiledProgram._seq, Assign: CompiledProgram._assign, Sample: CompiledProgram._sample,
+    If: CompiledProgram._if, While: CompiledProgram._while,
+    Call: CompiledProgram._call, ExtCall: CompiledProgram._ext_call,
+}
+
+
+def run_trial(program: Union[Program, CompiledProgram], entry: str, arg: Value,
               adversaries: Mapping[str, AdversaryStrategy], seed: int,
               trial: int = 0, overrides: Optional[dict[str, Value]] = None,
               result_var: str = "res", loop_cap: int = 1_000_000) -> Memory:
-    """One sampled execution; deterministic in (program, arg, seed, trial)."""
-    proc = program.procs[entry]
-    rng = TrialRng(seed, trial)
-    interp = TrialInterpreter(program, adversaries, rng, loop_cap)
-    store = initial_memory(program, overrides).to_dict()
-    store[proc.arg] = arg
-    interp.run(store, proc.body)
-    store[result_var] = eval_expr(proc.ret, store)
-    return Memory(store.items())
+    """One sampled execution; deterministic in (program, arg, seed, trial).
+    Pass a CompiledProgram to run many trials of one compilation."""
+    core = program if isinstance(program, CompiledProgram) else CompiledProgram(program)
+    run = RunState(TrialRng(seed, trial), adversaries, loop_cap)
+    return Memory(core.execute(entry, arg, run, overrides, result_var).items())
 
 
 @dataclass
@@ -193,21 +283,48 @@ def clopper_pearson_upper(failures: int, trials: int, confidence: float = 0.95) 
     return hi
 
 
-def _count_chunk(args) -> int:
-    (program, entry, arg, adversaries, bad, seed, start, count,
-     overrides, result_var, env, loop_cap) = args
-    from .evalexpr import eval_in_memory
+Classifier = Callable[[int], Iterable]
 
-    failures = 0
+
+def _tally(make_classifier: Callable[[Any], Classifier], spec: Any,
+           start: int, count: int) -> Counter:
+    classify = make_classifier(spec)
+    counts: Counter = Counter()
     for i in range(start, start + count):
+        counts.update(classify(i))
+    return counts
+
+
+def run_chunked(make_classifier: Callable[[Any], Classifier], spec: Any,
+                trials: int, jobs: int = 1) -> Counter:
+    """How often each key is reported over trials 0 .. trials-1, where
+    `make_classifier(spec)` gives the classifier and `classify(i)` the
+    keys that count for trial i. Each chunk of trials makes its
+    classifier (and so compiles) once. With jobs > 1 the chunks run in
+    a process pool, so `make_classifier` and `spec` must pickle."""
+    if jobs <= 1 or trials < 1:
+        return _tally(make_classifier, spec, 0, trials)
+    size = (trials + jobs - 1) // jobs
+    starts = range(0, trials, size)
+    counts = [min(size, trials - s) for s in starts]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return sum(pool.map(_tally, repeat(make_classifier), repeat(spec), starts, counts),
+                   Counter())
+
+
+def _failure_classifier(spec) -> Classifier:
+    (program, entry, arg, adversaries, bad, seed, overrides, result_var, env,
+     loop_cap) = spec
+    core, bad_code = CompiledProgram(program), compile_expr(bad)
+
+    def classify(i):
         try:
-            mem = run_trial(program, entry, arg, adversaries, seed, i,
-                            overrides, result_var, loop_cap)
-            if mem.error or bool(eval_in_memory(bad, mem, env)):
-                failures += 1
+            mem = run_trial(core, entry, arg, adversaries, seed, i, overrides,
+                            result_var, loop_cap)
+            return ("failure",) if bool(eval_in_memory(bad_code, mem, env)) else ()
         except (TrialAborted, UbhlRuntimeError):
-            failures += 1
-    return failures
+            return ("failure",)
+    return classify
 
 
 def estimate_failure(program: Program, entry: str, arg: Value,
@@ -220,21 +337,9 @@ def estimate_failure(program: Program, entry: str, arg: Value,
                      params: Optional[dict] = None) -> EstimateReport:
     """Monte Carlo estimate of the probability the `bad` assertion holds
     in the final memory. Aborted or erroring trials count as failures."""
-    if jobs <= 1:
-        failures = _count_chunk((program, entry, arg, dict(adversaries), bad,
-                                 seed, 0, trials, overrides, result_var,
-                                 env or {}, loop_cap))
-    else:
-        chunk = (trials + jobs - 1) // jobs
-        tasks = []
-        start = 0
-        while start < trials:
-            n = min(chunk, trials - start)
-            tasks.append((program, entry, arg, dict(adversaries), bad, seed,
-                          start, n, overrides, result_var, env or {}, loop_cap))
-            start += n
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            failures = sum(pool.map(_count_chunk, tasks))
+    spec = (program, entry, arg, dict(adversaries), bad, seed, overrides,
+            result_var, env or {}, loop_cap)
+    failures = run_chunked(_failure_classifier, spec, trials, jobs)["failure"]
     rate = failures / trials
     return EstimateReport(
         trials=trials, failures=failures, failure_rate=rate,

@@ -11,14 +11,13 @@ from ubhl.checker.kernel import check
 from ubhl.checker.proof import ProofNode, ProofScript
 from ubhl.embed.crosscheck import collect_sites, crosscheck
 from ubhl.embed.instrument import MissingAxiomAssignment, SiteSpec, embed
-from ubhl.embed.runtime import _GhostInterpreter, run_ghost_trial
+from ubhl.embed.runtime import run_ghost_trial
 from ubhl.embed.wp import MissingInvariant, wp
 from ubhl.lang.ast import Assume, GhostAdd, Havoc, REAL, Seq, Skip
 from ubhl.lang.parser import parse_expr, parse_program
 from ubhl.lang.typecheck import assertion_env, typecheck
-from ubhl.semantics.exact import initial_memory
 from ubhl.semantics.rng import TrialRng
-from ubhl.semantics.trial import TrialAborted, run_trial
+from ubhl.semantics.trial import CompiledProgram, RunState, TrialAborted, run_trial
 
 from corpus import generate_corpus
 
@@ -161,12 +160,9 @@ def test_ghost_loop_cap_aborts_like_trial():
     trial path, so both classify it the same way."""
     with pytest.raises(TrialAborted):
         run_trial(COUNTER, "main", 0, {}, seed=1, loop_cap=3)
-    interp = _GhostInterpreter(COUNTER, {}, TrialRng(1, 0), {}, {})
-    interp.loop_cap = 3
-    store = initial_memory(COUNTER).to_dict()
-    store["w"] = 0
+    ghost_core = CompiledProgram(COUNTER, sites={}, logical_env={})
     with pytest.raises(TrialAborted):
-        interp.run(store, COUNTER.procs["main"].body)
+        ghost_core.execute("main", 0, RunState(TrialRng(1, 0), {}, loop_cap=3))
     out = run_ghost_trial(COUNTER, "main", 0, {}, {}, seed=1)
     assert out.memory.get("res") == 10 and out.ghost == 0
 

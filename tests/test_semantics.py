@@ -7,8 +7,8 @@ from ubhl.lang.ast import Call, LValue, NumLit, Seq
 from ubhl.lang.parser import parse_expr, parse_program
 from ubhl.lang.typecheck import typecheck
 from ubhl.semantics.evalexpr import (
-    DivisionByZero, UnboundVariableError, UnboundedQuantifierAtRuntime,
-    eval_expr, eval_in_memory,
+    DivisionByZero, UbhlRuntimeError, UnboundVariableError,
+    UnboundedQuantifierAtRuntime, eval_expr, eval_in_memory,
 )
 from ubhl.semantics.exact import Budget, denote_exact, initial_memory
 from ubhl.semantics.trial import (
@@ -259,3 +259,42 @@ def test_memory_round_trip(x, n):
     m2 = m.set("a", x + 1)
     assert m.get("a") == x and m2.get("a") == x + 1
     assert hash(m) == hash(Memory({"b": Fraction(1, n), "a": x}.items()))
+
+
+# ── one classification of runtime failures on every path ──
+
+FAULTY = {
+    "empty-unifint": "var u : int;\nproc main(w) { u <$ unifint(5, 2); } return u",
+    "division-by-zero": "var x : real;\nproc main(w) { x <- 1 / (w - w); } return x",
+    "log-of-zero": "var x : real;\nproc main(w) { x <- log(w - w); } return x",
+    "loop-cap": "var i : int;\nproc main(w) { while (true) { i <- i + 1; } } return i",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAULTY))
+def test_runtime_failure_classified_alike_on_every_path(name):
+    """Trial, ghost and exact paths all count the faulty run as a
+    failure: an aborted or erroring trial, or mass on the error memory
+    or the residual, never an escaping exception."""
+    from ubhl.embed.runtime import run_ghost_trial
+    from ubhl.semantics.rng import TrialRng
+    from ubhl.semantics.trial import CompiledProgram, RunState, TrialAborted
+
+    p = prog(FAULTY[name])
+    report = estimate_failure(p, "main", 0, {}, parse_expr("false"),
+                              trials=5, seed=1, loop_cap=50)
+    assert report.failures == 5
+    with pytest.raises((TrialAborted, UbhlRuntimeError)):
+        run_trial(p, "main", 0, {}, seed=1, loop_cap=50)
+    # the ghost path keeps its default cap; the loop is cut on the run state
+    if name == "loop-cap":
+        with pytest.raises(TrialAborted):
+            CompiledProgram(p, sites={}).execute(
+                "main", 0, RunState(TrialRng(1, 0), {}, loop_cap=50))
+    else:
+        with pytest.raises(UbhlRuntimeError):
+            run_ghost_trial(p, "main", 0, {}, {}, seed=1)
+    d = denote_exact(p, p.procs["main"].body, initial_memory(p).set("w", 0),
+                     Budget(max_loop_iters=20))
+    assert d.prob_upper(lambda m: False) == 1
+    assert sum(d.support.values()) == 0 or all(m.error for m in d.support)
