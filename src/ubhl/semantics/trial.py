@@ -35,7 +35,7 @@ from .exact import initial_memory
 from .rng import TrialRng
 from .values import Memory, Value
 
-Store = dict[str, Value]
+StoreDict = dict[str, Value]
 SitePath = tuple[str, ...]
 
 
@@ -72,7 +72,7 @@ class RunState:
         self.filtered = False
 
 
-Step = Callable[[Store, RunState], None]
+Step = Callable[[StoreDict, RunState], None]
 
 _DRAW = {
     "bern": lambda rng, p: rng.bernoulli(p),
@@ -102,7 +102,7 @@ class CompiledProgram:
 
     def execute(self, entry: str, arg: Value, run: RunState,
                 overrides: Optional[Mapping[str, Value]] = None,
-                result_var: str = "res") -> Store:
+                result_var: str = "res") -> StoreDict:
         """Run procedure `entry` on `arg`; the final store."""
         proc = self.program.procs[entry]
         store = dict(self._defaults)
