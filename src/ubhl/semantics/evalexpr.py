@@ -112,8 +112,8 @@ _FUNCS: dict[str, Callable[[list], Value]] = {
 
 
 def _raises(exc: type, msg: str, *operands: Code) -> Code:
-    """A closure that evaluates its operands, then fails as the tree
-    walk did on reaching an unknown node or operator."""
+    """A closure that evaluates its operands, then raises: how an unknown
+    node, operator or function fails when it runs."""
     def fail(s):
         for f in operands:
             f(s)
