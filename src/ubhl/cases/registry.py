@@ -201,7 +201,9 @@ def rnm_analytic_bound(params: Optional[dict] = None) -> float:
 def _case_classifier(spec) -> Classifier:
     """Per-trial classifier of a validation run: key 0 when the bad
     event holds, key j when the j-th extra check holds, and every key
-    when the trial aborts or fails at runtime."""
+    when the trial aborts or fails at runtime. Trials and checks go
+    through this module's `run_trial` and `eval_in_memory`, the names
+    `bench/tracing.py` wraps to time them."""
     program, strategies, overrides, logical_env, checks, seed, loop_cap = spec
     core = CompiledProgram(program)
     codes = [(j, compile_expr(e)) for j, e in enumerate(checks)]

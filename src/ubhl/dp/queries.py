@@ -70,32 +70,20 @@ def db_size(d: Database) -> Fraction:
 
 
 def eval_query(q: Query, d: Database) -> Fraction:
-    """offset + <weights, counts>, equal in value and type to the plain
-    Fraction fold. With a Fraction offset the sum is kept as one integer
-    numerator over one integer denominator and divided once at the end;
-    any other offset takes the fold itself."""
+    """offset + <weights, counts>, equal to the plain Fraction fold: the
+    sum is kept as one integer numerator over one integer denominator
+    and divided once at the end."""
     if len(q.weights) != len(d.counts):
         raise DimensionMismatch(
             f"query dimension {len(q.weights)} vs database {len(d.counts)}")
-    acc = q.offset
-    if type(acc) is Fraction:
-        num, den = acc.numerator, acc.denominator
-        try:
-            for w, c in zip(q.weights, d.counts):
-                pn = w.numerator * c.numerator
-                pd = w.denominator * c.denominator
-                if pd == den:
-                    num += pn
-                else:
-                    num = num * pd + pn * den
-                    den *= pd
-        except AttributeError:  # a float operand: its fold is a float
-            pass
-        else:
-            return Fraction(num, den)
+    num, den = q.offset.numerator, q.offset.denominator
     for w, c in zip(q.weights, d.counts):
-        acc += w * c
-    return acc
+        pn, pd = w.numerator * c.numerator, w.denominator * c.denominator
+        if pd == den:
+            num += pn
+        else:
+            num, den = num * pd + pn * den, den * pd
+    return Fraction(num, den)
 
 
 def inv_query(q: Query) -> Query:

@@ -2,21 +2,20 @@
 
 from .evalexpr import (
     DivisionByZero, UbhlRuntimeError, UnboundedQuantifierAtRuntime,
-    compile_expr, eval_expr, eval_in_memory,
+    eval_expr, eval_in_memory,
 )
 from .exact import Budget, SubDist, denote_exact, initial_memory
 from .rng import TrialRng
 from .trial import (
-    AdversaryStrategy, CompiledProgram, EstimateReport, RunState, TrialAborted,
-    clopper_pearson_upper, estimate_failure, run_chunked, run_trial,
+    AdversaryStrategy, EstimateReport, TrialAborted, clopper_pearson_upper,
+    estimate_failure, run_trial,
 )
 from .values import ArrayVal, Memory
 
 __all__ = [
-    "AdversaryStrategy", "ArrayVal", "Budget", "CompiledProgram",
-    "DivisionByZero", "EstimateReport", "Memory", "RunState", "SubDist",
-    "TrialAborted", "TrialRng", "UbhlRuntimeError",
-    "UnboundedQuantifierAtRuntime", "clopper_pearson_upper", "compile_expr",
-    "denote_exact", "estimate_failure", "eval_expr", "eval_in_memory",
-    "initial_memory", "run_chunked", "run_trial",
+    "AdversaryStrategy", "ArrayVal", "Budget", "DivisionByZero",
+    "EstimateReport", "Memory", "SubDist", "TrialAborted", "TrialRng",
+    "UbhlRuntimeError", "UnboundedQuantifierAtRuntime",
+    "clopper_pearson_upper", "denote_exact", "estimate_failure", "eval_expr",
+    "eval_in_memory", "initial_memory", "run_trial",
 ]

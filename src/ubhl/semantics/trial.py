@@ -18,7 +18,7 @@ import json
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from typing import Any, Callable, Iterable, Mapping, Optional, Union
@@ -56,20 +56,17 @@ class AdversaryStrategy:
         raise NotImplementedError
 
 
+@dataclass(slots=True)
 class RunState:
-    """What a trial changes besides its store. The ghost fields are
-    used only by a core compiled with sites."""
-
-    __slots__ = ("rng", "adversaries", "loop_cap", "ext", "ghost", "executed",
-                 "filtered")
-
-    def __init__(self, rng: TrialRng, adversaries: Mapping[str, AdversaryStrategy],
-                 loop_cap: int = 1_000_000):
-        self.rng, self.adversaries, self.loop_cap = rng, adversaries, loop_cap
-        self.ext: dict[str, Value] = {}
-        self.ghost = Fraction(0)
-        self.executed: list[SitePath] = []
-        self.filtered = False
+    """What a trial changes besides its store; the ghost fields change
+    only at sampling sites that have a spec."""
+    rng: TrialRng
+    adversaries: Mapping[str, AdversaryStrategy]
+    loop_cap: int = 1_000_000
+    ext: dict[str, Value] = field(default_factory=dict)
+    ghost: Fraction = Fraction(0)
+    executed: list[SitePath] = field(default_factory=list)
+    filtered: bool = False
 
 
 Step = Callable[[StoreDict, RunState], None]
@@ -95,7 +92,7 @@ class CompiledProgram:
     def __init__(self, program: Program, sites: Optional[Mapping[SitePath, Any]] = None,
                  logical_env: Optional[Mapping[str, Value]] = None):
         self.program = program
-        self._sites = None if sites is None else dict(sites)
+        self._sites = dict(sites or {})
         self._logical_env = dict(logical_env or {})
         self._defaults = initial_memory(program).to_dict()
         self._procs: dict[tuple[str, SitePath], tuple[Step, Callable]] = {}
@@ -120,9 +117,6 @@ class CompiledProgram:
             self._procs[key] = (self._command(proc.body, path), compile_expr(proc.ret))
         return self._procs[key]
 
-    def _sub(self, path: SitePath, step: str) -> SitePath:
-        return path if self._sites is None else path + (step,)
-
     def _command(self, c: Command, path: SitePath) -> Step:
         make = _COMMANDS.get(type(c))
         if make is None:
@@ -132,8 +126,8 @@ class CompiledProgram:
         return make(self, c, path)
 
     def _seq(self, c: Seq, path: SitePath) -> Step:
-        first = self._command(c.first, self._sub(path, "1"))
-        second = self._command(c.second, self._sub(path, "2"))
+        first = self._command(c.first, path + ("1",))
+        second = self._command(c.second, path + ("2",))
 
         def seq(store, run):
             first(store, run)
@@ -151,7 +145,7 @@ class CompiledProgram:
         def sample(store, run):
             params = dist_params(name, [f(store) for f in args])
             write(store, draw(run.rng, *params))
-        spec = self._sites.get(path) if self._sites is not None else None
+        spec = self._sites.get(path)
         if spec is None:
             return sample
         index, post, env = compile_expr(spec.index), compile_expr(spec.post), self._logical_env
@@ -168,12 +162,12 @@ class CompiledProgram:
 
     def _if(self, c: If, path: SitePath) -> Step:
         guard = compile_expr(c.guard)
-        then = self._command(c.then, self._sub(path, "t"))
-        els = self._command(c.els, self._sub(path, "e"))
+        then = self._command(c.then, path + ("t",))
+        els = self._command(c.els, path + ("e",))
         return lambda store, run: (then if guard(store) else els)(store, run)
 
     def _while(self, c: While, path: SitePath) -> Step:
-        guard, body = compile_expr(c.guard), self._command(c.body, self._sub(path, "b"))
+        guard, body = compile_expr(c.guard), self._command(c.body, path + ("b",))
 
         def loop(store, run):
             iters = 0

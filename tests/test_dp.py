@@ -267,7 +267,7 @@ _rationals = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.data(), st.integers(0, 9), _rationals)
+@given(st.data(), st.integers(0, 9), _rationals.map(Fraction))
 def test_eval_query_matches_fraction_fold(data, dim, offset):
     weights = tuple(data.draw(st.lists(_rationals, min_size=dim, max_size=dim)))
     counts = tuple(data.draw(st.lists(_rationals, min_size=dim, max_size=dim)))
