@@ -63,10 +63,10 @@ class RunState:
     rng: TrialRng
     adversaries: Mapping[str, AdversaryStrategy]
     loop_cap: int = 1_000_000
-    ext: dict[str, Value] = field(default_factory=dict)
-    ghost: Fraction = Fraction(0)
-    executed: list[SitePath] = field(default_factory=list)
-    filtered: bool = False
+    ext: dict[str, Value] = field(init=False, default_factory=dict)
+    ghost: Fraction = field(init=False, default=Fraction(0))
+    executed: list[SitePath] = field(init=False, default_factory=list)
+    filtered: bool = field(init=False, default=False)
 
 
 Step = Callable[[StoreDict, RunState], None]
