@@ -1,0 +1,66 @@
+"""Byte-identity of check verdicts.
+
+Each digest is the SHA-256 of one shipped case's check outcome: the
+`summary()` line, the (rule, path, status) of every obligation in
+order, and the SMT-LIB text of every obligation left open. A change to
+the kernel, the normal form or the prover that claims to keep verdicts
+must keep these digests.
+
+The check runs in a fresh interpreter at PYTHONHASHSEED=0, so no cache
+filled by an earlier test and no string-hash order can reach it.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import ubhl
+
+GOLDEN = {
+    "rnm": "412ee12ff593b8a64a23ee04044136e6d6599bd364e49e2f028981a89c9a95e6",
+    "sv": "0bc80bea9030aa83ae7809a16a7d997a0867f2da1f1846be36d4587fb49da21e",
+    "mwsv": "37ee784e4b46de749d906a40694f9e9b140bc07dd8531cd0185ac3e7cc2ea8b7",
+}
+
+_SCRIPT = """
+import json, sys
+from ubhl.assertions.smtlib import emit_smtlib
+from ubhl.cases.registry import case_proof, case_source, check_case
+from ubhl.lang.ast import IntT
+from ubhl.lang.parser import parse_program
+from ubhl.lang.typecheck import assertion_env
+
+name = sys.argv[1]
+result = check_case(name)
+env = assertion_env(parse_program(case_source(name)), case_proof(name).logicals)
+for extra in ("res", "eta", "eta2"):
+    env.setdefault(extra, IntT())
+print(json.dumps({
+    "summary": result.summary(),
+    "obligations": [[ob.rule, list(ob.path), ob.status.value]
+                    for ob in result.obligations],
+    "smtlib": [emit_smtlib(ob, env) for ob in result.undischarged()],
+}, sort_keys=True))
+"""
+
+
+def _outcome(name: str) -> str:
+    src = str(Path(ubhl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _SCRIPT, name], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_check_outcome_is_byte_identical(name):
+    out = _outcome(name)
+    json.loads(out)  # one well-formed record
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[name]
