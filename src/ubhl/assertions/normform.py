@@ -35,7 +35,13 @@ _SKEY_CACHE: dict = {}
 
 
 def _skey(x) -> str:
-    # sort key; repr of nested tuples is hot, so cache it
+    # Sort key. Canonical keys mix str, int, bool and nested tuples,
+    # which do not order against each other, so keys sort by repr. The
+    # prover orders by repr too (rewrite direction, elimination order),
+    # tests containment in it (occurs check), and `_candidates` keys a
+    # canon_term pair of dicts by repr, which is stricter than rf_key.
+    # Equality and membership use the keys themselves: they hold no
+    # Fraction, so tuple equality is repr equality. Cached: repr is hot.
     try:
         hit = _SKEY_CACHE.get(x)
     except TypeError:
@@ -181,24 +187,9 @@ def rf_div(a: RF, b: RF) -> RF:
     return _rf_norm(p_mul(a[0], b[1]), p_mul(a[1], b[0]))
 
 
-def rf_pow(a: RF, n: int) -> RF:
-    out = rf_const(1)
-    base = a
-    k = abs(n)
-    for _ in range(k):
-        out = rf_mul(out, base)
-    if n < 0:
-        out = rf_div(rf_const(1), out)
-    return out
-
-
 def rf_equal(a: RF, b: RF) -> bool:
     # cross-multiplication handles unreduced common factors
     return p_key(p_mul(a[0], b[1])) == p_key(p_mul(b[0], a[1]))
-
-
-def rf_is_zero(a: RF) -> bool:
-    return not a[0]
 
 
 def rf_key(a: RF):

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext, ROUND_CEILING, ROUND_FLOOR
 from fractions import Fraction
+from operator import is_
 from typing import Optional
 
 from ..lang.ast import (
@@ -399,7 +400,7 @@ class Prover:
         # unit propagation over disjunctive hypotheses, to fixpoint
         for _ in range(6):
             changed = False
-            keys = {repr(key_of(h)) for h in out if not (isinstance(h, BinOp) and h.op == "||")}
+            keys = {key_of(h) for h in out if not (isinstance(h, BinOp) and h.op == "||")}
             new_out: list[Expr] = []
             for h in out:
                 if not (isinstance(h, BinOp) and h.op == "||"):
@@ -407,11 +408,11 @@ class Prover:
                     continue
                 parts = disjuncts(h)
                 part_keys = [key_of(p) for p in parts]
-                if any(repr(pk) in keys for pk in part_keys):
+                if any(pk in keys for pk in part_keys):
                     changed = True  # subsumed by an established literal
                     continue
                 kept = [p for p, pk in zip(parts, part_keys)
-                        if repr(_negate_key(pk)) not in keys]
+                        if _negate_key(pk) not in keys]
                 if len(kept) == len(parts):
                     new_out.append(h)
                     continue
@@ -427,9 +428,9 @@ class Prover:
                 break
 
         # pairwise contradiction on canonical keys
-        all_keys = {repr(key_of(h)) for h in out}
+        all_keys = {key_of(h) for h in out}
         for h in out:
-            if repr(_negate_key(key_of(h))) in all_keys:
+            if _negate_key(key_of(h)) in all_keys:
                 return out, True
 
         # equality propagation: rewrite every hypothesis, but keep the
@@ -442,13 +443,13 @@ class Prover:
             seen_rw: set = set()
             for h in out:
                 r = self._apply_eqs(h, eqs)
-                k = repr(key_of(r))
+                k = key_of(r)
                 if k in seen_rw:
                     continue
                 seen_rw.add(k)
                 rewritten.append(r)
             for h in originals:
-                k = repr(key_of(h))
+                k = key_of(h)
                 if k not in seen_rw:
                     seen_rw.add(k)
                     rewritten.append(h)
@@ -629,7 +630,7 @@ class Prover:
         return False
 
     def _hyps_inconsistent(self, hyps: list[Expr]) -> bool:
-        keys = {}
+        keys = set()
         for h in hyps:
             try:
                 k = canon_assertion(h)
@@ -637,11 +638,10 @@ class Prover:
                 continue
             if k == ("false",):
                 return True
-            keys[repr(k)] = k
+            keys.add(k)
         from .normform import _negate_key
-        for k in keys.values():
-            if repr(_negate_key(k)) in keys:
-                return True
+        if any(_negate_key(k) in keys for k in keys):
+            return True
         cons = self._collect_lincons(hyps)
         diseqs = self._collect_int_diseqs(hyps)
         key = (_con_multiset(cons),
@@ -662,7 +662,7 @@ class Prover:
         have: set = set(memo)
         for h in hyps:
             try:
-                have.add(repr(canon_assertion(h)))
+                have.add(canon_assertion(h))
             except (NonNumeric, ZeroDivisionError):
                 pass
         added: list[Expr] = []
@@ -675,7 +675,7 @@ class Prover:
                     continue
                 body = nnf(_subst(h.body, h.var, cand))
                 try:
-                    bk = repr(canon_assertion(body))
+                    bk = canon_assertion(body)
                 except (NonNumeric, ZeroDivisionError):
                     bk = repr(body)
                 if bk in have:
@@ -758,7 +758,7 @@ class Prover:
                 boundary = BinOp("+", hi, NumLit(Fraction(1)))
                 eq = BinOp("==", cand, boundary)
                 try:
-                    key = ("rsplit", repr(canon_assertion(eq)))
+                    key = ("rsplit", canon_assertion(eq))
                 except (NonNumeric, ZeroDivisionError):
                     continue
                 if key in memo:
@@ -844,13 +844,13 @@ class Prover:
 
     def _decide_neq(self, hyps: list[Expr], a: Expr, b: Expr) -> bool:
         try:
-            want = repr(canon_assertion(BinOp("!=", a, b)))
+            want = canon_assertion(BinOp("!=", a, b))
         except (NonNumeric, ZeroDivisionError):
             want = None
         if want is not None:
             for h in hyps:
                 try:
-                    if repr(canon_assertion(h)) == want:
+                    if canon_assertion(h) == want:
                         return True
                 except (NonNumeric, ZeroDivisionError):
                     continue
@@ -1123,37 +1123,46 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
-def _safe_struct(e: Expr):
-    try:
-        return canon_struct(e)
-    except (NonNumeric, ZeroDivisionError):
-        return repr(e)
-
-
 def _subst(e: Expr, name: str, repl: Expr) -> Expr:
     from ..lang.ast import subst_expr
     return subst_expr(e, name, repl)
 
 
+def _same(old: tuple, new: tuple) -> bool:
+    return all(map(is_, old, new))
+
+
 def _map_children(e: Expr, fn) -> Expr:
+    """e with fn applied to each child; e itself when fn returns every
+    child unchanged, so read-only walks build nothing and keep hashes."""
     if isinstance(e, BinOp):
-        return BinOp(e.op, fn(e.left), fn(e.right))
+        left, right = fn(e.left), fn(e.right)
+        return e if left is e.left and right is e.right else BinOp(e.op, left, right)
     if isinstance(e, UnOp):
-        return UnOp(e.op, fn(e.arg))
+        arg = fn(e.arg)
+        return e if arg is e.arg else UnOp(e.op, arg)
     if isinstance(e, Index):
-        return Index(fn(e.arr), fn(e.idx))
+        arr, idx = fn(e.arr), fn(e.idx)
+        return e if arr is e.arr and idx is e.idx else Index(arr, idx)
     if isinstance(e, Store):
-        return Store(fn(e.arr), fn(e.idx), fn(e.value))
+        new = (fn(e.arr), fn(e.idx), fn(e.value))
+        return e if _same((e.arr, e.idx, e.value), new) else Store(*new)
     if isinstance(e, FuncCall):
-        return FuncCall(e.name, tuple(fn(a) for a in e.args))
+        new = tuple(fn(a) for a in e.args)
+        return e if _same(e.args, new) else FuncCall(e.name, new)
     if isinstance(e, SetLit):
-        return SetLit(tuple(fn(x) for x in e.elems))
+        new = tuple(fn(x) for x in e.elems)
+        return e if _same(e.elems, new) else SetLit(new)
     if isinstance(e, Quant):
         dom = e.dom
         if isinstance(dom, SetDom):
-            dom = SetDom(fn(dom.set_expr))
+            set_expr = fn(dom.set_expr)
+            if set_expr is not dom.set_expr:
+                dom = SetDom(set_expr)
         elif isinstance(dom, RangeDom):
-            dom = RangeDom(fn(dom.lo), fn(dom.hi))
-        return Quant(e.kind, e.var, dom, fn(e.body))
+            lo, hi = fn(dom.lo), fn(dom.hi)
+            if lo is not dom.lo or hi is not dom.hi:
+                dom = RangeDom(lo, hi)
+        body = fn(e.body)
+        return e if dom is e.dom and body is e.body else Quant(e.kind, e.var, dom, body)
     return e
-

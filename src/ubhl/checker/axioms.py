@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 from ..dp.laplace import lap_acc_threshold
 from ..lang.ast import REAL, BinOp, DistExpr, Expr, FuncCall, NumLit, TRUE
-from ..semantics.evalexpr import eval_expr
+from ..semantics.evalexpr import UbhlRuntimeError, dist_params, eval_expr
 
 
 class SchemaMismatch(Exception):
@@ -125,19 +125,20 @@ def finite_site_failure(dist: DistExpr, target_name: str, post: Expr,
                         store: dict) -> Fraction:
     """Exact Pr[not post] for a closed finite-support site; the `post`
     may only constrain the sampled variable."""
-    args = [eval_expr(a, store) for a in dist.args]
+    if dist.name not in ("bern", "unifint"):
+        raise SchemaMismatch(f"finite_exact does not cover {dist.name!r}")
+    try:
+        params = dist_params(dist.name, [eval_expr(a, store) for a in dist.args])
+    except UbhlRuntimeError as exc:
+        raise SchemaMismatch(str(exc)) from exc
     support: list[tuple[object, Fraction]]
     if dist.name == "bern":
-        p = Fraction(args[0])
+        p, = params
         support = [(True, p), (False, 1 - p)]
-    elif dist.name == "unifint":
-        lo, hi = int(args[0]), int(args[1])
-        if hi < lo:
-            raise SchemaMismatch("unifint site with empty range")
+    else:
+        lo, hi = params
         w = Fraction(1, hi - lo + 1)
         support = [(v, w) for v in range(lo, hi + 1)]
-    else:
-        raise SchemaMismatch(f"finite_exact does not cover {dist.name!r}")
     fail = Fraction(0)
     for value, mass in support:
         local = dict(store)

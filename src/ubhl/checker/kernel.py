@@ -130,8 +130,8 @@ class Checker:
             key = None
             try:
                 from ..assertions.normform import canon_assertion
-                key = (self._env_key, self.prover_budget, repr(canon_assertion(ante)),
-                       repr(canon_assertion(goal)))
+                key = (self._env_key, self.prover_budget, canon_assertion(ante),
+                       canon_assertion(goal))
             except (NonNumeric, ZeroDivisionError):
                 pass
             if key is not None and key in _IMPL_CACHE:
@@ -153,7 +153,7 @@ class Checker:
         from ..assertions.normform import canon_assertion
         from ..assertions.prover import conjuncts
         try:
-            have = {repr(canon_assertion(h)) for h in conjuncts(ante)}
+            have = {canon_assertion(h) for h in conjuncts(ante)}
         except (NonNumeric, ZeroDivisionError):
             return [cons]
         out = []
@@ -163,7 +163,7 @@ class Checker:
             except (NonNumeric, ZeroDivisionError):
                 out.append(g)
                 continue
-            if k == ("true",) or repr(k) in have:
+            if k == ("true",) or k in have:
                 continue
             out.append(g)
         return out

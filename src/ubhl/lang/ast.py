@@ -332,9 +332,6 @@ class Program:
     vars: dict[str, Type] = field(default_factory=dict)       # internal store
     extvars: dict[str, Type] = field(default_factory=dict)    # external store
 
-    def proc_order(self) -> list[str]:
-        return list(self.procs)
-
 
 # ── Free variables and substitution ─────────────────────────────────
 

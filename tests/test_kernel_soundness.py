@@ -10,9 +10,9 @@ from fractions import Fraction
 from ubhl.assertions.prover import neg
 from ubhl.checker.index import index_eval
 from ubhl.checker.kernel import check
-from ubhl.checker.proof import ProofNode
+from ubhl.checker.proof import ProofNode, ProofScript
 from ubhl.lang.ast import Call, LValue, NumLit
-from ubhl.lang.parser import parse_expr
+from ubhl.lang.parser import parse_expr, parse_program
 from ubhl.lang.typecheck import typecheck
 from ubhl.semantics.evalexpr import eval_in_memory
 from ubhl.semantics.exact import denote_exact, initial_memory
@@ -50,7 +50,22 @@ def test_weak_monotonicity():
     root = script.root
     looser = ProofNode("weak", root.pre, root.post, f"({root.index}) + 1/100",
                        [root])
-    from ubhl.checker.proof import ProofScript
     new_script = ProofScript(script.logicals, script.entry, looser)
     res = check(program, new_script)
     assert res.accepted and res.fully_proved
+
+
+def test_finite_exact_rejects_bern_parameter_above_one():
+    """bern(3/2) is no distribution: enumerating it would give a failure
+    mass of -1/2, below any index, so the site must be rejected."""
+    program = parse_program("var x0 : bool;\nproc main(u) { x0 <$ bern(3/2); } return x0")
+    typecheck(program)
+    root = ProofNode("call", "true", "res == true", "0", [
+        ProofNode("rand", "true", "x0 == true", "0", [],
+                  {"schema": "finite_exact", "site_post": "x0 == true",
+                   "site_index": "0"})],
+        {"proc": "main", "callee_pre": "true", "callee_post": "res == true"})
+    res = check(program, ProofScript({}, {"proc": "main", "arg": "0", "result": "res"},
+                                     root))
+    assert not res.accepted
+    assert res.rule == "rand" and "bern parameter" in res.reason

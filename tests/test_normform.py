@@ -6,10 +6,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
 import ubhl
 from ubhl.assertions import normform
-from ubhl.assertions.normform import canon_assertion
+from ubhl.assertions.normform import (
+    NonNumeric, _negate_key, canon_assertion, canon_struct,
+)
+from ubhl.assertions.prover import Prover, _map_children
+from ubhl.lang.ast import (
+    BinOp, FuncCall, Index, NumLit, Quant, RangeDom, SetDom, SetLit, Store,
+    UnOp, Var,
+)
 from ubhl.lang.parser import parse_expr
+
+from corpus import generate_corpus
+from test_fuzz import _rand_assert, _rand_term
 
 SRC = str(Path(ubhl.__file__).resolve().parent.parent)
 
@@ -52,3 +66,95 @@ def test_kept_hash_is_not_pickled():
     assert out.returncode == 0, out.stderr.decode()
     # the child's string hashes differ, so a pickled hash would be stale
     assert int(out.stdout) != here
+
+
+# ── canonical keys compare like their repr ──────────────────────────
+#
+# The prover and kernel key sets and caches by canonical keys
+# themselves, where they once keyed them by repr. The two must draw the
+# same line: a key holding, say, 1 where another holds True or
+# Fraction(1) would make distinct reprs compare equal.
+
+
+def _subterms(e, out):
+    out.append(e)
+    _map_children(e, lambda x: _subterms(x, out) or x)
+    return out
+
+
+def _keys(exprs):
+    """canon_assertion, its negation, and canon_struct of every
+    expression for which they are defined."""
+    keys = []
+    for e in exprs:
+        for canon in (canon_assertion, canon_struct):
+            try:
+                k = canon(e)
+            except (NonNumeric, ZeroDivisionError):
+                continue
+            keys.append(k)
+            if canon is canon_assertion:
+                keys.append(_negate_key(k))
+    return keys
+
+
+def _assert_equalities_agree(keys):
+    # equal partitions: each repr class is one key class and back
+    by_key, by_repr = {}, {}
+    for k in keys:
+        by_key.setdefault(k, set()).add(repr(k))
+        by_repr.setdefault(repr(k), []).append(k)
+    assert all(len(reprs) == 1 for reprs in by_key.values())
+    assert all(all(k == ks[0] for k in ks) for ks in by_repr.values())
+
+
+def _corpus_texts():
+    texts = set()
+    stack = [script.root for _, script, _ in generate_corpus()]
+    while stack:
+        n = stack.pop()
+        texts.update((n.pre, n.post, n.index))
+        texts.update(v for k, v in n.annotations.items()
+                     if k in ("site_post", "site_index", "callee_pre", "callee_post",
+                              "frame", "inv", "variant", "bound"))
+        stack.extend(n.children)
+    return sorted(texts)
+
+
+def test_corpus_keys_compare_like_their_repr():
+    exprs = []
+    for text in _corpus_texts():
+        _subterms(parse_expr(text), exprs)
+    keys = _keys(exprs)
+    assert len(keys) > 500
+    # not vacuous: distinct expressions share keys
+    distinct = set(exprs)
+    assert len(set(_keys(distinct))) < len(_keys(distinct))
+    _assert_equalities_agree(keys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_fuzz_keys_compare_like_their_repr(rng):
+    exprs = []
+    for _ in range(6):
+        _subterms(_rand_assert(rng), exprs)
+        _subterms(_rand_term(rng), exprs)
+    _assert_equalities_agree(_keys(exprs))
+
+
+def test_unchanged_walks_return_the_same_term():
+    i, j, v, a = Var("i"), Var("j"), Var("v"), Var("a")
+    body = BinOp("&&", UnOp("!", BinOp("==", Index(Store(a, i, v), j), v)),
+                 BinOp("in", Var("s"), SetLit((i, NumLit(Fraction(2))))))
+    terms = [Quant("forall", "s", SetDom(FuncCall("remove", (Var("R"), i))), body),
+             Quant("exists", "t", RangeDom(i, j), body)]
+    for e in terms:
+        assert _map_children(e, lambda x: x) is e
+    eqs = Prover()._equalities([parse_expr("y == 3")])
+    assert eqs  # an equality that applies nowhere in the terms
+    for e in terms + [parse_expr(TEXT)]:
+        assert Prover()._apply_eqs(e, eqs) is e
+    # a rewrite that fires still rebuilds
+    rewritten = Prover()._apply_eqs(parse_expr("y + 1 <= k"), eqs)
+    assert rewritten == parse_expr("3 + 1 <= k")
