@@ -4,9 +4,8 @@ import os
 import pickle
 import subprocess
 import sys
-from pathlib import Path
-
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -70,15 +69,18 @@ def test_kept_hash_is_not_pickled():
 
 # ── canonical keys compare like their repr ──────────────────────────
 #
-# The prover and kernel key sets and caches by canonical keys
-# themselves, where they once keyed them by repr. The two must draw the
-# same line: a key holding, say, 1 where another holds True or
+# The prover and kernel key sets and caches by canonical keys, which
+# is sound only while key equality draws the same line as repr
+# equality: a key holding, say, 1 where another holds True or
 # Fraction(1) would make distinct reprs compare equal.
 
 
 def _subterms(e, out):
-    out.append(e)
-    _map_children(e, lambda x: _subterms(x, out) or x)
+    """Append e and every subterm of it to out."""
+    def visit(x):
+        out.append(x)
+        return _map_children(x, visit)
+    visit(e)
     return out
 
 
@@ -149,8 +151,8 @@ def test_unchanged_walks_return_the_same_term():
                  BinOp("in", Var("s"), SetLit((i, NumLit(Fraction(2))))))
     terms = [Quant("forall", "s", SetDom(FuncCall("remove", (Var("R"), i))), body),
              Quant("exists", "t", RangeDom(i, j), body)]
-    for e in terms:
-        assert _map_children(e, lambda x: x) is e
+    for x in _subterms(terms[0], []) + terms[1:]:
+        assert _map_children(x, lambda y: y) is x
     eqs = Prover()._equalities([parse_expr("y == 3")])
     assert eqs  # an equality that applies nowhere in the terms
     for e in terms + [parse_expr(TEXT)]:
