@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from ubhl.lang import ast as A
 from ubhl.lang.parser import (
-    DuplicateProcedure, UbhlSyntaxError, parse_expr, parse_program,
+    DuplicateProcedure, UbhlSyntaxError, parse_expr, parse_program, tokenize,
 )
 from ubhl.cases.programs import MWSV_SOURCE, RNM_SOURCE, SV_SOURCE
 
@@ -150,3 +150,48 @@ def test_havoc_and_assume_statements():
     assert body.first == A.Havoc(A.LValue("a", A.Var("i")))
     assert isinstance(body.second, A.Assume)
     assert A.pretty_program(p) == src
+
+
+# (parser entry, source, line, col, message) of malformed inputs
+SYNTAX_ERRORS = [
+    ("expr", "a +", 1, 4, "expected expression, found ''"),
+    ("expr", "a < b < c", 1, 7, "unexpected trailing input '<'"),
+    ("expr", "a == b != c", 1, 8, "unexpected trailing input '!='"),
+    ("expr", "a in b in c", 1, 8, "unexpected trailing input 'in'"),
+    ("expr", "(a", 1, 3, "expected ')', found ''"),
+    ("expr", "(a < b < c)", 1, 8, "expected ')', found '<'"),
+    ("expr", "x && a < b < c", 1, 12, "unexpected trailing input '<'"),
+    ("expr", "a ==> b < c < d", 1, 13, "unexpected trailing input '<'"),
+    ("expr", "a # b", 1, 3, "unexpected character '#'"),
+    ("expr", "forall x in 1 .. . x", 1, 18, "expected expression, found '.'"),
+    ("expr", "forall x in R x", 1, 15, "expected '.', found 'x'"),
+    ("expr", "forall x in a < b . x", 1, 15, "expected '.', found '<'"),
+    ("expr", "{1, 2", 1, 6, "expected '}', found ''"),
+    ("expr", "a // c\n<", 2, 2, "expected expression, found ''"),
+    ("expr", "store(a, 1)", 1, 11, "expected ',', found ')'"),
+    ("expr", "a ..b", 1, 3, "unexpected trailing input '..'"),
+    ("expr", "", 1, 1, "expected expression, found ''"),
+    ("prog", "proc main(w) { x <$ gauss(1); } return x", 1, 21,
+     "unknown distribution constructor 'gauss'"),
+    ("prog", "var x : int; var x : int; proc main(w) { skip; } return w", 1, 18,
+     "duplicate variable 'x'"),
+    ("prog", "proc main(w) { x = 1; } return w", 1, 18,
+     "expected '<-', '<$' or '<@' after lvalue"),
+    ("prog", "proc main(w) { skip; } return w junk", 1, 33,
+     "unexpected trailing input 'junk'"),
+    ("prog", "var x : set<real>; proc m(w) { skip; } return w", 1, 13,
+     "expected 'int', found 'real'"),
+]
+
+
+@pytest.mark.parametrize("entry,text,line,col,msg", SYNTAX_ERRORS)
+def test_syntax_error_positions(entry, text, line, col, msg):
+    parse = parse_expr if entry == "expr" else parse_program
+    with pytest.raises(UbhlSyntaxError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col, err.value.msg) == (line, col, msg)
+
+
+def test_comment_does_not_advance_the_column():
+    eof = tokenize("x // hi")[-1]
+    assert (eof.kind, eof.line, eof.col) == ("eof", 1, 3)
