@@ -13,13 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext, ROUND_CEILING, ROUND_FLOOR
 from fractions import Fraction
-from operator import is_
 from typing import Optional
 
 from ..lang.ast import (
     ArrayT, BinOp, BoolLit, Expr, FuncCall, Index, IntT, NumLit, Quant,
     RangeDom, SetDom, SetIntT, SetLit, SortDom, Store, Type, UnOp, Var,
-    free_vars,
+    free_vars, map_children, subst_expr,
 )
 from .normform import (
     ATOM_INFO, NonNumeric, canon_assertion, canon_struct, canon_term,
@@ -562,7 +561,7 @@ class Prover:
                         return dst
                 except (NonNumeric, ZeroDivisionError):
                     pass
-                return _map_children(x, walk)
+                return map_children(x, walk)
 
             e = walk(e)
             if not changed:
@@ -572,7 +571,7 @@ class Prover:
     def _skolemize(self, q: Quant) -> Expr:
         t: Type = IntT() if not isinstance(q.dom, SortDom) else q.dom.sort
         w = self._fresh(q.var, t)
-        body = _subst(q.body, q.var, w)
+        body = subst_expr(q.body, q.var, w)
         guards = self._domain_guards(w, q.dom)
         for g in guards:
             body = BinOp("&&", g, body)
@@ -597,7 +596,7 @@ class Prover:
                       splits: int, quick: bool, memo: frozenset) -> bool:
         t: Type = IntT() if not isinstance(goal.dom, SortDom) else goal.dom.sort
         w = self._fresh(goal.var, t)
-        body = _subst(goal.body, goal.var, w)
+        body = subst_expr(goal.body, goal.var, w)
         extra = self._domain_guards(w, goal.dom)
         return self._prove(hyps + [nnf(g) for g in extra], nnf(body),
                            depth + 1, splits, quick, memo)
@@ -605,7 +604,7 @@ class Prover:
     def _prove_exists(self, hyps: list[Expr], goal: Quant, depth: int,
                       splits: int, memo: frozenset) -> bool:
         for cand in self._candidates(hyps, goal)[:6]:
-            body = _subst(goal.body, goal.var, cand)
+            body = subst_expr(goal.body, goal.var, cand)
             guards = self._domain_guards(cand, goal.dom)
             want: Expr = body
             for g in guards:
@@ -673,7 +672,7 @@ class Prover:
             for cand in cands[:8]:
                 if not self._domain_holds(hyps, cand, h.dom):
                     continue
-                body = nnf(_subst(h.body, h.var, cand))
+                body = nnf(subst_expr(h.body, h.var, cand))
                 try:
                     bk = canon_assertion(body)
                 except (NonNumeric, ZeroDivisionError):
@@ -716,7 +715,7 @@ class Prover:
                 consider(e.idx)
             if isinstance(e, FuncCall) and e.name == "pick":
                 consider(e)
-            return _map_children(e, walk)
+            return map_children(e, walk)
 
         walk(goal)
         goal_found = list(found)
@@ -800,7 +799,7 @@ class Prover:
                             hit.append((e.arr.idx, e.idx))
                 except (NonNumeric, ZeroDivisionError):
                     pass
-            return _map_children(e, walk)
+            return map_children(e, walk)
 
         walk(goal)
         for h in hyps:
@@ -824,7 +823,7 @@ class Prover:
                 if key not in seen:
                     seen.add(key)
                     sites.append((e, inner.args[0], inner.args[1]))
-            return _map_children(e, walk)
+            return map_children(e, walk)
 
         walk(goal)
         for h in hyps:
@@ -867,7 +866,7 @@ class Prover:
 
     def _reduce_stores(self, e: Expr, hyps: list[Expr]) -> Expr:
         def walk(x: Expr) -> Expr:
-            x = _map_children(x, walk)
+            x = map_children(x, walk)
             if isinstance(x, Index) and isinstance(x.arr, Store):
                 st = x.arr
                 try:
@@ -1121,48 +1120,3 @@ def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
     return a
-
-
-def _subst(e: Expr, name: str, repl: Expr) -> Expr:
-    from ..lang.ast import subst_expr
-    return subst_expr(e, name, repl)
-
-
-def _same(old: tuple, new: tuple) -> bool:
-    return all(map(is_, old, new))
-
-
-def _map_children(e: Expr, fn) -> Expr:
-    """e with fn applied to each child; e itself when fn returns every
-    child unchanged, so read-only walks build nothing and keep hashes."""
-    if isinstance(e, BinOp):
-        left, right = fn(e.left), fn(e.right)
-        return e if left is e.left and right is e.right else BinOp(e.op, left, right)
-    if isinstance(e, UnOp):
-        arg = fn(e.arg)
-        return e if arg is e.arg else UnOp(e.op, arg)
-    if isinstance(e, Index):
-        arr, idx = fn(e.arr), fn(e.idx)
-        return e if arr is e.arr and idx is e.idx else Index(arr, idx)
-    if isinstance(e, Store):
-        new = (fn(e.arr), fn(e.idx), fn(e.value))
-        return e if _same((e.arr, e.idx, e.value), new) else Store(*new)
-    if isinstance(e, FuncCall):
-        new = tuple(fn(a) for a in e.args)
-        return e if _same(e.args, new) else FuncCall(e.name, new)
-    if isinstance(e, SetLit):
-        new = tuple(fn(x) for x in e.elems)
-        return e if _same(e.elems, new) else SetLit(new)
-    if isinstance(e, Quant):
-        dom = e.dom
-        if isinstance(dom, SetDom):
-            set_expr = fn(dom.set_expr)
-            if set_expr is not dom.set_expr:
-                dom = SetDom(set_expr)
-        elif isinstance(dom, RangeDom):
-            lo, hi = fn(dom.lo), fn(dom.hi)
-            if lo is not dom.lo or hi is not dom.hi:
-                dom = RangeDom(lo, hi)
-        body = fn(e.body)
-        return e if dom is e.dom and body is e.body else Quant(e.kind, e.var, dom, body)
-    return e

@@ -16,7 +16,7 @@ from typing import Optional
 from ..lang.ast import (
     ArrayT, BinOp, BoolLit, BoolT, DbT, Expr, FuncCall, Index, IntT, NumLit,
     Quant, QueryT, RangeDom, RealT, SetDom, SetIntT, SortDom, Store, Type,
-    UnOp, Var, free_vars,
+    UnOp, Var, children, free_vars,
 )
 from ..lang.typecheck import TypeEnv, UbhlTypeError, expr_type
 from .obligations import AxiomPremise, Implication, IndexInequality, Obligation
@@ -302,7 +302,7 @@ def _ground_log_bounds(claim: Expr, env: TypeEnv) -> list[str]:
                     arg = _num(v, True)
                     out.append(f"(assert (<= {_num_approx(lo, down=True)} (ln {arg})))")
                     out.append(f"(assert (<= (ln {arg}) {_num_approx(hi, down=False)}))")
-        for child in _children(e):
+        for child in children(e):
             walk(child)
 
     walk(claim)
@@ -323,23 +323,3 @@ def _const_value(e: Expr) -> Optional[Fraction]:
         return rf_const_value(canon_term(e))
     except (NonNumeric, ZeroDivisionError):
         return None
-
-
-def _children(e: Expr):
-    if isinstance(e, BinOp):
-        return (e.left, e.right)
-    if isinstance(e, UnOp):
-        return (e.arg,)
-    if isinstance(e, Index):
-        return (e.arr, e.idx)
-    if isinstance(e, Store):
-        return (e.arr, e.idx, e.value)
-    if isinstance(e, FuncCall):
-        return e.args
-    if isinstance(e, Quant):
-        if isinstance(e.dom, SetDom):
-            return (e.dom.set_expr, e.body)
-        if isinstance(e.dom, RangeDom):
-            return (e.dom.lo, e.dom.hi, e.body)
-        return (e.body,)
-    return ()

@@ -5,8 +5,7 @@ from .ast import (
     pretty_expr, pretty_program, subst_expr, subst_lvalue,
 )
 from .parser import (
-    DuplicateProcedure, UbhlSyntaxError, parse_assertion, parse_expr,
-    parse_index, parse_program,
+    DuplicateProcedure, UbhlSyntaxError, parse_expr, parse_program,
 )
 from .typecheck import (
     ExternalMemoryViolation, TypeMismatch, UbhlTypeError, UnboundVariable,
@@ -17,7 +16,7 @@ __all__ = [
     "Command", "DuplicateProcedure", "Expr", "ExternalMemoryViolation",
     "Program", "TypeMismatch", "UbhlSyntaxError", "UbhlTypeError",
     "UnboundVariable", "assertion_env", "free_vars", "modified_vars",
-    "parse_assertion", "parse_expr", "parse_index", "parse_program",
+    "parse_expr", "parse_program",
     "pretty_command", "pretty_expr", "pretty_program", "subst_expr",
     "subst_lvalue", "typecheck",
 ]

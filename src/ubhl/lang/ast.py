@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import is_
 from typing import Iterator, Optional, Union
 
 
@@ -333,89 +334,129 @@ class Program:
     extvars: dict[str, Type] = field(default_factory=dict)    # external store
 
 
-# ── Free variables and substitution ─────────────────────────────────
+# ── Subterms, free variables and substitution ──────────────────────
+
+
+def _domain_exprs(dom: Domain) -> tuple[Expr, ...]:
+    if isinstance(dom, SetDom):
+        return (dom.set_expr,)
+    if isinstance(dom, RangeDom):
+        return (dom.lo, dom.hi)
+    return ()
+
+
+def children(e: Expr) -> tuple[Expr, ...]:
+    """Immediate subexpressions of e; a quantifier's domain comes
+    before its body."""
+    if isinstance(e, BinOp):
+        return (e.left, e.right)
+    if isinstance(e, UnOp):
+        return (e.arg,)
+    if isinstance(e, Index):
+        return (e.arr, e.idx)
+    if isinstance(e, Store):
+        return (e.arr, e.idx, e.value)
+    if isinstance(e, FuncCall):
+        return e.args
+    if isinstance(e, SetLit):
+        return e.elems
+    if isinstance(e, Quant):
+        return _domain_exprs(e.dom) + (e.body,)
+    if isinstance(e, (Var, BoolLit, NumLit)):
+        return ()
+    raise TypeError(f"unknown expression node: {e!r}")
+
+
+def _same(old: tuple, new: tuple) -> bool:
+    return all(map(is_, old, new))
+
+
+def _map_domain(dom: Domain, fn) -> Domain:
+    if isinstance(dom, SetDom):
+        set_expr = fn(dom.set_expr)
+        return dom if set_expr is dom.set_expr else SetDom(set_expr)
+    if isinstance(dom, RangeDom):
+        lo, hi = fn(dom.lo), fn(dom.hi)
+        return dom if lo is dom.lo and hi is dom.hi else RangeDom(lo, hi)
+    return dom
+
+
+def map_children(e: Expr, fn) -> Expr:
+    """e with fn applied to each child; e itself when fn returns every
+    child unchanged, so read-only walks build nothing and keep hashes."""
+    if isinstance(e, BinOp):
+        left, right = fn(e.left), fn(e.right)
+        return e if left is e.left and right is e.right else BinOp(e.op, left, right)
+    if isinstance(e, UnOp):
+        arg = fn(e.arg)
+        return e if arg is e.arg else UnOp(e.op, arg)
+    if isinstance(e, Index):
+        arr, idx = fn(e.arr), fn(e.idx)
+        return e if arr is e.arr and idx is e.idx else Index(arr, idx)
+    if isinstance(e, Store):
+        new = (fn(e.arr), fn(e.idx), fn(e.value))
+        return e if _same((e.arr, e.idx, e.value), new) else Store(*new)
+    if isinstance(e, FuncCall):
+        new = tuple(fn(a) for a in e.args)
+        return e if _same(e.args, new) else FuncCall(e.name, new)
+    if isinstance(e, SetLit):
+        new = tuple(fn(x) for x in e.elems)
+        return e if _same(e.elems, new) else SetLit(new)
+    if isinstance(e, Quant):
+        dom, body = _map_domain(e.dom, fn), fn(e.body)
+        return e if dom is e.dom and body is e.body else Quant(e.kind, e.var, dom, body)
+    if isinstance(e, (Var, BoolLit, NumLit)):
+        return e
+    raise TypeError(f"unknown expression node: {e!r}")
 
 
 def free_vars(e: Expr) -> set[str]:
     """Free variable names of an expression or assertion."""
     if isinstance(e, Var):
         return {e.name}
-    if isinstance(e, (BoolLit, NumLit)):
-        return set()
-    if isinstance(e, SetLit):
-        out: set[str] = set()
-        for x in e.elems:
-            out |= free_vars(x)
-        return out
-    if isinstance(e, BinOp):
-        return free_vars(e.left) | free_vars(e.right)
-    if isinstance(e, UnOp):
-        return free_vars(e.arg)
-    if isinstance(e, Index):
-        return free_vars(e.arr) | free_vars(e.idx)
-    if isinstance(e, Store):
-        return free_vars(e.arr) | free_vars(e.idx) | free_vars(e.value)
-    if isinstance(e, FuncCall):
-        out = set()
-        for x in e.args:
-            out |= free_vars(x)
-        return out
     if isinstance(e, Quant):
-        inner = free_vars(e.body) - {e.var}
-        if isinstance(e.dom, SetDom):
-            inner |= free_vars(e.dom.set_expr)
-        elif isinstance(e.dom, RangeDom):
-            inner |= free_vars(e.dom.lo) | free_vars(e.dom.hi)
-        return inner
-    raise TypeError(f"unknown expression node: {e!r}")
-
-
-_FRESH_COUNTER = [0]
+        # the binder scopes over the body, not over the domain
+        out, kids = free_vars(e.body) - {e.var}, _domain_exprs(e.dom)
+    else:
+        out, kids = set(), children(e)
+    for x in kids:
+        out |= free_vars(x)
+    return out
 
 
 def fresh_name(base: str, avoid: set[str]) -> str:
+    """base, or base_N with the smallest N >= 1 not in avoid."""
     if base not in avoid:
         return base
-    while True:
-        _FRESH_COUNTER[0] += 1
-        cand = f"{base}_{_FRESH_COUNTER[0]}"
-        if cand not in avoid:
-            return cand
+    n = 1
+    while f"{base}_{n}" in avoid:
+        n += 1
+    return f"{base}_{n}"
 
 
 def subst_expr(e: Expr, name: str, repl: Expr) -> Expr:
     """Capture-free substitution of `repl` for the variable `name`."""
     if isinstance(e, Var):
         return repl if e.name == name else e
-    if isinstance(e, (BoolLit, NumLit)):
+
+    def sub(x: Expr) -> Expr:
+        return subst_expr(x, name, repl)
+
+    if not isinstance(e, Quant):
+        return map_children(e, sub)
+    # the domain lies outside the binder; the body is left alone when
+    # the binder shadows `name`, and the binder is renamed when it
+    # would capture a free variable of `repl`
+    dom = _map_domain(e.dom, sub)
+    var, body = e.var, e.body
+    if var != name:
+        if var in free_vars(repl):
+            var = fresh_name(var, free_vars(repl) | free_vars(body) | {name})
+            body = subst_expr(body, e.var, Var(var))
+        body = sub(body)
+    if dom is e.dom and var == e.var and body is e.body:
         return e
-    if isinstance(e, SetLit):
-        return SetLit(tuple(subst_expr(x, name, repl) for x in e.elems))
-    if isinstance(e, BinOp):
-        return BinOp(e.op, subst_expr(e.left, name, repl), subst_expr(e.right, name, repl))
-    if isinstance(e, UnOp):
-        return UnOp(e.op, subst_expr(e.arg, name, repl))
-    if isinstance(e, Index):
-        return Index(subst_expr(e.arr, name, repl), subst_expr(e.idx, name, repl))
-    if isinstance(e, Store):
-        return Store(subst_expr(e.arr, name, repl), subst_expr(e.idx, name, repl),
-                     subst_expr(e.value, name, repl))
-    if isinstance(e, FuncCall):
-        return FuncCall(e.name, tuple(subst_expr(x, name, repl) for x in e.args))
-    if isinstance(e, Quant):
-        dom = e.dom
-        if isinstance(dom, SetDom):
-            dom = SetDom(subst_expr(dom.set_expr, name, repl))
-        elif isinstance(dom, RangeDom):
-            dom = RangeDom(subst_expr(dom.lo, name, repl), subst_expr(dom.hi, name, repl))
-        if e.var == name:
-            return Quant(e.kind, e.var, dom, e.body)
-        if e.var in free_vars(repl):
-            nv = fresh_name(e.var, free_vars(repl) | free_vars(e.body) | {name})
-            body = subst_expr(e.body, e.var, Var(nv))
-            return Quant(e.kind, nv, dom, subst_expr(body, name, repl))
-        return Quant(e.kind, e.var, dom, subst_expr(e.body, name, repl))
-    raise TypeError(f"unknown expression node: {e!r}")
+    return Quant(e.kind, var, dom, body)
 
 
 def subst_lvalue(a: Expr, lv: LValue, value: Expr) -> Expr:
@@ -479,23 +520,42 @@ def sample_sites(c: Command, path: tuple[str, ...] = ()) -> Iterator[tuple[tuple
         yield from sample_sites(c.body, path + ("b",))
 
 
-# ── Pretty printer ──────────────────────────────────────────────────
+# ── Operator syntax and the pretty printer ─────────────────────────
 
-_PREC = {
-    "<==>": 1, "==>": 2, "||": 3, "&&": 4,
-    "==": 6, "!=": 6, "<": 6, "<=": 6, ">": 6, ">=": 6, "in": 6,
-    "+": 7, "-": 7, "*": 8, "/": 8,
+# The one table of binary-operator syntax, read by the parser and the
+# printer: precedence (higher binds tighter) and associativity. "none"
+# marks the comparisons and `in`, which do not chain: `a < b < c` is a
+# syntax error.
+BINARY_OPS: dict[str, tuple[int, str]] = {
+    "<==>": (1, "left"), "==>": (2, "right"), "||": (3, "left"), "&&": (4, "left"),
+    "==": (6, "none"), "!=": (6, "none"), "<": (6, "none"), "<=": (6, "none"),
+    ">": (6, "none"), ">=": (6, "none"), "in": (6, "none"),
+    "+": (7, "left"), "-": (7, "left"), "*": (8, "left"), "/": (8, "left"),
 }
+# quantifier domains are additive terms
+DOMAIN_PREC = BINARY_OPS["+"][0]
+_UNARY_PREC = 9
+_POSTFIX_PREC = 10
+
+
+def _decimal_str(v: Fraction) -> Optional[str]:
+    """v as an exact decimal literal, or None when it has none."""
+    k = v.denominator.bit_length()
+    if 10 ** k % v.denominator:
+        return None
+    digits = str(abs(v.numerator) * 10 ** k // v.denominator).rjust(k + 1, "0")
+    sign = "-" if v < 0 else ""
+    return f"{sign}{digits[:-k]}.{digits[-k:].rstrip('0') or '0'}"
 
 
 def _num_str(v: Fraction, t: Type) -> str:
+    # a real literal prints as a decimal, so it reads back as a real
+    if isinstance(t, RealT):
+        dec = _decimal_str(v)
+        if dec is not None:
+            return dec
     if v.denominator == 1:
         return str(v.numerator)
-    if isinstance(t, RealT):
-        # keep decimals as decimals when they round-trip exactly
-        f = float(v)
-        if Fraction(str(f)) == v:
-            return str(f)
     return f"({v.numerator}/{v.denominator})"
 
 
@@ -509,23 +569,26 @@ def pretty_expr(e: Expr, prec: int = 0) -> str:
     if isinstance(e, SetLit):
         return "{" + ", ".join(pretty_expr(x) for x in e.elems) + "}"
     if isinstance(e, BinOp):
-        p = _PREC[e.op]
-        s = f"{pretty_expr(e.left, p)} {e.op} {pretty_expr(e.right, p + 1)}"
+        p, assoc = BINARY_OPS[e.op]
+        left = pretty_expr(e.left, p if assoc == "left" else p + 1)
+        s = f"{left} {e.op} {pretty_expr(e.right, p + 1)}"
         return f"({s})" if p < prec else s
     if isinstance(e, UnOp):
-        inner = pretty_expr(e.arg, 9)
-        return f"{e.op}{inner}"
+        s = f"{e.op}{pretty_expr(e.arg, _UNARY_PREC)}"
+        return f"({s})" if prec > _UNARY_PREC else s
     if isinstance(e, Index):
-        return f"{pretty_expr(e.arr, 10)}[{pretty_expr(e.idx)}]"
+        return f"{pretty_expr(e.arr, _POSTFIX_PREC)}[{pretty_expr(e.idx)}]"
     if isinstance(e, Store):
         return f"store({pretty_expr(e.arr)}, {pretty_expr(e.idx)}, {pretty_expr(e.value)})"
     if isinstance(e, FuncCall):
         return f"{e.name}(" + ", ".join(pretty_expr(a) for a in e.args) + ")"
     if isinstance(e, Quant):
         if isinstance(e.dom, SetDom):
-            dom = f"in {pretty_expr(e.dom.set_expr)}"
+            dom = f"in {pretty_expr(e.dom.set_expr, DOMAIN_PREC)}"
         elif isinstance(e.dom, RangeDom):
-            dom = f"in {pretty_expr(e.dom.lo, 8)} .. {pretty_expr(e.dom.hi, 8)}"
+            # bounds print one level tighter than they parse: `1 .. (n - 1)`
+            lo, hi = (pretty_expr(x, DOMAIN_PREC + 1) for x in (e.dom.lo, e.dom.hi))
+            dom = f"in {lo} .. {hi}"
         else:
             dom = f": {e.dom.sort}"
         s = f"{e.kind} {e.var} {dom} . {pretty_expr(e.body)}"

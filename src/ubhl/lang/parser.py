@@ -1,4 +1,4 @@
-"""Hand-rolled lexer and recursive-descent parser.
+"""Regular-expression lexer and recursive-descent parser.
 
 One grammar serves program files (.ubhl), assertions inside proof
 scripts, and index expressions; quantifiers are rejected later where
@@ -7,14 +7,16 @@ they are not allowed (program code).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .ast import (
-    ArrayT, Assign, Assume, BinOp, BOOL, BoolLit, Call, Command, DB, DistExpr,
-    Expr, ExtCall, ExternDecl, FuncCall, Havoc, If, Index, INT, LValue, NumLit,
-    Procedure, Program, Quant, QUERY, RangeDom, REAL, Sample, Seq, SetDom,
-    SETINT, SetLit, Skip, SortDom, Store, Type, UnOp, Var, While, seq_of,
+    BINARY_OPS, DOMAIN_PREC, ArrayT, Assign, Assume, BinOp, BOOL, BoolLit,
+    Call, Command, DB, DistExpr, Expr, ExtCall, ExternDecl, FuncCall, Havoc,
+    If, Index, INT, LValue, NumLit, Procedure, Program, Quant, QUERY,
+    RangeDom, REAL, Sample, Seq, SetDom, SETINT, SetLit, Skip, SortDom, Store,
+    Type, UnOp, Var, While, seq_of,
 )
 
 KEYWORDS = {
@@ -61,54 +63,34 @@ _SYMBOLS = [
     "/", "<", ">", "!", "=",
 ]
 
+# One alternation, tried in order: longer symbols come before their
+# prefixes, and any other character is an error. `\d` is a decimal
+# digit; a word that starts with some other numeric character (`²`)
+# is not an identifier.
+_TOKEN_RE = re.compile(r"""
+    (?P<space>[ \t\r]+) | (?P<newline>\n) | (?P<comment>//[^\n]*)
+  | (?P<num>\d+(?:\.\d+)?) | (?P<ident>\w+)
+  | (?P<sym>""" + "|".join(map(re.escape, _SYMBOLS)) + r""") | (?P<bad>.)
+""", re.VERBOSE)
+
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            # a decimal point followed by a digit (not "..")
-            if i < n and text[i] == "." and i + 1 < n and text[i + 1].isdigit():
-                i += 1
-                while i < n and text[i].isdigit():
-                    i += 1
-            toks.append(Token("num", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            toks.append(Token("ident", text[start:i], line, col))
-            col += i - start
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise UbhlSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+    line, line_start = 1, 0
+    # a comment does not advance the column
+    shift = 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, start = m.lastgroup, m.start()
+        col = start - line_start + 1 - shift
+        if kind == "newline":
+            line, line_start, shift = line + 1, m.end(), 0
+        elif kind == "comment":
+            shift += m.end() - start
+        elif kind == "bad" or (kind == "ident" and not (m[0][0].isalpha() or m[0][0] == "_")):
+            raise UbhlSyntaxError(f"unexpected character {m[0][0]!r}", line, col)
+        elif kind != "space":
+            toks.append(Token(kind, m[0], line, col))
+    toks.append(Token("eof", "", line, len(text) - line_start + 1 - shift))
     return toks
 
 
@@ -197,78 +179,41 @@ class Parser:
         return base
 
     # ── expressions ──
-    # precedence: <==>  ==>  ||  &&  !  cmp/in  addsub  muldiv  unary  postfix
 
-    def parse_expr(self) -> Expr:
-        return self.parse_iff()
-
-    def parse_iff(self) -> Expr:
-        left = self.parse_implies()
-        while self.at_sym("<==>"):
-            self.next()
-            left = BinOp("<==>", left, self.parse_implies())
-        return left
-
-    def parse_implies(self) -> Expr:
-        left = self.parse_or()
-        if self.at_sym("==>"):
-            self.next()
-            return BinOp("==>", left, self.parse_implies())  # right assoc
-        return left
-
-    def parse_or(self) -> Expr:
-        left = self.parse_and()
-        while self.at_sym("||"):
-            self.next()
-            left = BinOp("||", left, self.parse_and())
-        return left
-
-    def parse_and(self) -> Expr:
-        left = self.parse_cmp()
-        while self.at_sym("&&"):
-            self.next()
-            left = BinOp("&&", left, self.parse_cmp())
-        return left
-
-    def parse_cmp(self) -> Expr:
-        left = self.parse_add()
-        for op in ("<=", ">=", "==", "!=", "<", ">"):
-            if self.at_sym(op):
-                self.next()
-                return BinOp(op, left, self.parse_add())
-        if self.at_word("in"):
-            self.next()
-            return BinOp("in", left, self.parse_add())
-        return left
-
-    def parse_add(self) -> Expr:
-        left = self.parse_mul()
-        while self.at_sym("+") or self.at_sym("-"):
-            op = self.next().text
-            left = BinOp(op, left, self.parse_mul())
-        return left
-
-    def parse_mul(self) -> Expr:
+    def parse_expr(self, min_prec: int = 1) -> Expr:
+        """Precedence climbing over BINARY_OPS: the longest expression
+        whose binary operators bind at min_prec or tighter."""
         left = self.parse_unary()
-        while self.at_sym("*") or self.at_sym("/"):
-            op = self.next().text
-            left = BinOp(op, left, self.parse_unary())
-        return left
+        # an operator binds at this level only below `limit`: after a
+        # comparison, no operator of its level or tighter
+        limit = float("inf")
+        while True:
+            op = self.peek().text
+            prec, assoc = BINARY_OPS.get(op, (0, ""))
+            if not min_prec <= prec < limit:
+                return left
+            self.next()
+            right = self.parse_expr(prec if assoc == "right" else prec + 1)
+            left = BinOp(op, left, right)
+            limit = prec if assoc == "none" else prec + 1
+
+    def parse_list(self, item, close: str) -> tuple:
+        """Comma-separated items up to and including `close`."""
+        items = []
+        if not self.at_sym(close):
+            items.append(item())
+            while self.accept_sym(","):
+                items.append(item())
+        self.expect_sym(close)
+        return tuple(items)
 
     def parse_unary(self) -> Expr:
-        if self.accept_sym("!"):
-            return UnOp("!", self.parse_unary())
-        if self.accept_sym("-"):
-            return UnOp("-", self.parse_unary())
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> Expr:
+        if self.at_sym("!") or self.at_sym("-"):
+            return UnOp(self.next().text, self.parse_unary())
         e = self.parse_atom()
-        while self.at_sym("["):
-            self.next()
-            idx = self.parse_expr()
+        while self.accept_sym("["):
+            e = Index(e, self.parse_expr())
             self.expect_sym("]")
-            e = Index(e, idx)
         return e
 
     def parse_atom(self) -> Expr:
@@ -278,13 +223,7 @@ class Parser:
             self.expect_sym(")")
             return e
         if self.accept_sym("{"):
-            elems: list[Expr] = []
-            if not self.at_sym("}"):
-                elems.append(self.parse_expr())
-                while self.accept_sym(","):
-                    elems.append(self.parse_expr())
-            self.expect_sym("}")
-            return SetLit(tuple(elems))
+            return SetLit(self.parse_list(self.parse_expr, "}"))
         if t.kind == "num":
             self.next()
             if "." in t.text:
@@ -307,15 +246,8 @@ class Parser:
             return Store(arr, idx, val)
         if t.kind == "ident" and t.text not in KEYWORDS:
             self.next()
-            if self.at_sym("("):
-                self.next()
-                args: list[Expr] = []
-                if not self.at_sym(")"):
-                    args.append(self.parse_expr())
-                    while self.accept_sym(","):
-                        args.append(self.parse_expr())
-                self.expect_sym(")")
-                return FuncCall(t.text, tuple(args))
+            if self.accept_sym("("):
+                return FuncCall(t.text, self.parse_list(self.parse_expr, ")"))
             return Var(t.text)
         raise UbhlSyntaxError(f"expected expression, found {t.text!r}", t.line, t.col)
 
@@ -326,9 +258,9 @@ class Parser:
             dom: SetDom | RangeDom | SortDom = SortDom(self.parse_type())
         else:
             self.expect_word("in")
-            first = self.parse_add()
+            first = self.parse_expr(DOMAIN_PREC)
             if self.accept_sym(".."):
-                hi = self.parse_add()
+                hi = self.parse_expr(DOMAIN_PREC)
                 dom = RangeDom(first, hi)
             else:
                 dom = SetDom(first)
@@ -392,25 +324,15 @@ class Parser:
                     f"unknown distribution constructor {name_tok.text!r}",
                     name_tok.line, name_tok.col)
             self.expect_sym("(")
-            args: list[Expr] = []
-            if not self.at_sym(")"):
-                args.append(self.parse_expr())
-                while self.accept_sym(","):
-                    args.append(self.parse_expr())
-            self.expect_sym(")")
+            args = self.parse_list(self.parse_expr, ")")
             self.expect_sym(";")
-            return Sample(lv, DistExpr(name_tok.text, tuple(args)))
+            return Sample(lv, DistExpr(name_tok.text, args))
         if self.accept_sym("<@"):
             name_tok = self.expect_ident()
             self.expect_sym("(")
-            args = []
-            if not self.at_sym(")"):
-                args.append(self.parse_expr())
-                while self.accept_sym(","):
-                    args.append(self.parse_expr())
-            self.expect_sym(")")
+            args = self.parse_list(self.parse_expr, ")")
             self.expect_sym(";")
-            return ExtCall(lv, name_tok.text, tuple(args))
+            return ExtCall(lv, name_tok.text, args)
         if self.accept_sym("<-"):
             if self.at_sym(";"):
                 raise self.err("missing right-hand side of assignment")
@@ -445,19 +367,14 @@ class Parser:
             elif self.accept_word("extern"):
                 name = self.expect_ident()
                 self.expect_sym("(")
-                arg_types: list[Type] = []
-                if not self.at_sym(")"):
-                    arg_types.append(self.parse_type())
-                    while self.accept_sym(","):
-                        arg_types.append(self.parse_type())
-                self.expect_sym(")")
+                arg_types = self.parse_list(self.parse_type, ")")
                 self.expect_sym(":")
                 ret = self.parse_type()
                 self.expect_sym(";")
                 if name.text in prog.externs:
                     raise UbhlSyntaxError(
                         f"duplicate external procedure {name.text!r}", name.line, name.col)
-                prog.externs[name.text] = ExternDecl(name.text, tuple(arg_types), ret)
+                prog.externs[name.text] = ExternDecl(name.text, arg_types, ret)
             elif self.at_word("proc"):
                 break
             else:
@@ -530,7 +447,3 @@ def parse_expr(text: str) -> Expr:
         _EXPR_CACHE[text] = e
     return e
 
-
-# assertions and index expressions share the expression grammar
-parse_assertion = parse_expr
-parse_index = parse_expr

@@ -14,10 +14,10 @@ from ubhl.assertions import normform
 from ubhl.assertions.normform import (
     NonNumeric, _negate_key, canon_assertion, canon_struct,
 )
-from ubhl.assertions.prover import Prover, _map_children
+from ubhl.assertions.prover import Prover
 from ubhl.lang.ast import (
     BinOp, FuncCall, Index, NumLit, Quant, RangeDom, SetDom, SetLit, Store,
-    UnOp, Var,
+    UnOp, Var, map_children,
 )
 from ubhl.lang.parser import parse_expr
 
@@ -79,7 +79,7 @@ def _subterms(e, out):
     """Append e and every subterm of it to out."""
     def visit(x):
         out.append(x)
-        return _map_children(x, visit)
+        return map_children(x, visit)
     visit(e)
     return out
 
@@ -152,7 +152,7 @@ def test_unchanged_walks_return_the_same_term():
     terms = [Quant("forall", "s", SetDom(FuncCall("remove", (Var("R"), i))), body),
              Quant("exists", "t", RangeDom(i, j), body)]
     for x in _subterms(terms[0], []) + terms[1:]:
-        assert _map_children(x, lambda y: y) is x
+        assert map_children(x, lambda y: y) is x
     eqs = Prover()._equalities([parse_expr("y == 3")])
     assert eqs  # an equality that applies nowhere in the terms
     for e in terms + [parse_expr(TEXT)]:

@@ -1,6 +1,8 @@
 import pytest
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from ubhl.lang import ast as A
 from ubhl.lang.parser import (
     DuplicateProcedure, UbhlSyntaxError, parse_expr, parse_program, tokenize,
@@ -171,6 +173,8 @@ SYNTAX_ERRORS = [
     ("expr", "store(a, 1)", 1, 11, "expected ',', found ')'"),
     ("expr", "a ..b", 1, 3, "unexpected trailing input '..'"),
     ("expr", "", 1, 1, "expected expression, found ''"),
+    ("expr", "1²", 1, 2, "unexpected character '²'"),
+    ("expr", "² + 1", 1, 1, "unexpected character '²'"),
     ("prog", "proc main(w) { x <$ gauss(1); } return x", 1, 21,
      "unknown distribution constructor 'gauss'"),
     ("prog", "var x : int; var x : int; proc main(w) { skip; } return w", 1, 18,
@@ -195,3 +199,55 @@ def test_syntax_error_positions(entry, text, line, col, msg):
 def test_comment_does_not_advance_the_column():
     eof = tokenize("x // hi")[-1]
     assert (eof.kind, eof.line, eof.col) == ("eof", 1, 3)
+
+
+def test_identifiers_start_with_a_letter_or_underscore():
+    assert parse_expr("_t + é1 + x²") == A.BinOp(
+        "+", A.BinOp("+", A.Var("_t"), A.Var("é1")), A.Var("x²"))
+
+
+def test_printer_keeps_left_nested_implication_and_comparison():
+    a, b, c = A.Var("a"), A.Var("b"), A.Var("c")
+    assert A.pretty_expr(A.BinOp("==>", A.BinOp("==>", a, b), c)) == "(a ==> b) ==> c"
+    assert A.pretty_expr(parse_expr("(a < b) == true")) == "(a < b) == true"
+    assert A.pretty_expr(parse_expr("(-a)[i] + 1.0")) == "(-a)[i] + 1.0"
+
+
+_NAMES = st.sampled_from(["a", "b", "x", "s", "R", "q_1"])
+_LEAVES = st.one_of(
+    _NAMES.map(A.Var),
+    st.booleans().map(A.BoolLit),
+    st.integers(0, 10 ** 6).map(lambda n: A.NumLit(Fraction(n))),
+    st.builds(lambda n, k: A.NumLit(Fraction(n, 10 ** k), A.REAL),
+              st.integers(0, 10 ** 6), st.integers(1, 4)),
+)
+_SORTS = st.sampled_from([A.INT, A.REAL, A.BOOL, A.SETINT, A.ArrayT(A.ArrayT(A.INT))])
+
+
+def _compound(sub):
+    args = st.lists(sub, max_size=3).map(tuple)
+    domain = st.one_of(sub.map(A.SetDom), st.builds(A.RangeDom, sub, sub),
+                       _SORTS.map(A.SortDom))
+    return st.one_of(
+        st.builds(A.BinOp, st.sampled_from(sorted(A.BINARY_OPS)), sub, sub),
+        st.builds(A.UnOp, st.sampled_from(["!", "-"]), sub),
+        st.builds(A.Index, sub, sub),
+        st.builds(A.Store, sub, sub, sub),
+        st.builds(A.FuncCall, _NAMES, args),
+        args.map(A.SetLit),
+        st.builds(A.Quant, st.sampled_from(["forall", "exists"]), _NAMES, domain, sub),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.recursive(_LEAVES, _compound, max_leaves=12))
+def test_printed_expressions_parse_back(e):
+    assert parse_expr(A.pretty_expr(e)) == e
+
+
+def test_renaming_substitution_is_repeatable():
+    e = parse_expr("forall x : int . x <= y")
+    first = A.subst_expr(e, "y", A.Var("x"))
+    assert A.pretty_expr(first) == "forall x_1 : int . x_1 <= x"
+    assert A.subst_expr(e, "y", A.Var("x")) == first
+    assert A.fresh_name("v", {"v", "v_1", "v_3"}) == "v_2"
