@@ -540,6 +540,7 @@ _POSTFIX_PREC = 10
 
 def _decimal_str(v: Fraction) -> Optional[str]:
     """v as an exact decimal literal, or None when it has none."""
+    # a denominator 2**a * 5**b divides 10**k for k = its bit length
     k = v.denominator.bit_length()
     if 10 ** k % v.denominator:
         return None

@@ -184,8 +184,9 @@ class Parser:
         """Precedence climbing over BINARY_OPS: the longest expression
         whose binary operators bind at min_prec or tighter."""
         left = self.parse_unary()
-        # an operator binds at this level only below `limit`: after a
-        # comparison, no operator of its level or tighter
+        # operators the right operand refused bind no higher up: after
+        # a comparison none of its level (no chaining), after any
+        # operator none tighter
         limit = float("inf")
         while True:
             op = self.peek().text
