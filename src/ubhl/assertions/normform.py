@@ -11,6 +11,7 @@ are semantically equal; unequal keys decide nothing.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from ..lang.ast import (
@@ -23,34 +24,19 @@ Mono = tuple
 Poly = dict
 RF = tuple  # (num: Poly, den: Poly)
 
-# atom_key -> metadata ("kind": "log"|"abs"|..., "arg": RF for log/abs)
-ATOM_INFO: dict = {}
-
 
 class NonNumeric(Exception):
     pass
 
 
-_SKEY_CACHE: dict = {}
-
-
-def _skey(x) -> str:
-    # Sort key. Canonical keys mix str, int, bool and nested tuples,
-    # which do not order against each other, so keys sort by repr. The
-    # prover orders by repr too (rewrite direction, elimination order),
-    # tests containment in it (occurs check), and `_candidates` keys a
-    # canon_term pair of dicts by repr, which is stricter than rf_key.
-    # Equality and membership use the keys themselves: they hold no
-    # Fraction, so tuple equality is repr equality. Cached: repr is hot.
-    try:
-        hit = _SKEY_CACHE.get(x)
-    except TypeError:
-        return repr(x)
-    if hit is None:
-        hit = repr(x)
-        if len(_SKEY_CACHE) < 400000:
-            _SKEY_CACHE[x] = hit
-    return hit
+# Sort key. Canonical keys mix str, int, bool and nested tuples, which
+# do not order against each other, so keys sort by repr. The prover
+# orders by repr too (rewrite direction, elimination order), tests
+# containment in it (occurs check), and `_candidates` keys a canon_term
+# pair of dicts by repr, which is stricter than rf_key. Equality and
+# membership use the keys themselves: they hold no Fraction, so tuple
+# equality is repr equality. Cached: repr is hot.
+_skey = lru_cache(maxsize=400000)(repr)
 
 
 # ── polynomial arithmetic ───────────────────────────────────────────
@@ -196,6 +182,12 @@ def rf_key(a: RF):
     return (p_key(a[0]), p_key(a[1]))
 
 
+def rf_from_key(k) -> RF:
+    """The rational function whose rf_key is k; a log or abs atom's
+    key holds its argument this way."""
+    return tuple({m: Fraction(n, d) for m, (n, d) in p} for p in k)
+
+
 def rf_const_value(a: RF) -> Optional[Fraction]:
     nc = p_is_const(a[0])
     dc = p_is_const(a[1])
@@ -214,9 +206,6 @@ def rf_linear(a: RF) -> Optional[dict]:
 
 
 # ── term canonicalization ───────────────────────────────────────────
-
-_NUM_FUNCS = {"log", "abs", "evalQ", "size", "potential", "min", "max", "pick"}
-
 
 _TERM_CACHE: dict = {}
 _STRUCT_CACHE: dict = {}
@@ -281,15 +270,10 @@ def _canon_term_raw(e: Expr, bound: dict) -> RF:
         arr = _reduce_select(e, bound)
         if arr is not None:
             return canon_term(arr, bound)
-        key = ("idx", canon_struct(e.arr, bound), canon_struct(e.idx, bound))
-        ATOM_INFO.setdefault(key, {"kind": "idx"})
-        return rf_atom(key)
+        return rf_atom(("idx", canon_struct(e.arr, bound), canon_struct(e.idx, bound)))
     if isinstance(e, FuncCall):
         if e.name == "log":
-            arg = canon_term(e.args[0], bound)
-            key = ("log", rf_key(arg))
-            ATOM_INFO[key] = {"kind": "log", "arg": arg}
-            return rf_atom(key)
+            return rf_atom(("log", rf_key(canon_term(e.args[0], bound))))
         if e.name == "abs":
             arg = canon_term(e.args[0], bound)
             # abs is even: normalize the argument's sign by its least
@@ -298,12 +282,8 @@ def _canon_term_raw(e: Expr, bound: dict) -> RF:
                 lead = min(arg[0].items(), key=_skey)
                 if lead[1] < 0:
                     arg = rf_neg(arg)
-            key = ("abs", rf_key(arg))
-            ATOM_INFO[key] = {"kind": "abs", "arg": arg}
-            return rf_atom(key)
-        key = ("func", e.name, tuple(canon_struct(a, bound) for a in e.args))
-        ATOM_INFO.setdefault(key, {"kind": "func", "name": e.name})
-        return rf_atom(key)
+            return rf_atom(("abs", rf_key(arg)))
+        return rf_atom(("func", e.name, tuple(canon_struct(a, bound) for a in e.args)))
     raise NonNumeric(e)
 
 

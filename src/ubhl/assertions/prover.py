@@ -10,9 +10,11 @@ monomials. Anything it cannot close is Unknown, never refuted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext, ROUND_CEILING, ROUND_FLOOR
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from ..lang.ast import (
@@ -21,8 +23,8 @@ from ..lang.ast import (
     free_vars, map_children, subst_expr,
 )
 from .normform import (
-    ATOM_INFO, NonNumeric, canon_assertion, canon_struct, canon_term,
-    rf_const_value, rf_linear, rf_sub,
+    NonNumeric, canon_assertion, canon_struct, canon_term, rf_const_value,
+    rf_from_key, rf_linear, rf_sub,
 )
 
 _CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
@@ -49,25 +51,11 @@ def neg(e: Expr) -> Expr:
     return UnOp("!", e)
 
 
-_NNF_CACHE: dict = {}
-
-
+@lru_cache(maxsize=400000)
 def nnf(e: Expr) -> Expr:
     """Negation normal form over &&, ||; expands ==> and <==> and
     set-membership structure. Memoized by structure: saturation
     re-normalizes the same hypotheses constantly, often rebuilt."""
-    hit = _NNF_CACHE.get(e)
-    if hit is not None:
-        return hit
-    out = _nnf_raw(e)
-    if len(_NNF_CACHE) < 400000:
-        _NNF_CACHE[e] = out
-        # normal forms are fixpoints; route repeat calls to the result
-        _NNF_CACHE.setdefault(out, out)
-    return out
-
-
-def _nnf_raw(e: Expr) -> Expr:
     if isinstance(e, UnOp) and e.op == "!":
         return _nnf_neg(e.arg)
     if isinstance(e, BinOp):
@@ -150,7 +138,8 @@ class LinCon:
     strict: bool
 
 
-def _linearize(e: Expr) -> Optional[list[LinCon]]:
+@lru_cache(maxsize=200000)
+def _linearize(e: Expr) -> Optional[tuple[LinCon, ...]]:
     """Comparison -> constraints; None when not linearizable."""
     if not (isinstance(e, BinOp) and e.op in _CMP_OPS):
         return None
@@ -164,16 +153,16 @@ def _linearize(e: Expr) -> Optional[list[LinCon]]:
     const = lin.pop((), Fraction(0))
     items = tuple(sorted(lin.items(), key=repr))
     if e.op == "<":
-        return [LinCon(items, const, True)]
+        return (LinCon(items, const, True),)
     if e.op == "<=":
-        return [LinCon(items, const, False)]
+        return (LinCon(items, const, False),)
     if e.op == ">":
-        return [LinCon(tuple((m, -c) for m, c in items), -const, True)]
+        return (LinCon(tuple((m, -c) for m, c in items), -const, True),)
     if e.op == ">=":
-        return [LinCon(tuple((m, -c) for m, c in items), -const, False)]
+        return (LinCon(tuple((m, -c) for m, c in items), -const, False),)
     if e.op == "==":
-        return [LinCon(items, const, False),
-                LinCon(tuple((m, -c) for m, c in items), -const, False)]
+        return (LinCon(items, const, False),
+                LinCon(tuple((m, -c) for m, c in items), -const, False))
     return None  # '!=' is handled by case splits, not FM
 
 
@@ -203,9 +192,7 @@ class Prover:
         self.budget = budget
         self.nodes = 0
         self._sk = 0
-        self._inst_memo: set = set()
         self._fm_cache: dict = {}
-        self._lin_cache: dict = {}
 
     # ── public API ──
 
@@ -886,16 +873,7 @@ class Prover:
     # ── Fourier-Motzkin ──
 
     def _collect_lincons(self, hyps: list[Expr]) -> list[LinCon]:
-        cons: list[LinCon] = []
-        for h in hyps:
-            lc = self._lin_cache.get(h, False)
-            if lc is False:
-                lc = _linearize(h)
-                if len(self._lin_cache) < 200000:
-                    self._lin_cache[h] = lc
-            if lc:
-                cons.extend(lc)
-        return cons
+        return [c for h in hyps for c in _linearize(h) or ()]
 
     def _fm_entails(self, hyps: list[Expr], goal: Expr) -> bool:
         neg_goal = _linearize(nnf(neg(goal)))
@@ -908,7 +886,7 @@ class Prover:
         hit = self._fm_cache.get(key)
         if hit is not None:
             return hit
-        out = self._fm_refute(cons + neg_goal, diseqs)
+        out = self._fm_refute(cons + list(neg_goal), diseqs)
         if len(self._fm_cache) < 100000:
             self._fm_cache[key] = out
         return out
@@ -965,8 +943,7 @@ class Prover:
                         # size(s) >= 0
                         extra.append(LinCon(((((key, 1),), Fraction(-1)),), Fraction(0), False))
                     if key[0] == "log":
-                        arg = ATOM_INFO.get(key, {}).get("arg")
-                        cv = rf_const_value(arg) if arg is not None else None
+                        cv = rf_const_value(rf_from_key(key[1]))
                         if cv is not None:
                             bounds = _ln_bounds(cv)
                             if bounds:
@@ -1003,8 +980,7 @@ class Prover:
             if key[0] == "abs":
                 nonneg.add(key)
             if key[0] == "log":
-                arg = ATOM_INFO.get(key, {}).get("arg")
-                cv = rf_const_value(arg) if arg is not None else None
+                cv = rf_const_value(rf_from_key(key[1]))
                 if cv is not None and cv >= 1:
                     nonneg.add(key)
                     if cv > 1:
@@ -1030,8 +1006,8 @@ class Prover:
                     key = mono[0][0]
                     if key not in seen:
                         seen.add(key)
-                        arg = ATOM_INFO.get(key, {}).get("arg")
-                        if arg is not None and rf_linear(arg) is not None:
+                        arg = rf_from_key(key[1])
+                        if rf_linear(arg) is not None:
                             out.append((key, arg))
         return out[:6]
 
@@ -1100,9 +1076,7 @@ class Prover:
         if not strict or not coeffs:
             return row
         # integer rows: a < 0 becomes a + 1 <= 0 after clearing denominators
-        denom = 1
-        for c in list(coeffs.values()) + [const]:
-            denom = denom * c.denominator // _gcd(denom, c.denominator)
+        denom = math.lcm(const.denominator, *(c.denominator for c in coeffs.values()))
         if all(self._int_mono(m) for m in coeffs) and const.denominator == 1 \
                 and all(c.denominator == 1 for c in coeffs.values()):
             return (coeffs, const + 1, False)
@@ -1114,9 +1088,3 @@ class Prover:
                 all(c.denominator == 1 for c in scaled.values()) and sconst.denominator == 1:
             return (scaled, sconst + 1, False)
         return row
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -27,12 +27,6 @@ class Inexpressible(Exception):
     pass
 
 
-_SORT = {
-    "bool": "Bool", "int": "Int", "real": "Real",
-    "query": "UQuery", "db": "UDb",
-}
-
-
 def _sort_of(t: Type) -> str:
     if isinstance(t, BoolT):
         return "Bool"

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from ..assertions.normform import (
-    ATOM_INFO, NonNumeric, canon_term, rf_const_value, rf_equal, rf_linear,
+    NonNumeric, canon_term, rf_const_value, rf_equal, rf_from_key, rf_linear,
     rf_sub,
 )
 from ..lang.ast import Expr
@@ -62,8 +62,7 @@ def _positive_mono(mono) -> bool:
         if key[0] == "func" and key[1] == "size":
             continue
         if key[0] == "log":
-            arg = ATOM_INFO.get(key, {}).get("arg")
-            cv = rf_const_value(arg) if arg is not None else None
+            cv = rf_const_value(rf_from_key(key[1]))
             if cv is not None and cv >= 1:
                 continue
             return False

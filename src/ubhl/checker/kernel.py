@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from ..assertions.normform import NonNumeric, assertions_equal
@@ -77,10 +78,13 @@ class CheckResult:
         return f"ACCEPTED ({proved} obligation(s) proved, {tag})"
 
 
-# implications already settled under a given sort environment and prover
-# budget; keyed by canonical forms, so structurally different spellings
-# share entries and any semantic change misses
-_IMPL_CACHE: dict = {}
+@lru_cache(maxsize=200000)
+def _implies(sorts: tuple, budget: int, ante: Expr, goal: Expr) -> bool:
+    """The prover's verdict on ante ==> goal, remembered under its whole
+    input: the sorts of every variable at the time of the call, the
+    budget and both terms. A verdict reached in one check therefore
+    answers only the identical question in another."""
+    return Prover(dict(sorts), budget=budget).prove_implication(ante, goal)
 
 
 class Checker:
@@ -93,7 +97,6 @@ class Checker:
         self.env: TypeEnv = assertion_env(program, self.logicals)
         self.obligations: list[Obligation] = []
         self.prover_budget = prover_budget
-        self._env_key = tuple(sorted((k, str(t)) for k, t in self.env.items()))
 
     # ── helpers ──
 
@@ -125,26 +128,10 @@ class Checker:
             ob.status = ObStatus.BUILTIN_PROVED
             self.obligations.append(ob)
             return
-        proved = True
-        for goal in residual:
-            key = None
-            try:
-                from ..assertions.normform import canon_assertion
-                key = (self._env_key, self.prover_budget, canon_assertion(ante),
-                       canon_assertion(goal))
-            except (NonNumeric, ZeroDivisionError):
-                pass
-            if key is not None and key in _IMPL_CACHE:
-                part = _IMPL_CACHE[key]
-            else:
-                prover = Prover(dict(self.env), budget=self.prover_budget)
-                part = prover.prove_implication(ante, goal)
-                if key is not None and len(_IMPL_CACHE) < 200000:
-                    _IMPL_CACHE[key] = part
-            if not part:
-                proved = False
-                break
-        if proved:
+        # the sorts as they stand now: `check` and the while rule add
+        # `res` and the variant snapshot after construction
+        sorts = tuple(sorted(self.env.items()))
+        if all(_implies(sorts, self.prover_budget, ante, goal) for goal in residual):
             ob.status = ObStatus.BUILTIN_PROVED
         self.obligations.append(ob)
 

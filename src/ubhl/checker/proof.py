@@ -75,8 +75,9 @@ class ProofScript:
         for name, tstr in d.get("logicals", {}).items():
             p = Parser(tstr)
             logicals[name] = p.parse_type()
-            if p.peek().kind != "eof":
-                raise UbhlSyntaxError(f"bad sort for logical {name!r}", 0, 0)
+            t = p.peek()
+            if t.kind != "eof":
+                raise UbhlSyntaxError(f"bad sort for logical {name!r}", t.line, t.col)
         entry = d.get("entry")
         if not entry or "proc" not in entry:
             raise ValueError("proof script needs an entry procedure")

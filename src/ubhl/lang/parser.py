@@ -10,12 +10,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .ast import (
     BINARY_OPS, DOMAIN_PREC, ArrayT, Assign, Assume, BinOp, BOOL, BoolLit,
     Call, Command, DB, DistExpr, Expr, ExtCall, ExternDecl, FuncCall, Havoc,
     If, Index, INT, LValue, NumLit, Procedure, Program, Quant, QUERY,
-    RangeDom, REAL, Sample, Seq, SetDom, SETINT, SetLit, Skip, SortDom, Store,
+    RangeDom, REAL, Sample, SetDom, SETINT, SetLit, Skip, SortDom, Store,
     Type, UnOp, Var, While, seq_of,
 )
 
@@ -77,20 +78,16 @@ _TOKEN_RE = re.compile(r"""
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
     line, line_start = 1, 0
-    # a comment does not advance the column
-    shift = 0
     for m in _TOKEN_RE.finditer(text):
         kind, start = m.lastgroup, m.start()
-        col = start - line_start + 1 - shift
+        col = start - line_start + 1
         if kind == "newline":
-            line, line_start, shift = line + 1, m.end(), 0
-        elif kind == "comment":
-            shift += m.end() - start
+            line, line_start = line + 1, m.end()
         elif kind == "bad" or (kind == "ident" and not (m[0][0].isalpha() or m[0][0] == "_")):
             raise UbhlSyntaxError(f"unexpected character {m[0][0]!r}", line, col)
-        elif kind != "space":
+        elif kind not in ("space", "comment"):
             toks.append(Token(kind, m[0], line, col))
-    toks.append(Token("eof", "", line, len(text) - line_start + 1 - shift))
+    toks.append(Token("eof", "", line, len(text) - line_start + 1))
     return toks
 
 
@@ -98,6 +95,10 @@ class Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
         self.pos = 0
+        # procedure names, known before any body is parsed, so that
+        # `x <- f(e)` becomes a call wherever f is declared
+        self.procs = {name.text for word, name in zip(self.toks, self.toks[1:])
+                      if word.kind == "ident" and word.text == "proc"}
 
     # ── token helpers ──
 
@@ -337,9 +338,15 @@ class Parser:
         if self.accept_sym("<-"):
             if self.at_sym(";"):
                 raise self.err("missing right-hand side of assignment")
+            start = self.peek()
             expr = self.parse_expr()
+            call = isinstance(expr, FuncCall) and expr.name in self.procs
+            if call and len(expr.args) != 1:
+                raise UbhlSyntaxError(
+                    f"internal procedure {expr.name!r} takes exactly one argument",
+                    start.line, start.col)
             self.expect_sym(";")
-            return Assign(lv, expr)
+            return Call(lv, expr.name, expr.args[0]) if call else Assign(lv, expr)
         raise self.err("expected '<-', '<$' or '<@' after lvalue")
 
     # ── programs ──
@@ -401,50 +408,21 @@ class Parser:
             raise UbhlSyntaxError(f"unexpected trailing input {t.text!r}", t.line, t.col)
         if not prog.procs:
             raise UbhlSyntaxError("program has no procedures", t.line, t.col)
-        return _resolve_calls(prog)
-
-
-def _resolve_calls(prog: Program) -> Program:
-    """Rewrite `x <- f(e)` into Call when f is an internal procedure."""
-
-    def walk(c: Command) -> Command:
-        if isinstance(c, Assign) and isinstance(c.expr, FuncCall) and c.expr.name in prog.procs:
-            if len(c.expr.args) != 1:
-                raise UbhlSyntaxError(
-                    f"internal procedure {c.expr.name!r} takes exactly one argument", 0, 0)
-            return Call(c.target, c.expr.name, c.expr.args[0])
-        if isinstance(c, Seq):
-            return Seq(walk(c.first), walk(c.second))
-        if isinstance(c, If):
-            return If(c.guard, walk(c.then), walk(c.els))
-        if isinstance(c, While):
-            return While(c.guard, walk(c.body))
-        return c
-
-    for name, proc in list(prog.procs.items()):
-        prog.procs[name] = Procedure(proc.name, proc.arg, walk(proc.body), proc.ret)
-    return prog
+        return prog
 
 
 def parse_program(text: str) -> Program:
     return Parser(text).parse_program()
 
 
-_EXPR_CACHE: dict[str, Expr] = {}
-
-
+# expression trees are immutable, so sharing parses is safe; proof
+# checking re-reads the same assertion strings constantly
+@lru_cache(maxsize=200000)
 def parse_expr(text: str) -> Expr:
-    # expression trees are immutable, so sharing parses is safe; proof
-    # checking re-reads the same assertion strings constantly
-    hit = _EXPR_CACHE.get(text)
-    if hit is not None:
-        return hit
     p = Parser(text)
     e = p.parse_expr()
     t = p.peek()
     if t.kind != "eof":
         raise UbhlSyntaxError(f"unexpected trailing input {t.text!r}", t.line, t.col)
-    if len(_EXPR_CACHE) < 200000:
-        _EXPR_CACHE[text] = e
     return e
 

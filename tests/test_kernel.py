@@ -212,3 +212,20 @@ def test_verdict_does_not_depend_on_an_earlier_budget():
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "ACCEPTED (42 obligation(s) proved, fully discharged)"
+
+
+def test_verdict_does_not_depend_on_an_earlier_check():
+    """`res` is an int in the first program and a real in the second,
+    so only the first proves `res > 0 ==> res >= 1`. Checking the first
+    must not settle the second."""
+    def checked(ret):
+        program = parse_program(f"var y : int;\nproc main(u) {{ y <- 3; }} return {ret}")
+        call = node("call", "true", "res > 0", "0",
+                    [node("assn", "true", f"{ret} > 0", "0")],
+                    proc="main", callee_pre="true", callee_post="res > 0")
+        return check(program, script(node("weak", "true", "res >= 1", "0", [call])))
+
+    assert checked("y").fully_proved
+    second = checked("y / 2")
+    assert second.accepted
+    assert [ob.note for ob in second.undischarged()] == ["postcondition weakening"]

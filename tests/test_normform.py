@@ -12,9 +12,11 @@ from hypothesis import given, settings, strategies as st
 import ubhl
 from ubhl.assertions import normform
 from ubhl.assertions.normform import (
-    NonNumeric, _negate_key, canon_assertion, canon_struct,
+    NonNumeric, _negate_key, canon_assertion, canon_struct, canon_term, rf_from_key,
+    rf_key,
 )
 from ubhl.assertions.prover import Prover
+from ubhl.cases.registry import case_proof
 from ubhl.lang.ast import (
     BinOp, FuncCall, Index, NumLit, Quant, RangeDom, SetDom, SetLit, Store,
     UnOp, Var, map_children,
@@ -121,6 +123,30 @@ def _corpus_texts():
                               "frame", "inv", "variant", "bound"))
         stack.extend(n.children)
     return sorted(texts)
+
+
+def test_log_and_abs_keys_rebuild_their_argument():
+    # the prover and the index order read a log or abs argument back
+    # from the atom's key alone
+    atoms = set()
+    stack = [case_proof(name).root for name in ("rnm", "sv", "mwsv")]
+    stack.extend(script.root for _, script, _ in generate_corpus())
+    while stack:
+        n = stack.pop()
+        stack.extend(n.children)
+        texts = [n.pre, n.post, n.index] + [
+            n.annotations[k] for k in ("site_post", "site_index", "callee_pre",
+                                       "callee_post", "frame", "invariant", "bound")
+            if k in n.annotations]
+        for text in texts:
+            for e in _subterms(parse_expr(text), []):
+                if isinstance(e, FuncCall) and e.name in ("log", "abs"):
+                    (mono, _), = canon_term(e)[0].items()
+                    atoms.add(mono[0][0])
+    assert {k[0] for k in atoms} == {"log", "abs"}
+    assert len(atoms) > 10
+    for k in atoms:
+        assert rf_key(rf_from_key(k[1])) == k[1]
 
 
 def test_corpus_keys_compare_like_their_repr():

@@ -170,6 +170,7 @@ SYNTAX_ERRORS = [
     ("expr", "forall x in a < b . x", 1, 15, "expected '.', found '<'"),
     ("expr", "{1, 2", 1, 6, "expected '}', found ''"),
     ("expr", "a // c\n<", 2, 2, "expected expression, found ''"),
+    ("expr", "a + // c", 1, 9, "expected expression, found ''"),
     ("expr", "store(a, 1)", 1, 11, "expected ',', found ')'"),
     ("expr", "a ..b", 1, 3, "unexpected trailing input '..'"),
     ("expr", "", 1, 1, "expected expression, found ''"),
@@ -185,6 +186,9 @@ SYNTAX_ERRORS = [
      "unexpected trailing input 'junk'"),
     ("prog", "var x : set<real>; proc m(w) { skip; } return w", 1, 13,
      "expected 'int', found 'real'"),
+    ("prog", "var y : int;\nproc h(v) { skip; } return v\n"
+     "proc main(x) { y <- h(1, 2); } return y", 3, 21,
+     "internal procedure 'h' takes exactly one argument"),
 ]
 
 
@@ -196,9 +200,9 @@ def test_syntax_error_positions(entry, text, line, col, msg):
     assert (err.value.line, err.value.col, err.value.msg) == (line, col, msg)
 
 
-def test_comment_does_not_advance_the_column():
+def test_comment_advances_the_column():
     eof = tokenize("x // hi")[-1]
-    assert (eof.kind, eof.line, eof.col) == ("eof", 1, 3)
+    assert (eof.kind, eof.line, eof.col) == ("eof", 1, 8)
 
 
 def test_identifiers_start_with_a_letter_or_underscore():
