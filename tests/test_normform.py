@@ -112,9 +112,9 @@ def _assert_equalities_agree(keys):
     assert all(all(k == ks[0] for k in ks) for ks in by_repr.values())
 
 
-def _corpus_texts():
+def _proof_texts(scripts):
     texts = set()
-    stack = [script.root for _, script, _ in generate_corpus()]
+    stack = [script.root for script in scripts]
     while stack:
         n = stack.pop()
         texts.update((n.pre, n.post, n.index))
@@ -125,24 +125,19 @@ def _corpus_texts():
     return sorted(texts)
 
 
+def _corpus_texts():
+    return _proof_texts(script for _, script, _ in generate_corpus())
+
+
 def test_log_and_abs_keys_rebuild_their_argument():
     # the prover and the index order read a log or abs argument back
     # from the atom's key alone
     atoms = set()
-    stack = [case_proof(name).root for name in ("rnm", "sv", "mwsv")]
-    stack.extend(script.root for _, script, _ in generate_corpus())
-    while stack:
-        n = stack.pop()
-        stack.extend(n.children)
-        texts = [n.pre, n.post, n.index] + [
-            n.annotations[k] for k in ("site_post", "site_index", "callee_pre",
-                                       "callee_post", "frame", "invariant", "bound")
-            if k in n.annotations]
-        for text in texts:
-            for e in _subterms(parse_expr(text), []):
-                if isinstance(e, FuncCall) and e.name in ("log", "abs"):
-                    (mono, _), = canon_term(e)[0].items()
-                    atoms.add(mono[0][0])
+    for text in _proof_texts(case_proof(name) for name in ("rnm", "sv", "mwsv")):
+        for e in _subterms(parse_expr(text), []):
+            if isinstance(e, FuncCall) and e.name in ("log", "abs"):
+                (mono, _), = canon_term(e)[0].items()
+                atoms.add(mono[0][0])
     assert {k[0] for k in atoms} == {"log", "abs"}
     assert len(atoms) > 10
     for k in atoms:
