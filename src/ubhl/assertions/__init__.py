@@ -1,12 +1,6 @@
-"""First-order assertion toolkit: evaluation, substitution, the
+"""First-order assertion toolkit: the normal form, obligations, the
 built-in prover, and SMT-LIB export."""
 
-from typing import Mapping, Optional
-
-from ..lang.ast import Expr, subst_expr
-from ..lang.typecheck import TypeEnv
-from ..semantics.evalexpr import eval_in_memory
-from ..semantics.values import Memory, Value
 from .normform import assertions_equal, canon_assertion, terms_equal
 from .obligations import (
     AxiomPremise, Implication, IndexInequality, Obligation, ObStatus,
@@ -15,37 +9,8 @@ from .prover import Prover
 from .smtlib import Inexpressible, emit_smtlib
 
 
-def eval_assertion(a: Expr, m: Memory, env: Optional[Mapping[str, Value]] = None) -> bool:
-    """Two-valued truth of `a` in a single memory, with logical
-    variables drawn from `env`."""
-    return bool(eval_in_memory(a, m, env))
-
-
-def subst_assertion(a: Expr, name: str, term: Expr) -> Expr:
-    """Capture-free substitution, quantifiers renamed as needed."""
-    return subst_expr(a, name, term)
-
-
-def discharge_builtin(ob: Obligation, env: Optional[TypeEnv] = None,
-                      budget: int = 60000) -> ObStatus:
-    """Proved only when sound; Unknown is always permitted."""
-    from ..checker.index import index_leq
-
-    if isinstance(ob, Implication):
-        prover = Prover(dict(env or {}), budget=budget)
-        if prover.prove_implication(ob.antecedent, ob.consequent):
-            return ObStatus.BUILTIN_PROVED
-        return ObStatus.UNKNOWN
-    if isinstance(ob, IndexInequality):
-        if index_leq(ob.smaller, ob.larger) is True:
-            return ObStatus.BUILTIN_PROVED
-        return ObStatus.UNKNOWN
-    return ObStatus.UNKNOWN
-
-
 __all__ = [
     "AxiomPremise", "Implication", "Inexpressible", "IndexInequality",
     "Obligation", "ObStatus", "Prover", "assertions_equal",
-    "canon_assertion", "discharge_builtin", "emit_smtlib", "eval_assertion",
-    "subst_assertion", "terms_equal",
+    "canon_assertion", "emit_smtlib", "terms_equal",
 ]

@@ -38,8 +38,6 @@ class PreconditionViolated(Exception):
 class CaseStudy:
     name: str
     source: str
-    proof: ProofScript
-    precondition: str
     bad_event: Expr
     index: Expr
     params: dict
@@ -120,8 +118,7 @@ def _build_rnm(p: dict) -> CaseStudy:
     bad = parse_expr(
         "exists s in R0 . qscore[res] < qscore[s] - ((4/eps)*log(size(R0)/beta) + 2)")
     return CaseStudy(
-        name="rnm", source=RNM_SOURCE, proof=rnm_proof(),
-        precondition="R == R0", bad_event=bad, index=parse_expr("beta"),
+        name="rnm", source=RNM_SOURCE, bad_event=bad, index=parse_expr("beta"),
         params=p, overrides=overrides, logical_env=logical_env,
         adversary_menu={})
 
@@ -141,8 +138,7 @@ def _build_sv(p: dict) -> CaseStudy:
         " - ((6/eps)*log((Q+1)/beta) + 2)) || (res[j] == false && evalQ(q[j], d) > tin"
         " + ((6/eps)*log((Q+1)/beta) + 2)))")
     return CaseStudy(
-        name="sv", source=SV_SOURCE, proof=sv_proof(),
-        precondition="Qn == Q", bad_event=bad, index=parse_expr("beta"),
+        name="sv", source=SV_SOURCE, bad_event=bad, index=parse_expr("beta"),
         params=p, overrides=overrides, logical_env=logical_env,
         adversary_menu=adv.sv_menu(int(p["universe"]), tuple(counts)))
 
@@ -174,8 +170,7 @@ def _build_mwsv(p: dict) -> CaseStudy:
     logical_env = {"beta": _frac(beta), "Q": q_count}
     bad = parse_expr("exists j in 1 .. Q . abs(res[j] - evalQ(q[j], d)) > alpha")
     return CaseStudy(
-        name="mwsv", source=MWSV_SOURCE, proof=mwsv_proof(),
-        precondition="alpha >= max(alpha_sv, alpha_lap)", bad_event=bad,
+        name="mwsv", source=MWSV_SOURCE, bad_event=bad,
         index=parse_expr("beta"), params=p, overrides=overrides,
         logical_env=logical_env, adversary_menu=adv.mwsv_menu(universe))
 

@@ -23,16 +23,14 @@ from ..assertions.obligations import (
 )
 from ..assertions.prover import Prover, neg
 from ..lang.ast import (
-    Assign, BinOp, Call, Command, Expr, ExtCall, FALSE, If, Index, IntT,
+    ArrayT, Assign, BinOp, Call, Command, Expr, ExtCall, FALSE, If, Index, IntT,
     LValue, NumLit, Program, Quant, Sample, Seq, Skip, SortDom, TRUE, Type,
     Var, While, free_vars, fresh_name, modified_vars, subst_expr,
     subst_lvalue,
 )
 from ..lang.parser import parse_expr
 from ..lang.typecheck import TypeEnv, UbhlTypeError, assertion_env, expr_type
-from .axioms import (
-    AxiomRegistry, SchemaMismatch, finite_site_failure, instantiate_axiom,
-)
+from .axioms import SchemaMismatch, finite_site_failure, instantiate_axiom
 from .index import index_equal, index_leq
 from .proof import ProofNode, ProofScript
 
@@ -56,6 +54,9 @@ class CheckResult:
     path: tuple[str, ...] = ()
     rule: str = ""
     obligations: list[Obligation] = field(default_factory=list)
+    # every variable's sort when the check ended: program variables,
+    # logicals, the result and the loops' variant snapshots
+    sorts: TypeEnv = field(default_factory=dict)
 
     @property
     def fully_proved(self) -> bool:
@@ -88,11 +89,10 @@ def _implies(sorts: tuple, budget: int, ante: Expr, goal: Expr) -> bool:
 
 
 class Checker:
-    def __init__(self, program: Program, registry: AxiomRegistry,
+    def __init__(self, program: Program,
                  logicals: Optional[dict[str, Type]] = None,
                  prover_budget: int = 60000):
         self.program = program
-        self.registry = registry
         self.logicals = dict(logicals or {})
         self.env: TypeEnv = assertion_env(program, self.logicals)
         self.obligations: list[Obligation] = []
@@ -313,23 +313,18 @@ class Checker:
         schema_id = node.annotations.get("schema")
         self.require(bool(schema_id), path, "rand", "rand node names no axiom schema")
         site_index = self.parse(node.annotations.get("site_index", "0"), path, "site_index")
-        target = lvalue_expr(command.target)
+        site_post = self.parse(node.annotations.get("site_post", "true"), path, "site_post")
         try:
-            if schema_id == "finite_exact":
-                site_post = self.parse(node.annotations.get("site_post", "true"),
-                                       path, "site_post")
-                self._check_finite_site(command, site_post, site_index, path)
-                psi, iota = site_post, site_index
-            else:
-                psi, iota = instantiate_axiom(self.registry, schema_id, target,
-                                              command.dist, site_index)
-                ob = AxiomPremise(rule="rand", path=path, schema=schema_id,
-                                  dist=command.dist, post=psi, index=iota,
-                                  note="registered axiom schema; validated numerically",
-                                  status=ObStatus.BUILTIN_PROVED)
-                self.obligations.append(ob)
+            psi, iota = instantiate_axiom(schema_id, lvalue_expr(command.target),
+                                          command.dist, site_index, site_post)
+            note = (self._decide_finite_site(command, psi, iota, path)
+                    if schema_id == "finite_exact"
+                    else "registered axiom schema; validated numerically")
         except SchemaMismatch as exc:
             raise Rejected(path, "rand", str(exc))
+        self.obligations.append(AxiomPremise(
+            rule="rand", path=path, schema=schema_id, dist=command.dist, post=psi,
+            index=iota, note=note, status=ObStatus.BUILTIN_PROVED))
 
         frame = None
         if "frame" in node.annotations:
@@ -349,8 +344,10 @@ class Checker:
             self.add_implication("rand", path, pre, want,
                                  note="frame is independent of the sampled value")
 
-    def _check_finite_site(self, command: Sample, site_post: Expr,
-                           site_index: Expr, path) -> None:
+    def _decide_finite_site(self, command: Sample, site_post: Expr,
+                            site_index: Expr, path) -> str:
+        """Enumerate a finite_exact site's failure mass and require it
+        below the site index; the premise's note."""
         for a in command.dist.args:
             self.require(not free_vars(a), path, "rand",
                          "finite_exact needs literal distribution parameters")
@@ -367,11 +364,7 @@ class Checker:
         fail = finite_site_failure(command.dist, target.base, site_post, {})
         self.require(fail <= iota_val, path, "rand",
                      f"site fails with probability {fail}, larger than the claimed {iota_val}")
-        ob = AxiomPremise(rule="rand", path=path, schema="finite_exact",
-                          dist=command.dist, post=site_post, index=site_index,
-                          note=f"enumerated failure mass {fail} <= {iota_val}",
-                          status=ObStatus.BUILTIN_PROVED)
-        self.obligations.append(ob)
+        return f"enumerated failure mass {fail} <= {iota_val}"
 
     def _rule_call(self, node, command, pre, post, index, path) -> None:
         self.require(isinstance(command, Call), path, "call", "command is not a call")
@@ -410,7 +403,7 @@ class Checker:
             self.require(not touched, path, "call",
                          f"call body modifies framed variables {sorted(touched)}")
             fresh = fresh_name("v", free_vars(frame) | set(self.env))
-            t = _lvalue_sort(self.env, command.target)
+            t = lvalue_sort(self.env, command.target)
             self.add_implication("call", path, frame,
                                  _value_independence(frame, command.target, fresh, t),
                                  note="frame is independent of the returned value")
@@ -441,7 +434,7 @@ class Checker:
         self.require(decl is not None, path, "ext",
                      f"unknown external procedure {command.ext!r}")
         fresh = fresh_name("v", free_vars(post) | set(self.env))
-        expected = Quant("forall", fresh, SortDom(_lvalue_sort(self.env, command.target)),
+        expected = Quant("forall", fresh, SortDom(lvalue_sort(self.env, command.target)),
                          subst_lvalue(post, command.target, Var(fresh)))
         self.require(self.eq_assert(pre, expected), path, "ext",
                      "pre must quantify the post over every possible return value")
@@ -516,9 +509,10 @@ def lvalue_expr(lv: LValue) -> Expr:
     return Index(Var(lv.base), lv.idx)
 
 
-def _lvalue_sort(env: TypeEnv, lv: LValue) -> Type:
+def lvalue_sort(env: TypeEnv, lv: LValue) -> Type:
+    """The sort a write to `lv` stores: an array's element sort for an
+    indexed write, int for an undeclared name."""
     t = env.get(lv.base)
-    from ..lang.ast import ArrayT
     if lv.idx is not None and isinstance(t, ArrayT):
         return t.elem
     return t if t is not None else IntT()
@@ -530,13 +524,9 @@ def _sample_type(dist) -> Type:
 
 
 def check(program: Program, script: ProofScript,
-          registry: Optional[AxiomRegistry] = None,
           prover_budget: int = 60000) -> CheckResult:
     """Check a proof script against a program."""
-    from .axioms import default_registry
-
-    reg = registry or default_registry()
-    checker = Checker(program, reg, script.logicals, prover_budget)
+    checker = Checker(program, script.logicals, prover_budget)
     entry = script.entry
     proc = program.procs.get(entry["proc"])
     if proc is None:
@@ -545,17 +535,18 @@ def check(program: Program, script: ProofScript,
         arg = parse_expr(entry.get("arg", "0"))
     except Exception as exc:
         return CheckResult(False, f"bad entry argument: {exc}")
-    result_var = entry.get("result", "res")
-    command = Call(LValue(result_var), proc.name, arg)
+    res = entry.get("result", "res")
+    command = Call(LValue(res), proc.name, arg)
     try:
-        checker.env[result_var] = expr_type(proc.ret, checker.env)
+        checker.env[res] = expr_type(proc.ret, checker.env)
     except UbhlTypeError:
-        checker.env.setdefault(result_var, IntT())
+        checker.env.setdefault(res, IntT())
     try:
         checker.check_tree(script.root, command)
     except Rejected as exc:
         return CheckResult(False, exc.reason, exc.path, exc.rule,
-                           obligations=checker.obligations)
+                           obligations=checker.obligations, sorts=checker.env)
     except (NonNumeric, ZeroDivisionError) as exc:
-        return CheckResult(False, f"malformed assertion or index: {exc}")
-    return CheckResult(True, obligations=checker.obligations)
+        return CheckResult(False, f"malformed assertion or index: {exc}",
+                           sorts=checker.env)
+    return CheckResult(True, obligations=checker.obligations, sorts=checker.env)

@@ -19,9 +19,9 @@ from .assertions.smtlib import Inexpressible, emit_smtlib
 from .checker.kernel import CheckResult, check
 from .checker.proof import ProofScript
 from .embed.crosscheck import crosscheck
-from .embed.instrument import pretty_instrumented
+from .lang.ast import pretty_command
 from .lang.parser import UbhlSyntaxError, parse_program
-from .lang.typecheck import UbhlTypeError, assertion_env, typecheck
+from .lang.typecheck import UbhlTypeError, typecheck
 from .semantics.exact import Budget, denote_exact, initial_memory
 from .semantics.trial import run_trial
 
@@ -65,19 +65,14 @@ def cmd_check(args) -> int:
     result = check(program, script)
     code = _report_check(result, verbose=not args.quiet)
     if args.export and result.accepted:
-        n = _export_obligations(program, script, result, Path(args.export))
+        n = _export_obligations(script, result, Path(args.export))
         print(f"exported {n} obligation(s) to {args.export}")
     return code
 
 
-def _export_obligations(program, script, result: CheckResult, out: Path,
+def _export_obligations(script, result: CheckResult, out: Path,
                         only_open: bool = False) -> int:
     out.mkdir(parents=True, exist_ok=True)
-    env = assertion_env(program, script.logicals)
-    from .lang.ast import IntT
-    env.setdefault("res", IntT())
-    env.setdefault("eta", IntT())
-    env.setdefault("eta2", IntT())
     manifest = []
     count = 0
     for i, ob in enumerate(result.obligations):
@@ -85,7 +80,7 @@ def _export_obligations(program, script, result: CheckResult, out: Path,
             continue
         name = f"{script.entry['proc']}__{ob.name().replace('@', '_').replace('.', '-')}_{i}.smt2"
         try:
-            text = emit_smtlib(ob, env)
+            text = emit_smtlib(ob, result.sorts)
         except Inexpressible as exc:
             manifest.append({"obligation": ob.name(), "status": ob.status.value,
                              "file": None, "note": f"inexpressible: {exc}"})
@@ -111,7 +106,7 @@ def cmd_obligations(args) -> int:
     if not result.accepted:
         print(result.summary())
         return 1
-    n = _export_obligations(program, script, result, Path(args.export),
+    n = _export_obligations(script, result, Path(args.export),
                             only_open=args.open_only)
     print(f"exported {n} obligation(s) to {args.export}")
     return 0 if result.fully_proved else 2
@@ -156,7 +151,7 @@ def cmd_embed(args) -> int:
         return 1
     out = _out_dir(args)
     inst_path = out / "instrumented.ubhl"
-    inst_path.write_text(pretty_instrumented(report.instrumented) + "\n")
+    inst_path.write_text(pretty_command(report.instrumented) + "\n")
     manifest = {
         "ghost": report.triple.ghost,
         "wp_obligations": report.wp_total,

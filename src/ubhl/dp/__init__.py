@@ -5,7 +5,7 @@ from .laplace import (
     lap_tail, lap_tail_closed,
 )
 from .mw import (
-    MWParams, SynthDB, mw_alpha_formulas, mw_init, mw_step, potential,
+    SynthDB, mw_alpha_formulas, mw_init, mw_step, potential,
     solve_feasible_alpha, step_decrease_bound,
 )
 from .queries import (
@@ -16,7 +16,7 @@ from .queries import (
 
 __all__ = [
     "Database", "DimensionMismatch", "DomainError", "EmptyDatabase",
-    "MWParams", "NotLinear", "Query", "SynthDB", "db_add", "db_size",
+    "NotLinear", "Query", "SynthDB", "db_add", "db_size",
     "db_zero", "dump_db_text", "error_query", "eval_query", "inv_query",
     "lap_acc_threshold", "lap_masses_exact", "lap_pmf", "lap_sample",
     "lap_tail", "lap_tail_closed", "load_db_text", "make_db", "make_query",

@@ -76,40 +76,11 @@ def step_decrease_bound(x: SynthDB, up: Query, d: Database, eta: Num, n: int) ->
     return eta_f * gap / n - eta_f * eta_f
 
 
-@dataclass(frozen=True)
-class MWParams:
-    """Derived parameter block for the online MW release mechanism."""
-    alpha: float
-    eps: float
-    queries: int      # Q
-    universe: int     # X
-    n: int
-    beta: float
-
-    @property
-    def eta(self) -> float:
-        return self.alpha / (2 * self.n)
-
-    @property
-    def threshold(self) -> float:
-        return 2 * self.alpha
-
-    @property
-    def gamma(self) -> float:
-        return 4 * self.n * self.n * math.log(self.universe) / (self.alpha * self.alpha)
-
-    @property
-    def alpha_sv(self) -> float:
-        return (24 * self.gamma / self.eps) * math.log(2 * (self.queries + 1) / self.beta)
-
-    @property
-    def alpha_lap(self) -> float:
-        return (4 * self.gamma / self.eps) * math.log(2 * self.gamma / self.beta)
-
-
 def mw_alpha_formulas(alpha: float, eps: float, queries: int, universe: int,
                       n: int, beta: float) -> tuple[float, float, float]:
-    """(gamma, alpha_sv, alpha_lap) at a given alpha."""
+    """(gamma, alpha_sv, alpha_lap) at a given alpha: the one numeric
+    copy of the accuracy premise that mwsv's proof states symbolically
+    (`mw_theorem_pre` in `cases/proofs.py`)."""
     gamma = 4 * n * n * math.log(universe) / (alpha * alpha)
     alpha_sv = (24 * gamma / eps) * math.log(2 * (queries + 1) / beta)
     alpha_lap = (4 * gamma / eps) * math.log(2 * gamma / beta)

@@ -9,19 +9,18 @@ Report-only: divergence is flagged, never raised.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from ..assertions.obligations import Implication, Obligation, ObStatus
 from ..assertions.prover import Prover
-from ..checker.axioms import default_registry, instantiate_axiom
+from ..checker.axioms import instantiate_axiom
 from ..checker.kernel import CheckResult, check, lvalue_expr
 from ..checker.proof import ProofNode, ProofScript
-from fractions import Fraction
-
 from ..lang.ast import (
-    BinOp, Call, Command, Expr, If, NumLit, Program, Sample, Seq, Var, While,
+    REAL, BinOp, Call, Command, Expr, If, NumLit, Program, Sample, Seq, Var,
+    While, fresh_name, subst_expr,
 )
 from ..lang.parser import parse_expr
-from ..lang.typecheck import assertion_env
 from .instrument import HoareTriple, SiteSpec, embed
 from .wp import MissingInvariant, wp
 
@@ -57,20 +56,16 @@ def collect_sites(script: ProofScript, program: Program,
     invariants. The ghost budget before a loop is the sum of indices
     threaded to its left, so single (non-nested) loops get the exact
     bookkeeping x_ghost <= prefix + (bound - variant) * iter_index."""
-    reg = default_registry()
     sites: dict = {}
     invariants: dict = {}
 
     def walk(node: ProofNode, cmd: Command, path: tuple[str, ...],
              prefix: Expr) -> None:
         if node.rule == "rand" and isinstance(cmd, Sample):
-            schema = node.annotations.get("schema", "lap_acc")
-            iota = parse_expr(node.annotations.get("site_index", "0"))
-            if schema == "finite_exact":
-                post = parse_expr(node.annotations.get("site_post", "true"))
-            else:
-                post, iota = instantiate_axiom(
-                    reg, schema, lvalue_expr(cmd.target), cmd.dist, iota)
+            post, iota = instantiate_axiom(
+                node.annotations.get("schema", "lap_acc"), lvalue_expr(cmd.target),
+                cmd.dist, parse_expr(node.annotations.get("site_index", "0")),
+                parse_expr(node.annotations.get("site_post", "true")))
             sites[path] = SiteSpec(post=post, index=iota)
             return
         if node.rule == "seq" and isinstance(cmd, Seq):
@@ -130,7 +125,6 @@ def crosscheck(program: Program, script: ProofScript,
 
     entry = script.entry
     proc = program.procs[entry["proc"]]
-    from ..lang.ast import fresh_name
     avoid = set(program.vars) | set(program.extvars)
     for pr in program.procs.values():
         avoid.add(pr.arg)
@@ -139,7 +133,6 @@ def crosscheck(program: Program, script: ProofScript,
     root = script.root
     pre = parse_expr(root.pre)
     post_body = parse_expr(root.annotations.get("callee_post", root.post))
-    from ..lang.ast import subst_expr
     post_body = subst_expr(post_body, "res", proc.ret)
     index = parse_expr(root.index)
 
@@ -148,10 +141,8 @@ def crosscheck(program: Program, script: ProofScript,
     report.instrumented = instrumented
     report.triple = triple
 
-    env = assertion_env(program, script.logicals)
-    env[triple.ghost] = _real()
-    for name, t in _extra_logicals(script).items():
-        env.setdefault(name, t)
+    env = dict(result.sorts)
+    env[triple.ghost] = REAL
 
     try:
         wp_res = wp(instrumented, triple.post_full(), env, invariants)
@@ -171,16 +162,3 @@ def crosscheck(program: Program, script: ProofScript,
     report.wp_proved = sum(1 for ob in obligations
                            if ob.status == ObStatus.BUILTIN_PROVED)
     return report
-
-
-def _real():
-    from ..lang.ast import REAL
-    return REAL
-
-
-def _extra_logicals(script: ProofScript) -> dict:
-    from ..lang.ast import IntT
-    out = dict(script.logicals)
-    out.setdefault("eta", IntT())
-    out.setdefault("eta2", IntT())
-    return out

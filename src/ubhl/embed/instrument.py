@@ -15,7 +15,7 @@ from typing import Optional
 
 from ..lang.ast import (
     Assign, Assume, BinOp, Command, Expr, GhostAdd, Havoc, If, LValue, NumLit,
-    Program, Sample, Seq, While, fresh_name, pretty_command,
+    Program, Sample, Seq, While, fresh_name,
 )
 
 
@@ -30,7 +30,6 @@ SitePath = tuple[str, ...]
 class SiteSpec:
     post: Expr          # assumed fact about the sampled value
     index: Expr         # failure budget charged at this site
-    dist: Optional[object] = None   # original DistExpr, for replay
 
 
 @dataclass
@@ -69,7 +68,6 @@ def embed(command: Command, sites: dict[SitePath, SiteSpec], pre: Expr,
             spec = sites.get(path)
             if spec is None:
                 raise MissingAxiomAssignment(f"no axiom assignment for site {path}")
-            spec.dist = c.dist
             return Seq(Havoc(c.target),
                        Seq(Assume(spec.post), GhostAdd(ghost_var, spec.index)))
         if isinstance(c, Seq):
@@ -92,7 +90,3 @@ def embed(command: Command, sites: dict[SitePath, SiteSpec], pre: Expr,
     triple = HoareTriple(pre=pre, command=instrumented, post=post,
                          index=index, ghost=ghost_var)
     return instrumented, triple
-
-
-def pretty_instrumented(c: Command) -> str:
-    return pretty_command(c)

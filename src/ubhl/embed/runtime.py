@@ -33,10 +33,9 @@ def run_ghost_trial(program: Program, entry: str, arg: Value,
                     sites: Mapping[SitePath, SiteSpec],
                     logical_env: Mapping[str, Value], seed: int, trial: int = 0,
                     adversaries: Optional[Mapping[str, AdversaryStrategy]] = None,
-                    overrides: Optional[dict[str, Value]] = None,
-                    result_var: str = "res") -> GhostTrial:
+                    overrides: Optional[dict[str, Value]] = None) -> GhostTrial:
     core = CompiledProgram(program, sites, logical_env)
     run = RunState(TrialRng(seed, trial), adversaries or {})
-    store = core.execute(entry, arg, run, overrides, result_var)
+    store = core.execute(entry, arg, run, overrides)
     return GhostTrial(memory=Memory(store.items()), ghost=run.ghost,
                       executed_sites=run.executed, filtered=run.filtered)

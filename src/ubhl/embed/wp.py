@@ -12,9 +12,10 @@ from typing import Optional
 
 from ..assertions.obligations import Implication, Obligation
 from ..assertions.prover import neg
+from ..checker.kernel import lvalue_sort
 from ..lang.ast import (
     Assign, Assume, BinOp, Command, Expr, ExtCall, GhostAdd, Havoc, If,
-    Quant, Sample, Seq, Skip, SortDom, Type, Var, While, free_vars,
+    Quant, Sample, Seq, Skip, SortDom, Var, While, free_vars,
     fresh_name, subst_expr, subst_lvalue,
 )
 from ..lang.typecheck import TypeEnv
@@ -43,12 +44,12 @@ def wp(command: Command, post: Expr, env: TypeEnv,
         if isinstance(c, Assign):
             return subst_lvalue(q, c.target, c.expr)
         if isinstance(c, Havoc):
-            t = _lv_type(c.target, env)
+            t = lvalue_sort(env, c.target)
             fresh = fresh_name("v", free_vars(q) | set(env))
             return Quant("forall", fresh, SortDom(t),
                          subst_lvalue(q, c.target, Var(fresh)))
         if isinstance(c, ExtCall):
-            t = _lv_type(c.target, env)
+            t = lvalue_sort(env, c.target)
             fresh = fresh_name("v", free_vars(q) | set(env))
             return Quant("forall", fresh, SortDom(t),
                          subst_lvalue(q, c.target, Var(fresh)))
@@ -82,11 +83,3 @@ def wp(command: Command, post: Expr, env: TypeEnv,
 
     pre = go(command, post, path)
     return WpResult(pre=pre, obligations=obs)
-
-
-def _lv_type(lv, env: TypeEnv) -> Type:
-    from ..lang.ast import ArrayT, IntT
-    t = env.get(lv.base)
-    if lv.idx is not None and isinstance(t, ArrayT):
-        return t.elem
-    return t if t is not None else IntT()

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import is_
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 
 # ── Types ───────────────────────────────────────────────────────────
@@ -504,20 +504,6 @@ def modified_vars(c: Command, program: Optional[Program] = None) -> set[str]:
     if isinstance(c, GhostAdd):
         return {c.ghost}
     raise TypeError(f"unknown command node: {c!r}")
-
-
-def sample_sites(c: Command, path: tuple[str, ...] = ()) -> Iterator[tuple[tuple[str, ...], Sample]]:
-    """Yield (path, node) for every Sample in syntactic order."""
-    if isinstance(c, Sample):
-        yield path, c
-    elif isinstance(c, Seq):
-        yield from sample_sites(c.first, path + ("1",))
-        yield from sample_sites(c.second, path + ("2",))
-    elif isinstance(c, If):
-        yield from sample_sites(c.then, path + ("t",))
-        yield from sample_sites(c.els, path + ("e",))
-    elif isinstance(c, While):
-        yield from sample_sites(c.body, path + ("b",))
 
 
 # ── Operator syntax and the pretty printer ─────────────────────────

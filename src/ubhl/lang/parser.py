@@ -249,6 +249,8 @@ class Parser:
         if t.kind == "ident" and t.text not in KEYWORDS:
             self.next()
             if self.accept_sym("("):
+                if t.text in self.procs:
+                    raise _call_in_expression(t)
                 return FuncCall(t.text, self.parse_list(self.parse_expr, ")"))
             return Var(t.text)
         raise UbhlSyntaxError(f"expected expression, found {t.text!r}", t.line, t.col)
@@ -338,15 +340,21 @@ class Parser:
         if self.accept_sym("<-"):
             if self.at_sym(";"):
                 raise self.err("missing right-hand side of assignment")
-            start = self.peek()
+            name = self.peek()
+            if name.text in self.procs and self.toks[self.pos + 1].text == "(":
+                self.pos += 2
+                args = self.parse_list(self.parse_expr, ")")
+                if not self.at_sym(";"):
+                    raise _call_in_expression(name)
+                if len(args) != 1:
+                    raise UbhlSyntaxError(
+                        f"internal procedure {name.text!r} takes exactly one argument",
+                        name.line, name.col)
+                self.next()
+                return Call(lv, name.text, args[0])
             expr = self.parse_expr()
-            call = isinstance(expr, FuncCall) and expr.name in self.procs
-            if call and len(expr.args) != 1:
-                raise UbhlSyntaxError(
-                    f"internal procedure {expr.name!r} takes exactly one argument",
-                    start.line, start.col)
             self.expect_sym(";")
-            return Call(lv, expr.name, expr.args[0]) if call else Assign(lv, expr)
+            return Assign(lv, expr)
         raise self.err("expected '<-', '<$' or '<@' after lvalue")
 
     # ── programs ──
@@ -409,6 +417,12 @@ class Parser:
         if not prog.procs:
             raise UbhlSyntaxError("program has no procedures", t.line, t.col)
         return prog
+
+
+def _call_in_expression(name: Token) -> UbhlSyntaxError:
+    return UbhlSyntaxError(
+        f"procedure {name.text!r} may only be called as 'x <- {name.text}(e);'",
+        name.line, name.col)
 
 
 def parse_program(text: str) -> Program:

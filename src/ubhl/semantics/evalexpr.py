@@ -307,6 +307,18 @@ def dist_params(name: str, a: list) -> tuple:
     raise UbhlRuntimeError(f"unknown distribution {name!r}")
 
 
+def finite_support(name: str, params: tuple) -> list[tuple[Value, Fraction]]:
+    """(value, mass) pairs of bern or unifint, from its `dist_params`.
+    The kernel's finite_exact premise and the exact evaluator both
+    enumerate here."""
+    if name == "bern":
+        p, = params
+        return [(True, p), (False, 1 - p)]
+    lo, hi = params
+    mass = Fraction(1, hi - lo + 1)
+    return [(v, mass) for v in range(lo, hi + 1)]
+
+
 def eval_expr(e: Expr, store: Mapping[str, Value]) -> Value:
     """Evaluate a quantifier-free program expression (or a bounded
     assertion) once."""

@@ -19,7 +19,9 @@ from ..lang.ast import (
     Assign, Call, Command, DistExpr, Expr, ExtCall, If, LValue, Program,
     Sample, Seq, Skip, While,
 )
-from .evalexpr import Code, UbhlRuntimeError, compile_expr, compile_write, dist_params
+from .evalexpr import (
+    Code, UbhlRuntimeError, compile_expr, compile_write, dist_params, finite_support,
+)
 from .values import Memory, Value
 
 ExtState = tuple[tuple[str, Value], ...]
@@ -89,13 +91,8 @@ class ExactEvaluator:
     def _dist_support(self, d: DistExpr, mem: Memory) -> tuple[list[tuple[Value, Fraction]], Fraction]:
         """Enumerate (value, mass) pairs and un-enumerated residual."""
         params = dist_params(d.name, [self._eval(a, mem) for a in d.args])
-        if d.name == "bern":
-            p, = params
-            return [(True, p), (False, 1 - p)], Fraction(0)
-        if d.name == "unifint":
-            lo, hi = params
-            mass = Fraction(1, hi - lo + 1)
-            return [(v, mass) for v in range(lo, hi + 1)], Fraction(0)
+        if d.name != "lap":
+            return finite_support(d.name, params), Fraction(0)
         eps, mean = params
         masses, residual = lap_masses_exact(eps, self.budget.laplace_radius)
         return [(mean + k, m) for k, m in sorted(masses.items())], residual

@@ -98,8 +98,7 @@ class CompiledProgram:
         self._procs: dict[tuple[str, SitePath], tuple[Step, Callable]] = {}
 
     def execute(self, entry: str, arg: Value, run: RunState,
-                overrides: Optional[Mapping[str, Value]] = None,
-                result_var: str = "res") -> StoreDict:
+                overrides: Optional[Mapping[str, Value]] = None) -> StoreDict:
         """Run procedure `entry` on `arg`; the final store."""
         proc = self.program.procs[entry]
         store = dict(self._defaults)
@@ -107,7 +106,7 @@ class CompiledProgram:
         store[proc.arg] = arg
         body, ret = self._proc(entry, ())
         body(store, run)
-        store[result_var] = ret(store)
+        store["res"] = ret(store)
         return store
 
     def _proc(self, name: str, path: SitePath) -> tuple[Step, Callable]:
@@ -212,12 +211,12 @@ _COMMANDS: dict[type, Callable[[CompiledProgram, Any, SitePath], Step]] = {
 def run_trial(program: Union[Program, CompiledProgram], entry: str, arg: Value,
               adversaries: Mapping[str, AdversaryStrategy], seed: int,
               trial: int = 0, overrides: Optional[dict[str, Value]] = None,
-              result_var: str = "res", loop_cap: int = 1_000_000) -> Memory:
+              loop_cap: int = 1_000_000) -> Memory:
     """One sampled execution; deterministic in (program, arg, seed, trial).
     Pass a CompiledProgram to run many trials of one compilation."""
     core = program if isinstance(program, CompiledProgram) else CompiledProgram(program)
     run = RunState(TrialRng(seed, trial), adversaries, loop_cap)
-    return Memory(core.execute(entry, arg, run, overrides, result_var).items())
+    return Memory(core.execute(entry, arg, run, overrides).items())
 
 
 @dataclass
@@ -307,14 +306,12 @@ def run_chunked(make_classifier: Callable[[Any], Classifier], spec: Any,
 
 
 def _failure_classifier(spec) -> Classifier:
-    (program, entry, arg, adversaries, bad, seed, overrides, result_var, env,
-     loop_cap) = spec
+    program, entry, arg, adversaries, bad, seed, overrides, env, loop_cap = spec
     core, bad_code = CompiledProgram(program), compile_expr(bad)
 
     def classify(i):
         try:
-            mem = run_trial(core, entry, arg, adversaries, seed, i, overrides,
-                            result_var, loop_cap)
+            mem = run_trial(core, entry, arg, adversaries, seed, i, overrides, loop_cap)
             return ("failure",) if bool(eval_in_memory(bad_code, mem, env)) else ()
         except (TrialAborted, UbhlRuntimeError):
             return ("failure",)
@@ -326,13 +323,12 @@ def estimate_failure(program: Program, entry: str, arg: Value,
                      bad: Expr, trials: int, seed: int,
                      env: Optional[dict[str, Value]] = None,
                      overrides: Optional[dict[str, Value]] = None,
-                     result_var: str = "res", loop_cap: int = 1_000_000,
-                     jobs: int = 1,
+                     loop_cap: int = 1_000_000, jobs: int = 1,
                      params: Optional[dict] = None) -> EstimateReport:
     """Monte Carlo estimate of the probability the `bad` assertion holds
     in the final memory. Aborted or erroring trials count as failures."""
     spec = (program, entry, arg, dict(adversaries), bad, seed, overrides,
-            result_var, env or {}, loop_cap)
+            env or {}, loop_cap)
     failures = run_chunked(_failure_classifier, spec, trials, jobs)["failure"]
     rate = failures / trials
     return EstimateReport(

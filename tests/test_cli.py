@@ -127,3 +127,26 @@ def test_instrumented_program_reads_back(rnm_embedded):
     program = parse_program(f"{decls}\nproc main(w) {{\n{body}\n}} return rstar\n")
     typecheck(program)
     assert pretty_command(program.procs["main"].body) + "\n" == inst
+
+
+def test_export_declares_res_with_the_kernel_sort(tmp_path):
+    """`res` is `y / 2`, a real, so the open weakening `res > 0 ==>
+    res >= 1` is false at res = 1/2; the exported claim must keep it
+    over the reals, not declare `res` an Int."""
+    prog = tmp_path / "p.ubhl"
+    prog.write_text("var y : int;\nproc main(u) { y <- 3; } return y / 2\n")
+    assn = {"rule": "assn", "pre": "true", "post": "y / 2 > 0", "index": "0"}
+    call = {"rule": "call", "pre": "true", "post": "res > 0", "index": "0",
+            "proc": "main", "callee_pre": "true", "callee_post": "res > 0",
+            "children": [assn]}
+    proof = tmp_path / "proof.json"
+    proof.write_text(json.dumps({
+        "logicals": {}, "entry": {"proc": "main", "arg": "0", "result": "res"},
+        "root": {"rule": "weak", "pre": "true", "post": "res >= 1", "index": "0",
+                 "children": [call]}}))
+    out = run_cli("check", str(prog), str(proof), "--export", str(tmp_path / "out"))
+    assert out.returncode == 2, out.stdout + out.stderr
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    weak, = [m for m in manifest if m["note"] == "postcondition weakening"]
+    text = (tmp_path / "out" / weak["file"]).read_text()
+    assert "(declare-const v_res Real)" in text

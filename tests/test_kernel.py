@@ -8,14 +8,12 @@ from pathlib import Path
 import pytest
 
 import ubhl
-from ubhl.checker.axioms import (
-    SchemaMismatch, default_registry, instantiate_axiom,
-)
+from ubhl.checker.axioms import SchemaMismatch, instantiate_axiom, lap_acc_covers
 from ubhl.checker.index import NegativeIndex, index_equal, index_eval
 from ubhl.checker.kernel import check
 from ubhl.checker.proof import ProofNode, ProofScript
 from ubhl.dp.laplace import lap_acc_threshold
-from ubhl.lang.ast import DistExpr, Var
+from ubhl.lang.ast import TRUE, DistExpr, Var
 from ubhl.lang.parser import parse_expr, parse_program
 from ubhl.lang.typecheck import typecheck
 
@@ -133,10 +131,9 @@ def test_false_rule():
 
 
 def test_lap_acc_instantiation_formula():
-    reg = default_registry()
     dist = DistExpr("lap", (parse_expr("eps/2"), parse_expr("qscore[r]")))
-    post, iota = instantiate_axiom(reg, "lap_acc", parse_expr("noisy[r]"),
-                                   dist, parse_expr("beta/size(R0)"))
+    post, iota = instantiate_axiom("lap_acc", parse_expr("noisy[r]"),
+                                   dist, parse_expr("beta/size(R0)"), TRUE)
     want = parse_expr(
         "abs(noisy[r] - qscore[r]) <= (2/eps)*log(size(R0)/beta) + 1")
     from ubhl.assertions.normform import assertions_equal
@@ -145,9 +142,8 @@ def test_lap_acc_instantiation_formula():
 
 
 def test_lap_acc_threshold_value():
-    reg = default_registry()
     dist = DistExpr("lap", (parse_expr("1"), parse_expr("0")))
-    post, _ = instantiate_axiom(reg, "lap_acc", Var("x"), dist, parse_expr("1/10"))
+    post, _ = instantiate_axiom("lap_acc", Var("x"), dist, parse_expr("1/10"), TRUE)
     # |x - 0| <= log(10) + 1
     bound = post.right
     from ubhl.semantics.evalexpr import eval_expr
@@ -155,19 +151,18 @@ def test_lap_acc_threshold_value():
 
 
 def test_lap_acc_on_bernoulli_is_schema_mismatch():
-    reg = default_registry()
     dist = DistExpr("bern", (parse_expr("1/2"),))
     with pytest.raises(SchemaMismatch):
-        instantiate_axiom(reg, "lap_acc", Var("x"), dist, parse_expr("1/10"))
+        instantiate_axiom("lap_acc", Var("x"), dist, parse_expr("1/10"), TRUE)
 
 
 def test_lap_acc_validation_hook():
-    """The hook checks the schema's radius against the exact discrete
-    radius. The natural-log radius alone is short by a factor of at most
-    2/(1+e^-eps) at coarse budgets (the criterion-2 docstring in
-    test_acceptance.py has the full story); one lattice step covers it."""
-    reg = default_registry()
-    hook = reg.get("lap_acc").validate
+    """`lap_acc_covers` checks the schema's radius against the exact
+    discrete radius. The natural-log radius alone is short by a factor
+    of at most 2/(1+e^-eps) at coarse budgets (the criterion-2 docstring
+    in test_acceptance.py has the full story); one lattice step covers
+    it."""
+    hook = lap_acc_covers
     assert hook(1.0, 0.1)
     assert hook(4.0, 0.1)
     assert hook(1.0, 0.01)

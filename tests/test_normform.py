@@ -120,7 +120,7 @@ def _proof_texts(scripts):
         texts.update((n.pre, n.post, n.index))
         texts.update(v for k, v in n.annotations.items()
                      if k in ("site_post", "site_index", "callee_pre", "callee_post",
-                              "frame", "inv", "variant", "bound"))
+                              "frame", "invariant", "variant", "bound", "iter_index"))
         stack.extend(n.children)
     return sorted(texts)
 

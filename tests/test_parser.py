@@ -38,9 +38,11 @@ def test_rnm_listing_shape():
     assert isinstance(body, A.Seq)
     loop = body.second.second
     assert isinstance(loop, A.While)
-    samples = list(A.sample_sites(loop.body))
-    assert len(samples) == 1
-    _, site = samples[0]
+    # r <- pick(R); noisy[r] <$ ...; if ...; R <- remove(R, r)
+    rest = loop.body.second.second
+    site = loop.body.second.first
+    assert [type(c) for c in (loop.body.first, site, rest.first, rest.second)] == \
+        [A.Assign, A.Sample, A.If, A.Assign]
     assert site.dist.name == "lap"
     assert site.target == A.LValue("noisy", A.Var("r"))
     # scale eps/2 centered at the quality score
@@ -189,6 +191,12 @@ SYNTAX_ERRORS = [
     ("prog", "var y : int;\nproc h(v) { skip; } return v\n"
      "proc main(x) { y <- h(1, 2); } return y", 3, 21,
      "internal procedure 'h' takes exactly one argument"),
+    ("prog", "var y : int;\nproc h(v) { skip; } return v\n"
+     "proc main(x) { y <- h(1) + 1; } return y", 3, 21,
+     "procedure 'h' may only be called as 'x <- h(e);'"),
+    ("prog", "var y : int;\nproc h(v) { skip; } return v\n"
+     "proc main(x) { if (h(1) > 0) { skip; } } return y", 3, 20,
+     "procedure 'h' may only be called as 'x <- h(e);'"),
 ]
 
 
