@@ -1,3 +1,5 @@
+import pytest
+
 from ubhl.assertions.obligations import Implication, IndexInequality
 from ubhl.assertions.smtlib import emit_smtlib
 from ubhl.lang.ast import BOOL, INT, REAL, SETINT, ArrayT, QUERY, DB
@@ -73,3 +75,154 @@ def test_store_and_sets_use_array_theory():
     text = emit_smtlib(ob, ENV)
     assert "(select v_R v_j)" in text
     assert "(store v_noisy v_j v_x)" in text
+
+
+# One obligation per built-in function, `size` over a db and over a
+# set, in int and real contexts: the script between the common header
+# and `(check-sat)`, byte for byte.
+HEADER = "(set-logic ALL)\n(declare-sort UQuery 0)\n(declare-sort UDb 0)\n"
+BUILTIN_SCRIPTS = {
+    "evalQ(q, d) <= y": """
+(declare-fun uEvalQ (UQuery UDb) Real)
+(assert (forall ((p UQuery) (e UDb)) (= (uEvalQ (uInvQ p) e) (- (uEvalQ p e)))))
+(declare-const v_d UDb)
+(declare-const v_q UQuery)
+(declare-const v_y Real)
+(assert (not (=> true (<= (uEvalQ v_q v_d) v_y))))
+""",
+    "evalQ(invQ(q), d) <= y": """
+(declare-fun uEvalQ (UQuery UDb) Real)
+(assert (forall ((p UQuery) (e UDb)) (= (uEvalQ (uInvQ p) e) (- (uEvalQ p e)))))
+(declare-fun uInvQ (UQuery) UQuery)
+(declare-const v_d UDb)
+(declare-const v_q UQuery)
+(declare-const v_y Real)
+(assert (not (=> true (<= (uEvalQ (uInvQ v_q) v_d) v_y))))
+""",
+    "negQ(q) == q": """
+(declare-fun uNegQ (UQuery) UQuery)
+(declare-const v_q UQuery)
+(assert (not (=> true (= (uNegQ v_q) v_q))))
+""",
+    "invQ(q) == q": """
+(declare-fun uInvQ (UQuery) UQuery)
+(declare-fun uEvalQ (UQuery UDb) Real)
+(declare-const v_q UQuery)
+(assert (not (=> true (= (uInvQ v_q) v_q))))
+""",
+    "evalQ(error(q, d), d) >= y": """
+(declare-fun uErrorQ (UQuery UDb) UQuery)
+(declare-fun uEvalQ (UQuery UDb) Real)
+(assert (forall ((p UQuery) (e UDb)) (= (uEvalQ (uInvQ p) e) (- (uEvalQ p e)))))
+(declare-const v_d UDb)
+(declare-const v_q UQuery)
+(declare-const v_y Real)
+(assert (not (=> true (>= (uEvalQ (uErrorQ v_q v_d) v_d) v_y))))
+""",
+    "size(d) >= 1": """
+(declare-fun uSize (UDb) Int)
+(assert (forall ((e UDb)) (>= (uSize e) 0)))
+(declare-const v_d UDb)
+(assert (not (=> true (>= (uSize v_d) 1))))
+""",
+    "size(d) <= x": """
+(declare-fun uSize (UDb) Int)
+(assert (forall ((e UDb)) (>= (uSize e) 0)))
+(declare-const v_d UDb)
+(declare-const v_x Real)
+(assert (not (=> true (<= (to_real (uSize v_d)) v_x))))
+""",
+    "size(R) >= 1": """
+(declare-fun uSize (UDb) Int)
+(assert (forall ((e UDb)) (>= (uSize e) 0)))
+(declare-fun uSizeSet ((Array Int Bool)) Int)
+(declare-const v_R (Array Int Bool))
+(assert (not (=> true (>= (uSize v_R) 1))))
+""",
+    "size(R) <= x": """
+(declare-fun uSize (UDb) Int)
+(assert (forall ((e UDb)) (>= (uSize e) 0)))
+(declare-fun uSizeSet ((Array Int Bool)) Int)
+(declare-const v_R (Array Int Bool))
+(declare-const v_x Real)
+(assert (not (=> true (<= (to_real (uSize v_R)) v_x))))
+""",
+    "pick(R) == j": """
+(declare-fun uPick ((Array Int Bool)) Int)
+(declare-const v_R (Array Int Bool))
+(declare-const v_j Int)
+(assert (not (=> true (= (uPick v_R) v_j))))
+""",
+    "pick(R) <= x": """
+(declare-fun uPick ((Array Int Bool)) Int)
+(declare-const v_R (Array Int Bool))
+(declare-const v_x Real)
+(assert (not (=> true (<= (uPick v_R) v_x))))
+""",
+    "!(j in remove(R, j))": """
+(declare-const v_R (Array Int Bool))
+(declare-const v_j Int)
+(assert (not (=> true (not (select (store v_R v_j false) v_j)))))
+""",
+    "isempty(R) ==> !(j in R)": """
+(declare-const v_R (Array Int Bool))
+(declare-const v_j Int)
+(assert (not (=> true (=> (= v_R ((as const (Array Int Bool)) false)) (not (select v_R v_j))))))
+""",
+    "j in setdiff(R, R)": """
+(declare-fun setdiff ((Array Int Bool) (Array Int Bool)) (Array Int Bool))
+(assert (forall ((a (Array Int Bool)) (b (Array Int Bool)) (i Int)) (= (select (setdiff a b) i) (and (select a i) (not (select b i))))))
+(declare-const v_R (Array Int Bool))
+(declare-const v_j Int)
+(assert (not (=> true (select (setdiff v_R v_R) v_j))))
+""",
+    "abs(x) >= 0": """
+(define-fun absR ((x Real)) Real (ite (>= x 0.0) x (- x)))
+(declare-const v_x Real)
+(assert (not (=> true (>= (absR v_x) 0.0))))
+""",
+    "log(x) <= log(4)": """
+(declare-fun ln (Real) Real)
+(assert (forall ((a Real) (b Real)) (=> (and (< 0.0 a) (<= a b)) (<= (ln a) (ln b)))))
+(declare-const v_x Real)
+(assert (<= (/ 1386294361119.0 1000000000000.0) (ln 4.0)))
+(assert (<= (ln 4.0) (/ 8664339757.0 6250000000.0)))
+(assert (not (=> true (<= (ln v_x) (ln 4.0)))))
+""",
+    "min(x, y) <= max(x, j)": """
+(declare-const v_j Int)
+(declare-const v_x Real)
+(declare-const v_y Real)
+(assert (not (=> true (<= (ite (< v_x v_y) v_x v_y) (ite (> v_x (to_real v_j)) v_x (to_real v_j))))))
+""",
+    "mwInit(x, Q, j) == d": """
+(declare-fun uMwInit (Real Int Int) UDb)
+(declare-const v_Q Int)
+(declare-const v_d UDb)
+(declare-const v_j Int)
+(declare-const v_x Real)
+(assert (not (=> true (= (uMwInit v_x v_Q v_j) v_d))))
+""",
+    "mwStep(d, q, x, Q) == d": """
+(declare-fun uMwStep (UDb UQuery Real Int) UDb)
+(declare-const v_Q Int)
+(declare-const v_d UDb)
+(declare-const v_q UQuery)
+(declare-const v_x Real)
+(assert (not (=> true (= (uMwStep v_d v_q v_x v_Q) v_d))))
+""",
+    "potential(d, mwInit(eps, 2, 3)) <= y": """
+(declare-fun uMwInit (Real Int Int) UDb)
+(declare-fun uPotential (UDb UDb) Real)
+(declare-const v_d UDb)
+(declare-const v_eps Real)
+(declare-const v_y Real)
+(assert (not (=> true (<= (uPotential v_d (uMwInit v_eps 2 3)) v_y))))
+""",
+}
+
+
+@pytest.mark.parametrize("claim", list(BUILTIN_SCRIPTS))
+def test_builtin_script_bytes(claim):
+    text = emit_smtlib(imp("true", claim), ENV)
+    assert text == HEADER + BUILTIN_SCRIPTS[claim].lstrip("\n") + "(check-sat)\n"
