@@ -18,10 +18,11 @@ from functools import lru_cache
 from typing import Optional
 
 from ..lang.ast import (
-    ArrayT, BinOp, BoolLit, Expr, FuncCall, Index, IntT, NumLit, Quant,
-    RangeDom, SetDom, SetIntT, SetLit, SortDom, Store, Type, UnOp, Var,
-    free_vars, map_children, subst_expr,
+    ArrayT, BinOp, BoolLit, BoolT, DbT, Expr, FuncCall, Index, IntT, NumLit,
+    Quant, QueryT, RangeDom, SetDom, SetIntT, SetLit, SortDom, Store, Type,
+    UnOp, Var, free_vars, map_children, subst_expr,
 )
+from ..lang.typecheck import UbhlTypeError, expr_type, result_sort
 from .normform import (
     NonNumeric, canon_assertion, canon_struct, canon_term, rf_const_value,
     rf_from_key, rf_linear, rf_sub,
@@ -210,25 +211,16 @@ class Prover:
 
     # ── sort bookkeeping ──
 
+    def _sort(self, e: Expr) -> Optional[Type]:
+        try:
+            return expr_type(e, self.sorts, allow_quant=True)
+        except UbhlTypeError:
+            return None
+
     def _is_int_term(self, e: Expr) -> bool:
         if isinstance(e, NumLit):
             return e.value.denominator == 1 and isinstance(e.type, IntT)
-        if isinstance(e, Var):
-            return isinstance(self.sorts.get(e.name), IntT)
-        if isinstance(e, FuncCall) and e.name in ("size", "pick"):
-            return True
-        if isinstance(e, Index):
-            base = e.arr
-            while isinstance(base, Store):
-                base = base.arr
-            if isinstance(base, Var):
-                t = self.sorts.get(base.name)
-                return isinstance(t, ArrayT) and isinstance(t.elem, IntT)
-        if isinstance(e, BinOp) and e.op in ("+", "-", "*"):
-            return self._is_int_term(e.left) and self._is_int_term(e.right)
-        if isinstance(e, UnOp) and e.op == "-":
-            return self._is_int_term(e.arg)
-        return False
+        return isinstance(self._sort(e), IntT)
 
     def _int_mono(self, mono) -> bool:
         """Every atom in the monomial is integer-sorted with positive
@@ -243,8 +235,8 @@ class Prover:
     def _int_atom(self, key) -> bool:
         if key[0] == "var":
             return isinstance(self.sorts.get(key[1]), IntT)
-        if key[0] == "func" and key[1] in ("size", "pick"):
-            return True
+        if key[0] == "func":
+            return isinstance(result_sort(key[1]), IntT)
         if key[0] == "idx":
             base = key[1]
             while base[0] == "store":
@@ -451,42 +443,8 @@ class Prover:
                         pass
         return out, False
 
-    def _term_sort(self, e: Expr) -> Optional[Type]:
-        if isinstance(e, NumLit):
-            return e.type
-        if isinstance(e, BoolLit):
-            from ..lang.ast import BOOL
-            return BOOL
-        if isinstance(e, Var):
-            return self.sorts.get(e.name)
-        if isinstance(e, SetLit):
-            return SetIntT()
-        if isinstance(e, FuncCall):
-            from ..lang.ast import BOOL, DB, QUERY, REAL
-            table = {"size": IntT(), "pick": IntT(), "log": REAL, "abs": REAL,
-                     "evalQ": REAL, "potential": REAL, "min": REAL, "max": REAL,
-                     "remove": SetIntT(), "setdiff": SetIntT(),
-                     "invQ": QUERY, "negQ": QUERY, "error": QUERY,
-                     "mwInit": DB, "mwStep": DB, "isempty": BOOL}
-            return table.get(e.name)
-        if isinstance(e, (Index, Store)):
-            base = e.arr
-            while isinstance(base, Store):
-                base = base.arr
-            t = self._term_sort(base)
-            if isinstance(t, ArrayT):
-                return t if isinstance(e, Store) else t.elem
-            return None
-        if isinstance(e, BinOp) and e.op in ("+", "-", "*", "/"):
-            return self._term_sort(e.left) or self._term_sort(e.right)
-        if isinstance(e, UnOp) and e.op == "-":
-            return self._term_sort(e.arg)
-        return None
-
     def _is_structural_sort(self, e: Expr) -> bool:
-        t = self._term_sort(e)
-        from ..lang.ast import BoolT, DbT, QueryT
-        return isinstance(t, (SetIntT, ArrayT, QueryT, DbT, BoolT))
+        return isinstance(self._sort(e), (SetIntT, ArrayT, QueryT, DbT, BoolT))
 
     def _equalities(self, hyps: list[Expr]) -> dict:
         eqs: dict = {}

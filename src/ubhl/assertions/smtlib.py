@@ -18,7 +18,7 @@ from ..lang.ast import (
     Quant, QueryT, RangeDom, RealT, SetDom, SetIntT, SortDom, Store, Type,
     UnOp, Var, children, free_vars,
 )
-from ..lang.typecheck import TypeEnv, UbhlTypeError, expr_type
+from ..lang.typecheck import FUNC_SIGS, TypeEnv, UbhlTypeError, expr_type, func_sig
 from .obligations import AxiomPremise, Implication, IndexInequality, Obligation
 from .prover import _ln_bounds
 
@@ -61,7 +61,6 @@ def _num(v: Fraction, real: bool) -> str:
 class SmtEmitter:
     def __init__(self, env: TypeEnv):
         self.env = dict(env)
-        self.log_args: list[str] = []
         self.used_funcs: set[str] = set()
 
     def _is_real(self, e: Expr) -> bool:
@@ -137,12 +136,6 @@ class SmtEmitter:
             arg = self.term(e.args[0], True)
             self.used_funcs.add("absR")
             return f"(absR {arg})"
-        if name == "log":
-            arg = self.term(e.args[0], True)
-            self.used_funcs.add("ln")
-            if arg not in self.log_args:
-                self.log_args.append(arg)
-            return f"(ln {arg})"
         if name in ("min", "max"):
             a = self.term(e.args[0], True)
             b = self.term(e.args[1], True)
@@ -152,46 +145,26 @@ class SmtEmitter:
             return f"(= {s} ((as const (Array Int Bool)) false))"
         if name == "remove":
             return f"(store {self.term(e.args[0])} {self.term(e.args[1])} false)"
-        if name == "setdiff":
-            self.used_funcs.add("setdiff")
-            return f"(setdiff {self.term(e.args[0])} {self.term(e.args[1])})"
-        table = {
-            "evalQ": ("uEvalQ", 2), "invQ": ("uInvQ", 1), "negQ": ("uNegQ", 1),
-            "error": ("uErrorQ", 2), "size": ("uSize", 1), "pick": ("uPick", 1),
-            "potential": ("uPotential", 2), "mwInit": ("uMwInit", 3),
-            "mwStep": ("uMwStep", 4),
-        }
-        if name in table:
-            smt_name, arity = table[name]
-            if len(e.args) != arity:
-                raise Inexpressible(f"{name} arity")
+        if name not in _SMT_NAMES:
+            raise Inexpressible(f"function {name!r}")
+        try:
+            sig = func_sig(name, [expr_type(a, self.env, allow_quant=True)
+                                  for a in e.args])
+        except UbhlTypeError as exc:
+            raise Inexpressible(str(exc)) from exc
+        smt_name = _SMT_NAMES[name][FUNC_SIGS[name].index(sig)]
+        self.used_funcs.add(smt_name)
+        if name == "size":
+            # both overloads apply uSize, which takes a db, so a set
+            # argument is ill-sorted there; the exports pin these bytes
+            smt_name = "uSize"
             self.used_funcs.add(smt_name)
-            args = " ".join(self._func_arg(smt_name, i, a)
-                            for i, a in enumerate(e.args))
-            out = f"({smt_name} {args})"
-            if reals and name == "size":
-                return f"(to_real {out})"
-            return out
-        raise Inexpressible(f"function {name!r}")
-
-    def _func_arg(self, smt_name: str, i: int, a: Expr) -> str:
-        # the uninterpreted numeric parameters are Real
-        if smt_name in ("uMwInit", "uMwStep"):
-            real_slots = {"uMwInit": {0}, "uMwStep": {2}}[smt_name]
-            int_slots = {"uMwInit": {1, 2}, "uMwStep": {3}}[smt_name]
-            if i in real_slots:
-                return self.term(a, True)
-            if i in int_slots:
-                return self.term(a)
-        if smt_name == "uSize":
-            try:
-                t = expr_type(a, self.env, allow_quant=True)
-            except UbhlTypeError:
-                t = None
-            if isinstance(t, SetIntT):
-                self.used_funcs.add("uSizeSet")
-                return self.term(a)
-        return self.term(a)
+        params, ret = sig
+        # SMT has no implicit widening: Real slots take Real terms
+        args = " ".join(self.term(a, isinstance(p, RealT))
+                        for p, a in zip(params, e.args))
+        out = f"({smt_name} {args})"
+        return f"(to_real {out})" if reals and isinstance(ret, IntT) else out
 
     def _quant(self, e: Quant) -> str:
         inner_env = dict(self.env)
@@ -202,7 +175,6 @@ class SmtEmitter:
         inner_env[e.var] = t
         sub = SmtEmitter(inner_env)
         sub.used_funcs = self.used_funcs
-        sub.log_args = self.log_args
         body = sub.term(e.body)
         guards: list[str] = []
         if isinstance(e.dom, SetDom):
@@ -218,21 +190,21 @@ class SmtEmitter:
         return f"({binder} ((v_{e.var} {_sort_of(t)})) {body})"
 
 
+# the SMT symbol of each uninterpreted built-in, one per signature in
+# FUNC_SIGS; its declaration is read off that signature
+_SMT_NAMES = {
+    "evalQ": ("uEvalQ",), "invQ": ("uInvQ",), "negQ": ("uNegQ",),
+    "error": ("uErrorQ",), "size": ("uSize", "uSizeSet"), "pick": ("uPick",),
+    "setdiff": ("setdiff",), "log": ("ln",), "mwInit": ("uMwInit",),
+    "mwStep": ("uMwStep",), "potential": ("uPotential",),
+}
+
 _PRELUDE_FUNCS = {
     "absR": "(define-fun absR ((x Real)) Real (ite (>= x 0.0) x (- x)))",
-    "ln": "(declare-fun ln (Real) Real)",
-    "uEvalQ": "(declare-fun uEvalQ (UQuery UDb) Real)",
-    "uInvQ": "(declare-fun uInvQ (UQuery) UQuery)",
-    "uNegQ": "(declare-fun uNegQ (UQuery) UQuery)",
-    "uErrorQ": "(declare-fun uErrorQ (UQuery UDb) UQuery)",
-    "uSize": "(declare-fun uSize (UDb) Int)",
-    "uSizeSet": "(declare-fun uSizeSet ((Array Int Bool)) Int)",
-    "uPick": "(declare-fun uPick ((Array Int Bool)) Int)",
-    "uPotential": "(declare-fun uPotential (UDb UDb) Real)",
-    "uMwInit": "(declare-fun uMwInit (Real Int Int) UDb)",
-    "uMwStep": "(declare-fun uMwStep (UDb UQuery Real Int) UDb)",
-    "setdiff": ("(declare-fun setdiff ((Array Int Bool) (Array Int Bool))"
-                " (Array Int Bool))"),
+    **{symbol: f"(declare-fun {symbol} ({' '.join(map(_sort_of, params))})"
+               f" {_sort_of(ret)})"
+       for name, symbols in _SMT_NAMES.items()
+       for symbol, (params, ret) in zip(symbols, FUNC_SIGS[name])},
 }
 
 _AXIOMS = {

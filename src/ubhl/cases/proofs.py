@@ -7,6 +7,8 @@ the shipped JSON stays in sync with the sources by construction.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from ubhl.checker.proof import ProofNode, ProofScript
 from ubhl.lang.ast import pretty_expr, subst_expr, subst_lvalue
 from ubhl.lang.parser import Parser, parse_expr
@@ -160,6 +162,54 @@ def forall_sort(var: str, sort: str, body: str) -> str:
     return f"forall {var} : {sort} . ({body})"
 
 
+# ── the threshold procedures svinit and svstep, shared by sv and mwsv ─
+# Both programs sample the noisy threshold `tin` around their threshold
+# variable at scale `scale` and answer each query by comparing a noisy
+# value `a` with it; `phi_t` is the threshold's accuracy and `phi_q(q, z)`
+# the answer's. Each Laplace site fails with probability `iota`.
+
+
+def _svinit_body(scale: str, iota: str, phi_t: str) -> ProofNode:
+    return seq_chain([
+        node("weak", "true", f"{scale} == epsin", "0",
+             [node("assn", "epsin == epsin", f"{scale} == epsin", "0")]),
+        node("rand", f"{scale} == epsin", phi_t, iota,
+             schema="lap_acc", site_index=iota, frame=f"{scale} == epsin"),
+    ], ["0", iota])
+
+
+def _svstep_body(scale: str, threshold: str, iota: str, phi_t: str,
+                phi_q: Callable[[str, str], str]) -> ProofNode:
+    psi_a = f"abs(a - evalQ(qq, d)) <= (1/({scale}/4))*log(1/({iota})) + 1"
+    p_a = conj(psi_a, phi_t)
+    post_z = conj(phi_t, phi_q("qq", "z"))
+    guard = f"a < {threshold}"
+    if_node = node("if", p_a, post_z, "0", [
+        node("weak", conj(p_a, guard), post_z, "0",
+             [node("assn", subst_lv(post_z, "z", "false"), post_z, "0")]),
+        node("weak", conj(p_a, f"!({guard})"), post_z, "0",
+             [node("assn", subst_lv(post_z, "z", "true"), post_z, "0")]),
+    ])
+    return seq_chain([
+        node("rand", phi_t, p_a, iota,
+             schema="lap_acc", site_index=iota, frame=phi_t),
+        if_node,
+    ], [iota, "0"])
+
+
+def _svstep_trivial(threshold: str) -> ProofNode:
+    """svstep body at index 0 with a trivial contract (used where only
+    the frame matters)."""
+    rand = node("rand", "true", "true", "0", schema="true_post", site_index="0")
+    if_node = node("if", "true", "true", "0", [
+        node("weak", conj("true", f"a < {threshold}"), "true", "0",
+             [node("assn", "true", "true", "0")]),
+        node("weak", conj("true", f"!(a < {threshold})"), "true", "0",
+             [node("assn", "true", "true", "0")]),
+    ])
+    return seq_chain([rand, if_node], ["0", "0"])
+
+
 # ── interactive above-threshold (sparse vector) ─────────────────────
 
 SV_LOGICALS = {"beta": "real", "Q": "int"}
@@ -174,35 +224,6 @@ def sv_phi_q(query_term: str, ans_term: str) -> str:
     m6 = "((6/eps)*log((Q+1)/beta) + 2)"
     return (f"({ans_term} == true ==> evalQ({query_term}, d) >= tin - {m6})"
             f" && ({ans_term} == false ==> evalQ({query_term}, d) <= tin + {m6})")
-
-
-def _sv_svinit_body(iota: str) -> ProofNode:
-    phi_t = sv_phi_t()
-    return seq_chain([
-        node("weak", "true", "eps == epsin", "0",
-             [node("assn", "epsin == epsin", "eps == epsin", "0")]),
-        node("rand", "eps == epsin", phi_t, iota,
-             schema="lap_acc", site_index=iota, frame="eps == epsin"),
-    ], ["0", iota])
-
-
-def _sv_svstep_body(iota: str) -> ProofNode:
-    phi_t = sv_phi_t()
-    psi_a = f"abs(a - evalQ(qq, d)) <= (1/(eps/4))*log(1/({iota})) + 1"
-    p_a = conj(psi_a, phi_t)
-    post_z = conj(phi_t, sv_phi_q("qq", "z"))
-    guard = "a < T"
-    if_node = node("if", p_a, post_z, "0", [
-        node("weak", conj(p_a, guard), post_z, "0",
-             [node("assn", subst_lv(post_z, "z", "false"), post_z, "0")]),
-        node("weak", conj(p_a, f"!({guard})"), post_z, "0",
-             [node("assn", subst_lv(post_z, "z", "true"), post_z, "0")]),
-    ])
-    return seq_chain([
-        node("rand", phi_t, p_a, iota,
-             schema="lap_acc", site_index=iota, frame=phi_t),
-        if_node,
-    ], [iota, "0"])
 
 
 SV_HYPS = "0 < beta && beta < 1 && 0 < epsin && 1 <= Q"
@@ -224,7 +245,7 @@ def sv_proof() -> ProofScript:
                      "forall j in 1 .. u - 1 . (" + sv_phi_q("q[j]", "ans[j]") + ")")
     s3 = node("weak", p1, inv, iota, [
         node("call", p1, call_post, iota,
-             [_sv_svstep_body(iota)],
+             [_svstep_body("eps", "T", iota, phi_t, sv_phi_q)],
              proc="svstep", callee_pre=phi_t,
              callee_post=conj(phi_t, sv_phi_q("qq", "res")),
              frame=conj(SV_HYPS, "Qn == Q",
@@ -240,7 +261,7 @@ def sv_proof() -> ProofScript:
              [node("assn", subst(dvar, "u", "u + 1"), dvar, "0")]),
         node("ext", dvar, dvar, "0"),
         node("call", dvar, dvar, "0",
-             [_sv_svstep_trivial()],
+             [_svstep_trivial("T")],
              proc="svstep", callee_pre="true", callee_post="true", frame=dvar),
     ], ["0", "0", "0"])
     decrease = node("weak", dec_pre, dvar, "0", [dec])
@@ -263,7 +284,7 @@ def sv_proof() -> ProofScript:
                      [init_sub])
 
     svinit_call = node("call", conj("true", sv_frame), conj(phi_t, sv_frame),
-                       iota, [_sv_svinit_body(iota)],
+                       iota, [_svinit_body("eps", iota, phi_t)],
                        proc="svinit", callee_pre="true", callee_post=phi_t,
                        frame=sv_frame)
     chain = seq_chain([svinit_call, init_weak], [iota, init_weak.index])
@@ -278,19 +299,6 @@ def sv_proof() -> ProofScript:
     return ProofScript(logicals=_sorts(SV_LOGICALS),
                        entry={"proc": "main", "arg": "0", "result": "res"},
                        root=root)
-
-
-def _sv_svstep_trivial() -> ProofNode:
-    """svstep body at index 0 with a trivial contract (used where only
-    the frame matters)."""
-    rand = node("rand", "true", "true", "0", schema="true_post", site_index="0")
-    if_node = node("if", "true", "true", "0", [
-        node("weak", conj("true", "a < T"), "true", "0",
-             [node("assn", "true", "true", "0")]),
-        node("weak", conj("true", "!(a < T)"), "true", "0",
-             [node("assn", "true", "true", "0")]),
-    ])
-    return seq_chain([rand, if_node], ["0", "0"])
 
 
 # ── synthetic-database release (online multiplicative weights) ──────
@@ -354,46 +362,6 @@ _IOTA_SV = "(beta/2)/(2*Q+1)"
 _IOTA_LAP = "beta/(2*Q)"
 
 
-def _mw_svinit_body() -> ProofNode:
-    phi_t = mw_phi_t()
-    return seq_chain([
-        node("weak", "true", "eps2 == epsin", "0",
-             [node("assn", "epsin == epsin", "eps2 == epsin", "0")]),
-        node("rand", "eps2 == epsin", phi_t, _IOTA_SV,
-             schema="lap_acc", site_index=_IOTA_SV, frame="eps2 == epsin"),
-    ], ["0", _IOTA_SV])
-
-
-def _mw_svstep_body() -> ProofNode:
-    phi_t = mw_phi_t()
-    psi_a = f"abs(a - evalQ(qq, d)) <= (1/(eps2/4))*log(1/({_IOTA_SV})) + 1"
-    p_a = conj(psi_a, phi_t)
-    post_z = conj(phi_t, mw_phi_q("qq", "z"))
-    guard = "a < Tsv"
-    if_node = node("if", p_a, post_z, "0", [
-        node("weak", conj(p_a, guard), post_z, "0",
-             [node("assn", subst_lv(post_z, "z", "false"), post_z, "0")]),
-        node("weak", conj(p_a, f"!({guard})"), post_z, "0",
-             [node("assn", subst_lv(post_z, "z", "true"), post_z, "0")]),
-    ])
-    return seq_chain([
-        node("rand", phi_t, p_a, _IOTA_SV,
-             schema="lap_acc", site_index=_IOTA_SV, frame=phi_t),
-        if_node,
-    ], [_IOTA_SV, "0"])
-
-
-def _mw_svstep_trivial() -> ProofNode:
-    rand = node("rand", "true", "true", "0", schema="true_post", site_index="0")
-    if_node = node("if", "true", "true", "0", [
-        node("weak", conj("true", "a < Tsv"), "true", "0",
-             [node("assn", "true", "true", "0")]),
-        node("weak", conj("true", "!(a < Tsv)"), "true", "0",
-             [node("assn", "true", "true", "0")]),
-    ])
-    return seq_chain([rand, if_node], ["0", "0"])
-
-
 def _mw_sv_call(pre_frame: str, post_extra: str) -> ProofNode:
     """Contracted call to the threshold-check step with a frame."""
     phi_t = mw_phi_t()
@@ -402,7 +370,7 @@ def _mw_sv_call(pre_frame: str, post_extra: str) -> ProofNode:
         conj(phi_t, pre_frame),
         conj(phi_t, post_extra, pre_frame),
         _IOTA_SV,
-        [_mw_svstep_body()],
+        [_svstep_body("eps2", "Tsv", _IOTA_SV, phi_t, mw_phi_q)],
         proc="svstep", callee_pre=phi_t,
         callee_post=conj(phi_t, mw_phi_q("qq", "res")),
         frame=pre_frame)
@@ -520,11 +488,11 @@ def mwsv_proof() -> ProofScript:
             node("weak", conj(dvar, "!(k >= c)"), dvar, "0", [
                 seq_chain([
                     node("assn", dvar, dvar, "0"),
-                    node("call", dvar, dvar, "0", [_mw_svstep_trivial()],
+                    node("call", dvar, dvar, "0", [_svstep_trivial("Tsv")],
                          proc="svstep", callee_pre="true", callee_post="true",
                          frame=dvar),
                     node("assn", dvar, dvar, "0"),
-                    node("call", dvar, dvar, "0", [_mw_svstep_trivial()],
+                    node("call", dvar, dvar, "0", [_svstep_trivial("Tsv")],
                          proc="svstep", callee_pre="true", callee_post="true",
                          frame=dvar),
                     dec_if_inner,
@@ -544,7 +512,7 @@ def mwsv_proof() -> ProofScript:
     frame_init = conj(defs, mw_pot("u"), "k == 0", "u == 0")
     svinit_call = node("call", conj("true", frame_init),
                        conj(phi_t, frame_init), _IOTA_SV,
-                       [_mw_svinit_body()],
+                       [_svinit_body("eps2", _IOTA_SV, phi_t)],
                        proc="svinit", callee_pre="true", callee_post=phi_t,
                        frame=frame_init)
     init_stmts = [("eta", "alpha/(2*n)"), ("T", "2*alpha"),

@@ -29,7 +29,9 @@ from ..lang.ast import (
     subst_lvalue,
 )
 from ..lang.parser import parse_expr
-from ..lang.typecheck import TypeEnv, UbhlTypeError, assertion_env, expr_type
+from ..lang.typecheck import (
+    TypeEnv, UbhlTypeError, assertion_env, dist_sig, expr_type,
+)
 from .axioms import SchemaMismatch, finite_site_failure, instantiate_axiom
 from .index import index_equal, index_leq
 from .proof import ProofNode, ProofScript
@@ -339,7 +341,7 @@ class Checker:
             # the frame must hold however the sample lands; quantify
             # conjunct-wise so untouched parts fold away
             fresh = fresh_name("v", free_vars(frame) | free_vars(pre) | set(self.env))
-            t = _sample_type(command.dist)
+            t = dist_sig(command.dist)[1]
             want = _value_independence(frame, command.target, fresh, t)
             self.add_implication("rand", path, pre, want,
                                  note="frame is independent of the sampled value")
@@ -516,11 +518,6 @@ def lvalue_sort(env: TypeEnv, lv: LValue) -> Type:
     if lv.idx is not None and isinstance(t, ArrayT):
         return t.elem
     return t if t is not None else IntT()
-
-
-def _sample_type(dist) -> Type:
-    from ..lang.typecheck import dist_sig
-    return dist_sig(dist)[1]
 
 
 def check(program: Program, script: ProofScript,

@@ -22,8 +22,9 @@ from .embed.crosscheck import crosscheck
 from .lang.ast import pretty_command
 from .lang.parser import UbhlSyntaxError, parse_program
 from .lang.typecheck import UbhlTypeError, typecheck
+from .semantics.evalexpr import UbhlRuntimeError
 from .semantics.exact import Budget, denote_exact, initial_memory
-from .semantics.trial import run_trial
+from .semantics.trial import TrialAborted, run_trial
 
 
 def _load_program(path: str):
@@ -115,8 +116,12 @@ def cmd_obligations(args) -> int:
 def cmd_run(args) -> int:
     program = _load_program(args.program)
     overrides = _parse_overrides(program, args.set or [])
-    mem = run_trial(program, args.entry, Fraction(args.arg), {},
-                    seed=args.seed, overrides=overrides)
+    try:
+        mem = run_trial(program, args.entry, Fraction(args.arg), {},
+                        seed=args.seed, overrides=overrides)
+    except (UbhlRuntimeError, TrialAborted) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     out = {k: _pretty_value(v) for k, v in sorted(mem.to_dict().items())}
     print(json.dumps(out, indent=1, sort_keys=True))
     return 0
@@ -134,7 +139,8 @@ def cmd_exact(args) -> int:
     print(f"support: {len(rows)} memories, residual {float(dist.residual):.3e}")
     for mem_i, mass in rows[:args.limit]:
         vals = {k: _pretty_value(v) for k, v in mem_i.to_dict().items()}
-        print(f"  {float(mass):.6g}  {json.dumps(vals, sort_keys=True)}")
+        shown = "error" if mem_i.error else json.dumps(vals, sort_keys=True)
+        print(f"  {float(mass):.6g}  {shown}")
     return 0
 
 

@@ -212,8 +212,6 @@ class Quant(Expr):
 TRUE = BoolLit(True)
 FALSE = BoolLit(False)
 
-Assertion = Expr  # assertions are bool-typed expressions
-
 
 # ── Commands ────────────────────────────────────────────────────────
 

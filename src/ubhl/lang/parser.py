@@ -19,22 +19,13 @@ from .ast import (
     RangeDom, REAL, Sample, SetDom, SETINT, SetLit, Skip, SortDom, Store,
     Type, UnOp, Var, While, seq_of,
 )
+from .typecheck import DIST_SIGS
 
 KEYWORDS = {
     "proc", "extern", "var", "extvar", "return", "skip", "if", "else",
     "while", "true", "false", "forall", "exists", "in", "store",
     "havoc", "assume",
     "bool", "int", "real", "query", "db", "set",
-}
-
-DIST_NAMES = {"lap", "bern", "unifint"}
-
-# expression-level builtin functions: name -> arity (None = variadic >= 1)
-BUILTIN_FUNCS = {
-    "evalQ": 2, "invQ": 1, "negQ": 1, "error": 2, "size": 1,
-    "pick": 1, "remove": 2, "isempty": 1, "setdiff": 2,
-    "abs": 1, "log": 1, "min": 2, "max": 2,
-    "mwInit": 3, "mwStep": 4, "potential": 2,
 }
 
 
@@ -323,7 +314,7 @@ class Parser:
         lv = self.parse_lvalue()
         if self.accept_sym("<$"):
             name_tok = self.expect_ident()
-            if name_tok.text not in DIST_NAMES:
+            if name_tok.text not in DIST_SIGS:
                 raise UbhlSyntaxError(
                     f"unknown distribution constructor {name_tok.text!r}",
                     name_tok.line, name_tok.col)

@@ -12,10 +12,10 @@ from typing import Optional
 
 from .ast import (
     ArrayT, Assign, Assume, BinOp, BOOL, BoolLit, BoolT, Call, Command, DB,
-    DbT, DistExpr, Expr, ExtCall, FuncCall, Havoc, If, Index, INT, IntT,
-    LValue, NumLit, Program, Quant, QUERY, RangeDom, REAL, RealT, Sample, Seq,
-    SetDom, SETINT, SetIntT, SetLit, Skip, SortDom, Store, Type, UnOp, Var,
-    While, free_vars, is_numeric,
+    DistExpr, Expr, ExtCall, FuncCall, Havoc, If, Index, INT, IntT, LValue,
+    NumLit, Program, Quant, QUERY, RangeDom, REAL, RealT, Sample, Seq, SetDom,
+    SETINT, SetIntT, SetLit, Skip, Store, Type, UnOp, Var, While, free_vars,
+    is_numeric,
 )
 
 
@@ -37,20 +37,36 @@ class ExternalMemoryViolation(UbhlTypeError):
 
 TypeEnv = dict[str, Type]
 
-# builtin function signatures; size is overloaded (db or set<int>)
-_FIXED_SIGS: dict[str, tuple[tuple[Type, ...], Type]] = {
-    "evalQ": ((QUERY, DB), REAL),
-    "invQ": ((QUERY,), QUERY),
-    "negQ": ((QUERY,), QUERY),
-    "error": ((QUERY, DB), QUERY),
-    "pick": ((SETINT,), INT),
-    "remove": ((SETINT, INT), SETINT),
-    "isempty": ((SETINT,), BOOL),
-    "setdiff": ((SETINT, SETINT), SETINT),
-    "log": ((REAL,), REAL),
-    "mwInit": ((REAL, INT, INT), DB),
-    "mwStep": ((DB, QUERY, REAL, INT), DB),
-    "potential": ((DB, DB), REAL),
+Sig = tuple[tuple[Type, ...], Type]
+
+# Every built-in function's signatures: argument sorts, result sort.
+# An overloaded call takes the first signature its arguments fit. This
+# table is the one statement of the built-ins' sorts: the prover and
+# the SMT export read it, and a test holds docs/grammar.md to it.
+FUNC_SIGS: dict[str, tuple[Sig, ...]] = {
+    "evalQ": (((QUERY, DB), REAL),),
+    "invQ": (((QUERY,), QUERY),),
+    "negQ": (((QUERY,), QUERY),),
+    "error": (((QUERY, DB), QUERY),),
+    "size": (((DB,), INT), ((SETINT,), INT)),
+    "pick": (((SETINT,), INT),),
+    "remove": (((SETINT, INT), SETINT),),
+    "isempty": (((SETINT,), BOOL),),
+    "setdiff": (((SETINT, SETINT), SETINT),),
+    "abs": (((INT,), INT), ((REAL,), REAL)),
+    "log": (((REAL,), REAL),),
+    "min": (((INT, INT), INT), ((REAL, REAL), REAL)),
+    "max": (((INT, INT), INT), ((REAL, REAL), REAL)),
+    "mwInit": (((REAL, INT, INT), DB),),
+    "mwStep": (((DB, QUERY, REAL, INT), DB),),
+    "potential": (((DB, DB), REAL),),
+}
+
+# distribution constructors: parameter sorts, sort of the sampled value
+DIST_SIGS: dict[str, Sig] = {
+    "lap": ((REAL, REAL), REAL),
+    "bern": ((REAL,), BOOL),
+    "unifint": ((INT, INT), INT),
 }
 
 
@@ -172,39 +188,34 @@ def expr_type(e: Expr, env: TypeEnv, allow_quant: bool = False) -> Type:
 
 def _func_type(e: FuncCall, env: TypeEnv, allow_quant: bool) -> Type:
     arg_ts = [expr_type(a, env, allow_quant) for a in e.args]
-    if e.name == "size":
-        if len(arg_ts) != 1 or not isinstance(arg_ts[0], (DbT, SetIntT)):
-            raise TypeMismatch("size takes a db or set<int>")
-        return INT
-    if e.name == "abs":
-        if len(arg_ts) != 1 or not is_numeric(arg_ts[0]):
-            raise TypeMismatch("abs takes a number")
-        return arg_ts[0]
-    if e.name in ("min", "max"):
-        if len(arg_ts) != 2 or not all(is_numeric(t) for t in arg_ts):
-            raise TypeMismatch(f"{e.name} takes two numbers")
-        return join_numeric(*arg_ts)
-    sig = _FIXED_SIGS.get(e.name)
-    if sig is None:
-        raise UnboundVariable(f"unknown function {e.name!r}")
-    params, ret = sig
-    if len(arg_ts) != len(params):
-        raise TypeMismatch(f"{e.name} expects {len(params)} arguments, got {len(arg_ts)}")
-    for i, (p, a) in enumerate(zip(params, arg_ts)):
-        if not compatible(p, a):
-            raise TypeMismatch(f"{e.name} argument {i + 1}: expected {p}, got {a}")
-    return ret
+    return func_sig(e.name, arg_ts)[1]
 
 
-def dist_sig(d: DistExpr) -> tuple[tuple[Type, ...], Type]:
+def func_sig(name: str, arg_ts: list[Type]) -> Sig:
+    """The signature of built-in `name` that arguments of sorts `arg_ts`
+    fit; raises if there is none."""
+    sigs = FUNC_SIGS.get(name)
+    if sigs is None:
+        raise UnboundVariable(f"unknown function {name!r}")
+    for params, ret in sigs:
+        if len(params) == len(arg_ts) and all(map(compatible, params, arg_ts)):
+            return params, ret
+    shown = " or ".join(f"({', '.join(map(str, params))})" for params, _ in sigs)
+    raise TypeMismatch(f"{name} takes {shown}, got ({', '.join(map(str, arg_ts))})")
+
+
+def result_sort(name: str) -> Optional[Type]:
+    """The result sort of built-in `name` when every signature agrees."""
+    rets = {ret for _, ret in FUNC_SIGS.get(name, ())}
+    return rets.pop() if len(rets) == 1 else None
+
+
+def dist_sig(d: DistExpr) -> Sig:
     """Parameter types and result type of a distribution constructor."""
-    if d.name == "lap":
-        return (REAL, REAL), REAL
-    if d.name == "bern":
-        return (REAL,), BOOL
-    if d.name == "unifint":
-        return (INT, INT), INT
-    raise UbhlTypeError(f"unknown distribution {d.name!r}")
+    sig = DIST_SIGS.get(d.name)
+    if sig is None:
+        raise UbhlTypeError(f"unknown distribution {d.name!r}")
+    return sig
 
 
 @dataclass

@@ -16,10 +16,6 @@ from ..lang.ast import (
     ArrayT, BoolT, DbT, IntT, QueryT, RealT, SetIntT, Type,
 )
 
-# language-level query/database values are the dp-layer structures
-QueryVal = Query
-DbVal = Database
-
 
 @dataclass(frozen=True)
 class ArrayVal:
@@ -41,7 +37,7 @@ class ArrayVal:
         return ArrayVal(self.default, tuple(sorted(m.items())))
 
 
-Value = Any  # bool | int | Fraction | frozenset[int] | ArrayVal | QueryVal | DbVal
+Value = Any  # bool | int | Fraction | frozenset[int] | ArrayVal | Query | Database
 
 
 def default_value(t: Type) -> Value:
@@ -82,9 +78,6 @@ class Memory:
             if k == name:
                 return v
         raise KeyError(name)
-
-    def has(self, name: str) -> bool:
-        return any(k == name for k, _ in self._items)
 
     def set(self, name: str, value: Value) -> "Memory":
         d = dict(self._items)

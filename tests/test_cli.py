@@ -66,6 +66,19 @@ def test_exact_subcommand(tmp_path):
     assert "support: 2 memories" in out.stdout
 
 
+def test_runtime_failure_reported_alike_by_run_and_exact():
+    """sv's default memory has eps = 0, so its first Laplace site has no
+    positive scale: `run` names the failure in one line, `exact` shows
+    the mass on the error memory."""
+    program = str(CASES / "sv" / "program.ubhl")
+    out = run_cli("run", program, "--seed", "3")
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr == "error: lap scale must be positive\n"
+    out = run_cli("exact", program)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "support: 1 memories, residual 0.000e+00\n  1  error\n"
+
+
 def test_validate_writes_reports(tmp_path):
     out = run_cli("validate", "sv", "--Q", "5", "--trials", "40", "--seed", "7",
                   "--adversary", "fixed", "--out", str(tmp_path))

@@ -1,8 +1,12 @@
 """Every name a `ubhl` package exports in `__all__` resolves, so
-deleting a function cannot leave a dangling export."""
+deleting a function cannot leave a dangling export, and every name
+defined in `src/` is used somewhere, so dead code cannot pile up."""
 
+import ast
 import importlib
 import pkgutil
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +28,60 @@ def test_all_names_resolve(name):
     assert len(exported) == len(set(exported))
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing
+
+
+# a name the code reaches only by string: the kernel dispatches each
+# proof rule through getattr(self, "_rule_" + rule)
+DISPATCHED = ("Checker._rule_",)
+UNREFERENCED_OK = {"__version__"}
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, bare name, definition node) of every module-level
+    def, class and constant, and of every method that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    yield t.id, t.id, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__"):
+                    yield f"{node.name}.{sub.name}", sub.name, sub
+
+
+def _references(tree: ast.Module) -> list[tuple[str, int]]:
+    """Every name the code mentions, with its line: variables,
+    attributes and imported names."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            out.extend((alias.name, node.lineno) for alias in node.names)
+    return out
+
+
+def test_every_src_name_is_referenced_outside_its_definition():
+    trees = {p: ast.parse(p.read_text()) for d in ("src", "tests", "bench")
+             for p in sorted((REPO / d).rglob("*.py"))}
+    refs = {p: _references(tree) for p, tree in trees.items()}
+    uses = Counter(name for found in refs.values() for name, _ in found)
+    dead = []
+    for path, tree in trees.items():
+        if REPO / "src" not in path.parents:
+            continue
+        for qualified, name, node in _definitions(tree):
+            if qualified in UNREFERENCED_OK or qualified.startswith(DISPATCHED):
+                continue
+            inside = sum(1 for n, line in refs[path]
+                         if n == name and node.lineno <= line <= node.end_lineno)
+            if uses[name] == inside:
+                dead.append(f"{path.relative_to(REPO)}:{node.lineno} {qualified}")
+    assert not dead

@@ -1,9 +1,15 @@
+from pathlib import Path
+
 import pytest
 
 from ubhl.assertions.obligations import Implication, IndexInequality
 from ubhl.assertions.smtlib import emit_smtlib
-from ubhl.lang.ast import BOOL, INT, REAL, SETINT, ArrayT, QUERY, DB
+from ubhl.lang.ast import (
+    BOOL, DB, INT, QUERY, REAL, SETINT, ArrayT, BinOp, BoolLit, FuncCall, Var,
+)
 from ubhl.lang.parser import parse_expr
+from ubhl.lang.typecheck import FUNC_SIGS
+from ubhl.semantics.evalexpr import _FUNCS
 
 ENV = {"x": REAL, "y": REAL, "beta": REAL, "Q": INT, "j": INT,
        "q": QUERY, "d": DB, "R": SETINT, "noisy": ArrayT(REAL),
@@ -157,7 +163,7 @@ BUILTIN_SCRIPTS = {
 (declare-fun uPick ((Array Int Bool)) Int)
 (declare-const v_R (Array Int Bool))
 (declare-const v_x Real)
-(assert (not (=> true (<= (uPick v_R) v_x))))
+(assert (not (=> true (<= (to_real (uPick v_R)) v_x))))
 """,
     "!(j in remove(R, j))": """
 (declare-const v_R (Array Int Bool))
@@ -226,3 +232,22 @@ BUILTIN_SCRIPTS = {
 def test_builtin_script_bytes(claim):
     text = emit_smtlib(imp("true", claim), ENV)
     assert text == HEADER + BUILTIN_SCRIPTS[claim].lstrip("\n") + "(check-sat)\n"
+
+
+GRAMMAR = (Path(__file__).resolve().parent.parent / "docs" / "grammar.md").read_text()
+
+
+@pytest.mark.parametrize("name", list(FUNC_SIGS))
+def test_every_builtin_is_evaluated_exported_and_documented(name):
+    """Each built-in of the signature table runs in the semantics,
+    translates to SMT-LIB at each of its signatures, and is listed in
+    docs/grammar.md with the table's sorts."""
+    assert name in _FUNCS
+    for params, ret in FUNC_SIGS[name]:
+        env = {f"a{k}": p for k, p in enumerate(params)}
+        call = FuncCall(name, tuple(Var(a) for a in env))
+        ob = Implication(rule="weak", path=(), antecedent=BoolLit(True),
+                         consequent=BinOp("==", call, call))
+        assert "(assert (not" in emit_smtlib(ob, env)
+        shown = f"`{name}({', '.join(map(str, params))}) : {ret}`"
+        assert shown in GRAMMAR
