@@ -13,6 +13,12 @@ verdict must not depend on what the process checked before.
 
 `EXPORT_GOLDEN` pins what `ubhl check --export` writes for each shipped
 case: the name and bytes of every file, the exit code and the output.
+
+`PROVER_GOLDEN` pins the prover's search: the printed antecedent and
+consequent, the verdict and the node count of every
+`Prover.prove_implication` call made while checking the three cases and
+cross-checking rnm. A change to the prover that claims to keep its
+search must keep this digest.
 """
 
 import hashlib
@@ -103,3 +109,45 @@ def _export_digest(name: str, where: Path) -> str:
 @pytest.mark.parametrize("name", sorted(EXPORT_GOLDEN))
 def test_check_export_is_byte_identical(name, tmp_path):
     assert _export_digest(name, tmp_path) == EXPORT_GOLDEN[name]
+
+
+PROVER_GOLDEN = "24b4e5eaa6d0647f00b4fb10ec4ce3b29f0c23e0d557e8fd01bc176e428b5d31"
+
+_PROVER_SCRIPT = """
+import hashlib
+from ubhl.assertions.prover import Prover
+from ubhl.cases.registry import case_proof, case_source, check_case
+from ubhl.embed.crosscheck import crosscheck
+from ubhl.lang.ast import pretty_expr
+from ubhl.lang.parser import parse_program
+from ubhl.lang.typecheck import typecheck
+
+calls = []
+prove = Prover.prove_implication
+
+
+def recorded(self, antecedent, consequent):
+    verdict = prove(self, antecedent, consequent)
+    calls.append(f"{pretty_expr(antecedent)}\\t{pretty_expr(consequent)}"
+                 f"\\t{verdict}\\t{self.nodes}\\n")
+    return verdict
+
+
+Prover.prove_implication = recorded
+for name in ("rnm", "sv", "mwsv"):
+    check_case(name)
+program = parse_program(case_source("rnm"))
+typecheck(program)
+crosscheck(program, case_proof("rnm"))
+print(len(calls), hashlib.sha256("".join(calls).encode()).hexdigest())
+"""
+
+
+def test_prover_calls_are_byte_identical():
+    src = str(Path(ubhl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _PROVER_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[1] == PROVER_GOLDEN
