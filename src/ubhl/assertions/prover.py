@@ -14,18 +14,18 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext, ROUND_CEILING, ROUND_FLOOR
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from ..lang.ast import (
     ArrayT, BinOp, BoolLit, BoolT, DbT, Expr, FuncCall, Index, IntT, NumLit,
     Quant, QueryT, RangeDom, SetDom, SetIntT, SetLit, SortDom, Store, Type,
-    UnOp, Var, free_vars, map_children, subst_expr,
+    UnOp, Var, free_vars, map_children, subst_expr, subterms,
 )
 from ..lang.typecheck import UbhlTypeError, expr_type, result_sort
 from .normform import (
-    NonNumeric, canon_assertion, canon_struct, canon_term, rf_const_value,
-    rf_from_key, rf_linear, rf_sub,
+    NonNumeric, _negate_key, canon_assertion, canon_struct, canon_term,
+    rf_const_value, rf_equal, rf_from_key, rf_linear, rf_sub,
 )
 
 _CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
@@ -139,20 +139,33 @@ class LinCon:
     strict: bool
 
 
+def _linear_form(rf) -> Optional[tuple[tuple, Fraction]]:
+    """A linear rational function as its (monomial, coefficient) items
+    in a fixed order, then its constant; None when it is not linear."""
+    lin = rf_linear(rf)
+    if lin is None:
+        return None
+    const = lin.pop((), Fraction(0))
+    return tuple(sorted(lin.items(), key=repr)), const
+
+
+def _linear_diff(e: BinOp) -> Optional[tuple[tuple, Fraction]]:
+    """_linear_form of left - right."""
+    try:
+        return _linear_form(rf_sub(canon_term(e.left), canon_term(e.right)))
+    except (NonNumeric, ZeroDivisionError):
+        return None
+
+
 @lru_cache(maxsize=200000)
 def _linearize(e: Expr) -> Optional[tuple[LinCon, ...]]:
     """Comparison -> constraints; None when not linearizable."""
     if not (isinstance(e, BinOp) and e.op in _CMP_OPS):
         return None
-    try:
-        diff = rf_sub(canon_term(e.left), canon_term(e.right))
-    except (NonNumeric, ZeroDivisionError):
+    form = _linear_diff(e)
+    if form is None:
         return None
-    lin = rf_linear(diff)
-    if lin is None:
-        return None
-    const = lin.pop((), Fraction(0))
-    items = tuple(sorted(lin.items(), key=repr))
+    items, const = form
     if e.op == "<":
         return (LinCon(items, const, True),)
     if e.op == "<=":
@@ -167,12 +180,6 @@ def _linearize(e: Expr) -> Optional[tuple[LinCon, ...]]:
     return None  # '!=' is handled by case splits, not FM
 
 
-def _con_multiset(cons: list[LinCon]) -> tuple:
-    """Order-free cache key for a constraint list; equal constraints
-    from different hypotheses share it."""
-    return tuple(sorted(cons, key=hash))
-
-
 def _ln_bounds(c: Fraction) -> Optional[tuple[Fraction, Fraction]]:
     if c <= 0:
         return None
@@ -185,6 +192,46 @@ def _ln_bounds(c: Fraction) -> Optional[tuple[Fraction, Fraction]]:
         hi = d.ln()
     pad = Fraction(1, 10 ** 40)
     return Fraction(lo) - pad, Fraction(hi) + pad
+
+
+def _key(e: Expr):
+    """Canonical key of an assertion; None when it has none."""
+    try:
+        return canon_assertion(e)
+    except (NonNumeric, ZeroDivisionError):
+        return None
+
+
+class _Hyps:
+    """One proof node's hypotheses and what the strategies read off
+    them, each derived on first use and then shared."""
+
+    def __init__(self, prover: "Prover", items: list[Expr]):
+        self.prover = prover
+        self.items = items
+
+    @cached_property
+    def keys(self) -> frozenset:
+        return frozenset(k for k in map(_key, self.items) if k is not None)
+
+    @cached_property
+    def cons(self) -> list[LinCon]:
+        return [c for h in self.items for c in _linearize(h) or ()]
+
+    @cached_property
+    def diseqs(self) -> list:
+        return self.prover._collect_int_diseqs(self.items)
+
+    @cached_property
+    def fm_key(self) -> tuple:
+        # order-free: equal constraints from different hypotheses share it
+        return (tuple(sorted(self.cons, key=hash)),
+                tuple(sorted(repr(d) for d in self.diseqs)))
+
+    def holds(self, goal: Expr) -> bool:
+        """goal is trivially true or one of the hypotheses."""
+        k = _key(goal)
+        return k is not None and (k == ("true",) or k in self.keys)
 
 
 class Prover:
@@ -225,12 +272,7 @@ class Prover:
     def _int_mono(self, mono) -> bool:
         """Every atom in the monomial is integer-sorted with positive
         exponent, so the monomial denotes an integer."""
-        for key, exp in mono:
-            if exp < 0:
-                return False
-            if not self._int_atom(key):
-                return False
-        return True
+        return all(exp >= 0 and self._int_atom(key) for key, exp in mono)
 
     def _int_atom(self, key) -> bool:
         if key[0] == "var":
@@ -260,66 +302,61 @@ class Prover:
         hyps, contradiction = self._saturate(hyps)
         if contradiction:
             return True
-        facts = self._size_remove_facts(hyps, goal)
-        if facts:
-            hyps = hyps + facts
-        goal = self._rewrite(goal, hyps)
+        view = _Hyps(self, hyps + self._size_remove_facts(hyps, goal))
+        goal = self._rewrite(goal, view)
 
         if isinstance(goal, BoolLit):
-            return goal.value or self._hyps_inconsistent(hyps)
+            return goal.value or self._hyps_inconsistent(view)
 
         if isinstance(goal, BinOp) and goal.op == "&&":
-            return all(self._prove(hyps, g, depth + 1, splits, quick, memo)
+            return all(self._prove(view.items, g, depth + 1, splits, quick, memo)
                        for g in conjuncts(goal))
 
         if isinstance(goal, Quant) and goal.kind == "forall":
-            return self._prove_forall(hyps, goal, depth, splits, quick, memo)
+            return self._prove_forall(view.items, goal, depth, splits, quick, memo)
 
         if isinstance(goal, BinOp) and goal.op == "||":
             parts = disjuncts(goal)
+            negated = [nnf(neg(p)) for p in parts]
             # cheap pass first: no instantiation or case splits
-            for i, gi in enumerate(parts):
-                extra = [nnf(neg(p)) for j, p in enumerate(parts) if j != i]
-                if self._prove(hyps + extra, gi, depth + 1, splits, True, memo):
-                    return True
-            if quick:
-                return False
-            for i, gi in enumerate(parts):
-                extra = [nnf(neg(p)) for j, p in enumerate(parts) if j != i]
-                if self._prove(hyps + extra, gi, depth + 1, splits, False, memo):
-                    return True
-            return self._stuck_splits(hyps, goal, depth, splits, memo)
+            for cheap in (True,) if quick else (True, False):
+                for i, gi in enumerate(parts):
+                    extra = negated[:i] + negated[i + 1:]
+                    if self._prove(view.items + extra, gi, depth + 1, splits,
+                                   cheap, memo):
+                        return True
+            return not quick and self._stuck_splits(view, goal, depth, splits, memo)
 
         # atomic goals
-        if self._match_hyp(hyps, goal):
+        if view.holds(goal):
             return True
         if isinstance(goal, BinOp) and goal.op in _CMP_OPS and goal.op != "!=":
-            if self._fm_entails(hyps, goal):
+            if self._fm_entails(view, goal):
                 return True
         if isinstance(goal, BinOp) and goal.op == "!=":
             # x != y from FM strict separation either way
             lt = BinOp("<", goal.left, goal.right)
             gt = BinOp(">", goal.left, goal.right)
-            if self._fm_entails(hyps, lt) or self._fm_entails(hyps, gt):
+            if self._fm_entails(view, lt) or self._fm_entails(view, gt):
                 return True
         if isinstance(goal, FuncCall) and goal.name == "isempty":
             size_le = BinOp("<=", FuncCall("size", (goal.args[0],)), NumLit(Fraction(0)))
-            if self._fm_entails(hyps, size_le):
+            if self._fm_entails(view, size_le):
                 return True
-        if self._hyps_inconsistent(hyps):
+        if self._hyps_inconsistent(view):
             return True
         if quick:
             return False
         if isinstance(goal, Quant) and goal.kind == "exists":
-            if self._prove_exists(hyps, goal, depth, splits, memo):
+            if self._prove_exists(view, goal, depth, splits, memo):
                 return True
 
         # quantified-hypothesis instantiation, then retry
-        inst, keys = self._instantiations(hyps, goal, memo)
+        inst, keys = self._instantiations(view, goal, memo)
         if inst:
-            return self._prove(hyps + inst, goal, depth + 1, splits, quick,
+            return self._prove(view.items + inst, goal, depth + 1, splits, quick,
                                memo | keys)
-        return self._stuck_splits(hyps, goal, depth, splits, memo)
+        return self._stuck_splits(view, goal, depth, splits, memo)
 
     # ── saturation ──
 
@@ -330,10 +367,8 @@ class Prover:
         empties: set = set()
 
         def key_of(h: Expr):
-            try:
-                return canon_assertion(h)
-            except (NonNumeric, ZeroDivisionError):
-                return ("opaque", repr(h))
+            k = _key(h)
+            return ("opaque", repr(h)) if k is None else k
 
         while queue:
             h = nnf(queue.pop(0))
@@ -372,8 +407,6 @@ class Prover:
                 continue
             seen.add(k)
             out.append(h)
-
-        from .normform import _negate_key
 
         # unit propagation over disjunctive hypotheses, to fixpoint
         for _ in range(6):
@@ -514,13 +547,16 @@ class Prover:
         return e
 
     def _skolemize(self, q: Quant) -> Expr:
-        t: Type = IntT() if not isinstance(q.dom, SortDom) else q.dom.sort
-        w = self._fresh(q.var, t)
-        body = subst_expr(q.body, q.var, w)
-        guards = self._domain_guards(w, q.dom)
+        body, guards = self._fresh_instance(q)
         for g in guards:
             body = BinOp("&&", g, body)
         return body
+
+    def _fresh_instance(self, q: Quant) -> tuple[Expr, list[Expr]]:
+        """q's body at a fresh constant, and the constant's domain guards."""
+        t: Type = IntT() if not isinstance(q.dom, SortDom) else q.dom.sort
+        w = self._fresh(q.var, t)
+        return subst_expr(q.body, q.var, w), self._domain_guards(w, q.dom)
 
     def _fresh(self, base: str, t: Type) -> Var:
         self._sk += 1
@@ -539,88 +575,45 @@ class Prover:
 
     def _prove_forall(self, hyps: list[Expr], goal: Quant, depth: int,
                       splits: int, quick: bool, memo: frozenset) -> bool:
-        t: Type = IntT() if not isinstance(goal.dom, SortDom) else goal.dom.sort
-        w = self._fresh(goal.var, t)
-        body = subst_expr(goal.body, goal.var, w)
-        extra = self._domain_guards(w, goal.dom)
+        body, extra = self._fresh_instance(goal)
         return self._prove(hyps + [nnf(g) for g in extra], nnf(body),
                            depth + 1, splits, quick, memo)
 
-    def _prove_exists(self, hyps: list[Expr], goal: Quant, depth: int,
+    def _prove_exists(self, view: _Hyps, goal: Quant, depth: int,
                       splits: int, memo: frozenset) -> bool:
-        for cand in self._candidates(hyps, goal)[:6]:
+        for cand in self._candidates(view.items, goal)[:6]:
             body = subst_expr(goal.body, goal.var, cand)
             guards = self._domain_guards(cand, goal.dom)
             want: Expr = body
             for g in guards:
                 want = BinOp("&&", g, want)
-            if self._prove(hyps, nnf(want), depth + 1, splits, False, memo):
+            if self._prove(view.items, nnf(want), depth + 1, splits, False, memo):
                 return True
         return False
 
-    def _match_hyp(self, hyps: list[Expr], goal: Expr) -> bool:
-        try:
-            gk = canon_assertion(goal)
-        except (NonNumeric, ZeroDivisionError):
-            return False
-        if gk == ("true",):
+    def _hyps_inconsistent(self, view: _Hyps) -> bool:
+        keys = view.keys
+        if ("false",) in keys or any(_negate_key(k) in keys for k in keys):
             return True
-        for h in hyps:
-            try:
-                if canon_assertion(h) == gk:
-                    return True
-            except (NonNumeric, ZeroDivisionError):
-                continue
-        return False
-
-    def _hyps_inconsistent(self, hyps: list[Expr]) -> bool:
-        keys = set()
-        for h in hyps:
-            try:
-                k = canon_assertion(h)
-            except (NonNumeric, ZeroDivisionError):
-                continue
-            if k == ("false",):
-                return True
-            keys.add(k)
-        from .normform import _negate_key
-        if any(_negate_key(k) in keys for k in keys):
-            return True
-        cons = self._collect_lincons(hyps)
-        diseqs = self._collect_int_diseqs(hyps)
-        key = (_con_multiset(cons),
-               tuple(sorted(repr(d) for d in diseqs)))
-        hit = self._fm_cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._fm_refute(cons, diseqs)
-        if len(self._fm_cache) < 100000:
-            self._fm_cache[key] = out
-        return out
+        return self._fm(view, ())
 
     # ── instantiation ──
 
-    def _instantiations(self, hyps: list[Expr], goal: Expr,
+    def _instantiations(self, view: _Hyps, goal: Expr,
                         memo: frozenset) -> tuple[list[Expr], frozenset]:
-        cands = self._candidates(hyps, goal)
-        have: set = set(memo)
-        for h in hyps:
-            try:
-                have.add(canon_assertion(h))
-            except (NonNumeric, ZeroDivisionError):
-                pass
+        cands = self._candidates(view.items, goal)
+        have = set(memo) | view.keys
         added: list[Expr] = []
         new_keys: set = set()
-        for h in hyps:
+        for h in view.items:
             if not (isinstance(h, Quant) and h.kind == "forall"):
                 continue
             for cand in cands[:8]:
-                if not self._domain_holds(hyps, cand, h.dom):
+                if not self._domain_holds(view, cand, h.dom):
                     continue
                 body = nnf(subst_expr(h.body, h.var, cand))
-                try:
-                    bk = canon_assertion(body)
-                except (NonNumeric, ZeroDivisionError):
+                bk = _key(body)
+                if bk is None:
                     bk = repr(body)
                 if bk in have:
                     continue
@@ -629,15 +622,14 @@ class Prover:
                 added.append(body)
         return added, frozenset(new_keys)
 
-    def _domain_holds(self, hyps: list[Expr], cand: Expr, dom) -> bool:
+    def _domain_holds(self, view: _Hyps, cand: Expr, dom) -> bool:
         if isinstance(dom, SortDom):
             return True
         if isinstance(dom, RangeDom):
-            return (self._fm_entails(hyps, BinOp("<=", dom.lo, cand))
-                    and self._fm_entails(hyps, BinOp("<=", cand, dom.hi)))
+            return (self._fm_entails(view, BinOp("<=", dom.lo, cand))
+                    and self._fm_entails(view, BinOp("<=", cand, dom.hi)))
         # set domain: a membership hypothesis must match
-        want = BinOp("in", cand, dom.set_expr)
-        return self._match_hyp(hyps, nnf(want))
+        return view.holds(nnf(BinOp("in", cand, dom.set_expr)))
 
     def _candidates(self, hyps: list[Expr], goal: Expr) -> list[Expr]:
         found: list[Expr] = []
@@ -653,34 +645,35 @@ class Prover:
                     seen.add(k)
                     found.append(e)
 
-        def walk(e: Expr) -> Expr:
-            if isinstance(e, Var):
-                consider(e)
-            if isinstance(e, Index):
-                consider(e.idx)
-            if isinstance(e, FuncCall) and e.name == "pick":
-                consider(e)
-            return map_children(e, walk)
+        def scan(e: Expr) -> None:
+            for x in subterms(e):
+                if isinstance(x, Var):
+                    consider(x)
+                elif isinstance(x, Index):
+                    consider(x.idx)
+                elif isinstance(x, FuncCall) and x.name == "pick":
+                    consider(x)
 
-        walk(goal)
+        scan(goal)
         goal_found = list(found)
         for h in hyps:
             if not isinstance(h, Quant):
-                walk(h)
+                scan(h)
         # prefer terms that occur in the goal; fall back to hypothesis
         # terms only when the goal offers none
         return goal_found if goal_found else found
 
     # ── stuck-state splits ──
 
-    def _stuck_splits(self, hyps: list[Expr], goal: Expr, depth: int,
+    def _stuck_splits(self, view: _Hyps, goal: Expr, depth: int,
                       splits: int, memo: frozenset) -> bool:
         if not self._tick() or splits >= 24:
             return False
+        hyps = view.items
         # strategies fall through on failure: a failed case analysis
         # only means that particular decomposition did not close the goal
         # 1. undecided select-of-store: split on index equality
-        pair = self._find_store_select(goal, hyps)
+        pair = self._find_store_select(goal, view)
         if pair is not None:
             i_e, j_e = pair
             eq = BinOp("==", i_e, j_e)
@@ -691,27 +684,21 @@ class Prover:
                 return True
         # 2. boundary split: an integer candidate one past the end of a
         # quantified range is either the last element or inside
-        for h in hyps:
-            if not (isinstance(h, Quant) and h.kind == "forall"
-                    and isinstance(h.dom, RangeDom)):
-                continue
-            hi = h.dom.hi
-            for cand in self._candidates(hyps, goal)[:4]:
-                if not self._is_int_term(cand):
-                    continue
+        ranges = [h.dom.hi for h in hyps if isinstance(h, Quant)
+                  and h.kind == "forall" and isinstance(h.dom, RangeDom)]
+        cands = self._candidates(hyps, goal)[:4] if ranges else []
+        for hi in ranges:
+            for cand in cands:
                 boundary = BinOp("+", hi, NumLit(Fraction(1)))
                 eq = BinOp("==", cand, boundary)
-                try:
-                    key = ("rsplit", canon_assertion(eq))
-                except (NonNumeric, ZeroDivisionError):
+                k = _key(eq)
+                if k is None or ("rsplit", k) in memo:
                     continue
-                if key in memo:
-                    continue
-                if self._fm_entails(hyps, BinOp("<=", cand, hi)):
+                if self._fm_entails(view, BinOp("<=", cand, hi)):
                     continue  # already inside the range
-                if not self._fm_entails(hyps, BinOp("<=", cand, boundary)):
+                if not self._fm_entails(view, BinOp("<=", cand, boundary)):
                     continue
-                memo2 = memo | {key}
+                memo2 = memo | {("rsplit", k)}
                 if (self._prove(hyps + [nnf(eq)], goal, depth + 1,
                                 splits + 1, False, memo2)
                         and self._prove(hyps + [nnf(neg(eq))], goal, depth + 1,
@@ -730,124 +717,98 @@ class Prover:
                 return True
         return False
 
-    def _find_store_select(self, goal: Expr, hyps: list[Expr]):
-        hit: list = []
-
-        def walk(e: Expr) -> Expr:
-            if not hit and isinstance(e, Index) and isinstance(e.arr, Store):
+    def _find_store_select(self, goal: Expr, view: _Hyps):
+        for e in (goal, *view.items):
+            for x in subterms(e):
+                if not (isinstance(x, Index) and isinstance(x.arr, Store)):
+                    continue
                 try:
-                    ki = canon_term(e.arr.idx)
-                    kj = canon_term(e.idx)
-                    from .normform import rf_equal
-                    if not rf_equal(ki, kj):
-                        if not self._decide_neq(hyps, e.arr.idx, e.idx):
-                            hit.append((e.arr.idx, e.idx))
+                    if not rf_equal(canon_term(x.arr.idx), canon_term(x.idx)) \
+                            and not self._decide_neq(view, x.arr.idx, x.idx):
+                        return x.arr.idx, x.idx
                 except (NonNumeric, ZeroDivisionError):
                     pass
-            return map_children(e, walk)
-
-        walk(goal)
-        for h in hyps:
-            walk(h)
-        return hit[0] if hit else None
+        return None
 
     def _size_remove_facts(self, hyps: list[Expr], goal: Expr) -> list[Expr]:
         """Cardinality of remove(S, x): size drops by one exactly when
         x is a member."""
         sites: list[tuple[Expr, Expr, Expr]] = []
         seen: set = set()
-
-        def walk(e: Expr) -> Expr:
-            if isinstance(e, FuncCall) and e.name == "size" and e.args \
-                    and isinstance(e.args[0], FuncCall) and e.args[0].name == "remove":
-                inner = e.args[0]
-                try:
-                    key = canon_struct(e)
-                except (NonNumeric, ZeroDivisionError):
-                    key = repr(e)
-                if key not in seen:
-                    seen.add(key)
-                    sites.append((e, inner.args[0], inner.args[1]))
-            return map_children(e, walk)
-
-        walk(goal)
-        for h in hyps:
-            walk(h)
+        for e in (goal, *hyps):
+            for x in subterms(e):
+                if isinstance(x, FuncCall) and x.name == "size" and x.args \
+                        and isinstance(x.args[0], FuncCall) and x.args[0].name == "remove":
+                    try:
+                        key = canon_struct(x)
+                    except (NonNumeric, ZeroDivisionError):
+                        key = repr(x)
+                    if key not in seen:
+                        seen.add(key)
+                        sites.append((x, x.args[0].args[0], x.args[0].args[1]))
         facts: list[Expr] = []
+        known = _Hyps(self, hyps)
         one = NumLit(Fraction(1))
         for term, s, x in sites:
             size_s = FuncCall("size", (s,))
-            if self._match_hyp(hyps, nnf(BinOp("in", x, s))):
+            if known.holds(nnf(BinOp("in", x, s))):
                 facts.append(BinOp("==", term, BinOp("-", size_s, one)))
-            elif self._match_hyp(hyps, nnf(neg(BinOp("in", x, s)))):
+            elif known.holds(nnf(neg(BinOp("in", x, s)))):
                 facts.append(BinOp("==", term, size_s))
             else:
                 facts.append(BinOp("<=", term, size_s))
                 facts.append(BinOp(">=", term, BinOp("-", size_s, one)))
         return facts
 
-    def _decide_neq(self, hyps: list[Expr], a: Expr, b: Expr) -> bool:
-        try:
-            want = canon_assertion(BinOp("!=", a, b))
-        except (NonNumeric, ZeroDivisionError):
-            want = None
-        if want is not None:
-            for h in hyps:
-                try:
-                    if canon_assertion(h) == want:
-                        return True
-                except (NonNumeric, ZeroDivisionError):
-                    continue
-        return (self._fm_entails(hyps, BinOp("<", a, b))
-                or self._fm_entails(hyps, BinOp(">", a, b)))
+    def _decide_neq(self, view: _Hyps, a: Expr, b: Expr) -> bool:
+        want = _key(BinOp("!=", a, b))
+        if want is not None and want in view.keys:
+            return True
+        return (self._fm_entails(view, BinOp("<", a, b))
+                or self._fm_entails(view, BinOp(">", a, b)))
 
     # ── rewriting ──
 
-    def _rewrite(self, e: Expr, hyps: list[Expr]) -> Expr:
-        eqs = self._equalities(hyps)
+    def _rewrite(self, e: Expr, view: _Hyps) -> Expr:
+        eqs = self._equalities(view.items)
         if eqs:
             e = self._apply_eqs(e, eqs)
-        return self._reduce_stores(e, hyps)
+        return self._reduce_stores(e, view)
 
-    def _reduce_stores(self, e: Expr, hyps: list[Expr]) -> Expr:
+    def _reduce_stores(self, e: Expr, view: _Hyps) -> Expr:
         def walk(x: Expr) -> Expr:
             x = map_children(x, walk)
             if isinstance(x, Index) and isinstance(x.arr, Store):
                 st = x.arr
                 try:
-                    from .normform import rf_equal
                     if rf_equal(canon_term(st.idx), canon_term(x.idx)):
                         return st.value
                 except (NonNumeric, ZeroDivisionError):
                     pass
-                if self._fm_entails(hyps, BinOp("==", st.idx, x.idx)):
+                if self._fm_entails(view, BinOp("==", st.idx, x.idx)):
                     return st.value
-                if self._decide_neq(hyps, st.idx, x.idx):
-                    return self._reduce_stores(Index(st.arr, x.idx), hyps)
+                if self._decide_neq(view, st.idx, x.idx):
+                    return self._reduce_stores(Index(st.arr, x.idx), view)
             return x
 
         return walk(e)
 
     # ── Fourier-Motzkin ──
 
-    def _collect_lincons(self, hyps: list[Expr]) -> list[LinCon]:
-        return [c for h in hyps for c in _linearize(h) or ()]
-
-    def _fm_entails(self, hyps: list[Expr], goal: Expr) -> bool:
+    def _fm_entails(self, view: _Hyps, goal: Expr) -> bool:
         neg_goal = _linearize(nnf(neg(goal)))
-        if neg_goal is None:
-            return False
-        cons = self._collect_lincons(hyps)
-        diseqs = self._collect_int_diseqs(hyps)
-        key = (_con_multiset(cons),
-               tuple(sorted(repr(d) for d in diseqs)), repr(neg_goal))
+        return neg_goal is not None and self._fm(view, neg_goal)
+
+    def _fm(self, view: _Hyps, extra: tuple) -> bool:
+        """FM refutation of the view's constraints plus extra, cached
+        by the view's order-free key."""
+        key = view.fm_key + (repr(extra),)
         hit = self._fm_cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._fm_refute(cons + list(neg_goal), diseqs)
-        if len(self._fm_cache) < 100000:
-            self._fm_cache[key] = out
-        return out
+        if hit is None:
+            hit = self._fm_refute(view.cons + list(extra), view.diseqs)
+            if len(self._fm_cache) < 100000:
+                self._fm_cache[key] = hit
+        return hit
 
     def _collect_int_diseqs(self, hyps: list[Expr]) -> list:
         """Integer disequalities become one-level case splits: a != b
@@ -856,17 +817,10 @@ class Prover:
         for h in hyps:
             if not (isinstance(h, BinOp) and h.op == "!="):
                 continue
-            try:
-                diff = rf_sub(canon_term(h.left), canon_term(h.right))
-            except (NonNumeric, ZeroDivisionError):
+            form = _linear_diff(h)
+            if form is None or not form[0]:
                 continue
-            lin = rf_linear(diff)
-            if lin is None:
-                continue
-            const = lin.pop((), Fraction(0))
-            items = tuple(sorted(lin.items(), key=repr))
-            if not items:
-                continue
+            items, const = form
             if not all(self._int_mono(m) for m, _ in items):
                 continue
             if const.denominator != 1 or any(c.denominator != 1 for _, c in items):
@@ -973,9 +927,7 @@ class Prover:
         if not abs_atoms:
             return self._fm_core(cons)
         (key, arg), rest = abs_atoms[0], abs_atoms[1:]
-        lin = rf_linear(arg)
-        const = lin.pop((), Fraction(0))
-        items = tuple(sorted(lin.items(), key=repr))
+        items, const = _linear_form(arg)
         m = ((key, 1),)
         for sign in (1, -1):
             # abs == sign*arg and sign*arg >= 0
@@ -1013,7 +965,6 @@ class Prover:
                         for m, c in n[0].items():
                             coeffs[m] = coeffs.get(m, Fraction(0)) + c * cp
                         coeffs = {m: c for m, c in coeffs.items() if c != 0 and m != mono}
-                        coeffs.pop(mono, None)
                         const = p[1] * cn + n[1] * cp
                         new_rows.append(self._tighten((coeffs, const, p[2] or n[2])))
             rows = new_rows
@@ -1031,18 +982,8 @@ class Prover:
 
     def _tighten(self, row: tuple[dict, Fraction, bool]):
         coeffs, const, strict = row
-        if not strict or not coeffs:
+        if not strict or not coeffs or not all(self._int_mono(m) for m in coeffs):
             return row
         # integer rows: a < 0 becomes a + 1 <= 0 after clearing denominators
         denom = math.lcm(const.denominator, *(c.denominator for c in coeffs.values()))
-        if all(self._int_mono(m) for m in coeffs) and const.denominator == 1 \
-                and all(c.denominator == 1 for c in coeffs.values()):
-            return (coeffs, const + 1, False)
-        if denom == 1:
-            return row
-        scaled = {m: c * denom for m, c in coeffs.items()}
-        sconst = const * denom
-        if all(self._int_mono(m) for m in scaled) and \
-                all(c.denominator == 1 for c in scaled.values()) and sconst.denominator == 1:
-            return (scaled, sconst + 1, False)
-        return row
+        return ({m: c * denom for m, c in coeffs.items()}, const * denom + 1, False)

@@ -16,7 +16,7 @@ from typing import Optional
 from ..lang.ast import (
     ArrayT, BinOp, BoolLit, BoolT, DbT, Expr, FuncCall, Index, IntT, NumLit,
     Quant, QueryT, RangeDom, RealT, SetDom, SetIntT, SortDom, Store, Type,
-    UnOp, Var, children, free_vars,
+    UnOp, Var, free_vars, subterms,
 )
 from ..lang.typecheck import FUNC_SIGS, TypeEnv, UbhlTypeError, expr_type, func_sig
 from .obligations import AxiomPremise, Implication, IndexInequality, Obligation
@@ -257,7 +257,7 @@ def _ground_log_bounds(claim: Expr, env: TypeEnv) -> list[str]:
     out: list[str] = []
     seen: set[Fraction] = set()
 
-    def walk(e: Expr) -> None:
+    for e in subterms(claim):
         if isinstance(e, FuncCall) and e.name == "log" and len(e.args) == 1:
             v = _const_value(e.args[0])
             if v is not None and v > 0 and v not in seen:
@@ -268,10 +268,6 @@ def _ground_log_bounds(claim: Expr, env: TypeEnv) -> list[str]:
                     arg = _num(v, True)
                     out.append(f"(assert (<= {_num_approx(lo, down=True)} (ln {arg})))")
                     out.append(f"(assert (<= (ln {arg}) {_num_approx(hi, down=False)}))")
-        for child in children(e):
-            walk(child)
-
-    walk(claim)
     return sorted(out)
 
 

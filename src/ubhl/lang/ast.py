@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import is_
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 
 # ── Types ───────────────────────────────────────────────────────────
@@ -363,6 +363,16 @@ def children(e: Expr) -> tuple[Expr, ...]:
     if isinstance(e, (Var, BoolLit, NumLit)):
         return ()
     raise TypeError(f"unknown expression node: {e!r}")
+
+
+def subterms(e: Expr) -> Iterator[Expr]:
+    """e and each of its subexpressions, parents first and children in
+    `children` order: the walk for code that only looks."""
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        yield x
+        stack.extend(reversed(children(x)))
 
 
 def _same(old: tuple, new: tuple) -> bool:
