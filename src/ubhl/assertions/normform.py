@@ -220,17 +220,19 @@ def _cache_key(e: Expr, bound: dict):
 
 
 def _memo(cache: dict, key, raw, *args):
-    """raw(*args), remembered under key; NonNumeric is remembered too."""
+    """raw(*args), remembered under key. NonNumeric is remembered too,
+    as a copy: the raised one's traceback would keep every frame it
+    passed through alive, with their locals."""
     hit = cache.get(key)
     if hit is not None:
         if isinstance(hit, NonNumeric):
-            raise hit
+            raise NonNumeric(*hit.args)
         return hit
     try:
         out = raw(*args)
     except NonNumeric as exc:
         if len(cache) < 400000:
-            cache[key] = exc
+            cache[key] = NonNumeric(*exc.args)
         raise
     if len(cache) < 400000:
         cache[key] = out

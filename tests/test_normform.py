@@ -16,7 +16,7 @@ from ubhl.assertions.normform import (
     rf_key,
 )
 from ubhl.assertions.prover import Prover
-from ubhl.cases.registry import case_proof
+from ubhl.cases.registry import case_proof, check_case
 from ubhl.lang.ast import (
     BinOp, FuncCall, Index, NumLit, Quant, RangeDom, SetDom, SetLit, Store,
     UnOp, Var, map_children,
@@ -181,3 +181,14 @@ def test_unchanged_walks_return_the_same_term():
     # a rewrite that fires still rebuilds
     rewritten = Prover()._apply_eqs(parse_expr("y + 1 <= k"), eqs)
     assert rewritten == parse_expr("3 + 1 <= k")
+
+
+def test_cached_non_numeric_keeps_no_frames():
+    """A remembered NonNumeric carries no traceback, so the cache does
+    not keep alive the frames, and their locals, it was raised through."""
+    check_case("rnm")
+    cached = [v for cache in (normform._TERM_CACHE, normform._STRUCT_CACHE,
+                              normform._ASSERT_CACHE)
+              for v in cache.values() if isinstance(v, NonNumeric)]
+    assert cached
+    assert all(exc.__traceback__ is None for exc in cached)
