@@ -10,6 +10,7 @@ ground arguments that actually occur.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -19,6 +20,7 @@ from ..lang.ast import (
     UnOp, Var, free_vars, subterms,
 )
 from ..lang.typecheck import FUNC_SIGS, TypeEnv, UbhlTypeError, expr_type, func_sig
+from .normform import NonNumeric, canon_term, rf_const_value
 from .obligations import AxiomPremise, Implication, IndexInequality, Obligation
 from .prover import _ln_bounds
 
@@ -132,13 +134,15 @@ class SmtEmitter:
 
     def _func(self, e: FuncCall, reals: bool) -> str:
         name = e.name
-        if name == "abs":
-            arg = self.term(e.args[0], True)
-            self.used_funcs.add("absR")
-            return f"(absR {arg})"
-        if name in ("min", "max"):
-            a = self.term(e.args[0], True)
-            b = self.term(e.args[1], True)
+        if name in ("abs", "min", "max"):
+            # Int terms in an Int context, Real terms otherwise
+            real = reals or self._is_real(e)
+            args = [self.term(a, real) for a in e.args]
+            if name == "abs":
+                symbol = "absR" if real else "absI"
+                self.used_funcs.add(symbol)
+                return f"({symbol} {args[0]})"
+            a, b = args
             return f"(ite ({'<' if name == 'min' else '>'} {a} {b}) {a} {b})"
         if name == "isempty":
             s = self.term(e.args[0])
@@ -154,11 +158,6 @@ class SmtEmitter:
             raise Inexpressible(str(exc)) from exc
         smt_name = _SMT_NAMES[name][FUNC_SIGS[name].index(sig)]
         self.used_funcs.add(smt_name)
-        if name == "size":
-            # both overloads apply uSize, which takes a db, so a set
-            # argument is ill-sorted there; the exports pin these bytes
-            smt_name = "uSize"
-            self.used_funcs.add(smt_name)
         params, ret = sig
         # SMT has no implicit widening: Real slots take Real terms
         args = " ".join(self.term(a, isinstance(p, RealT))
@@ -201,6 +200,7 @@ _SMT_NAMES = {
 
 _PRELUDE_FUNCS = {
     "absR": "(define-fun absR ((x Real)) Real (ite (>= x 0.0) x (- x)))",
+    "absI": "(define-fun absI ((x Int)) Int (ite (>= x 0) x (- x)))",
     **{symbol: f"(declare-fun {symbol} ({' '.join(map(_sort_of, params))})"
                f" {_sort_of(ret)})"
        for name, symbols in _SMT_NAMES.items()
@@ -216,6 +216,14 @@ _AXIOMS = {
                 " (= (select (setdiff a b) i)"
                 " (and (select a i) (not (select b i))))))"),
     "uSize": "(assert (forall ((e UDb)) (>= (uSize e) 0)))",
+    "uSizeSet": "(assert (forall ((s (Array Int Bool))) (>= (uSizeSet s) 0)))",
+}
+
+# the other declared symbols each axiom mentions
+_AXIOM_SYMBOLS = {
+    name: sorted(set(axiom.replace("(", " ").replace(")", " ").split())
+                 & (_PRELUDE_FUNCS.keys() - {name}))
+    for name, axiom in _AXIOMS.items()
 }
 
 
@@ -234,10 +242,21 @@ def emit_smtlib(ob: Obligation, env: TypeEnv) -> str:
     body = emitter.term(claim)
 
     lines = ["(set-logic ALL)", "(declare-sort UQuery 0)", "(declare-sort UDb 0)"]
-    for name in sorted(emitter.used_funcs):
+    declared: set[str] = set()
+
+    def declare(name: str) -> None:
+        # each symbol once, and an axiom's symbols before the axiom
+        if name in declared:
+            return
+        declared.add(name)
         lines.append(_PRELUDE_FUNCS[name])
         if name in _AXIOMS:
+            for other in _AXIOM_SYMBOLS[name]:
+                declare(other)
             lines.append(_AXIOMS[name])
+
+    for name in sorted(emitter.used_funcs):
+        declare(name)
     if "uInvQ" in emitter.used_funcs and "uEvalQ" not in emitter.used_funcs:
         lines.append(_PRELUDE_FUNCS["uEvalQ"])
     for name in sorted(free_vars(claim)):
@@ -273,14 +292,12 @@ def _ground_log_bounds(claim: Expr, env: TypeEnv) -> list[str]:
 
 def _num_approx(v: Fraction, down: bool) -> str:
     """Round to 12 decimals toward the safe side of the true value."""
-    import math
     scaled = v * 10 ** 12
     n = math.floor(scaled) if down else math.ceil(scaled)
     return _num(Fraction(n, 10 ** 12), True)
 
 
 def _const_value(e: Expr) -> Optional[Fraction]:
-    from .normform import NonNumeric, canon_term, rf_const_value
     try:
         return rf_const_value(canon_term(e))
     except (NonNumeric, ZeroDivisionError):

@@ -35,35 +35,29 @@ import ubhl
 GOLDEN = {
     "rnm": "412ee12ff593b8a64a23ee04044136e6d6599bd364e49e2f028981a89c9a95e6",
     "sv": "0bc80bea9030aa83ae7809a16a7d997a0867f2da1f1846be36d4587fb49da21e",
-    "mwsv": "37ee784e4b46de749d906a40694f9e9b140bc07dd8531cd0185ac3e7cc2ea8b7",
+    "mwsv": "a3538c584a4799e70954e139f181863b2f81e092a45cdcef262ff4088a10a762",
 }
 
 EXPORT_GOLDEN = {
-    "rnm": "816b20c99846415934243337e9b4a4dacfc4eb106322bc2b518b96d34d61a2b3",
-    "sv": "e69d968a186dda4f6639869d699121a8e569f8c8caf5a44f7ae8e3bd1cb35c35",
-    "mwsv": "c4108219759ae82bc78a511dcbffd26c7149f96838ee69dbc3bb2de7856e1d53",
+    "rnm": "0701bdc0f378306bcf833dc0182804f38de808fd84f6f4fa2a2e40c43eae6494",
+    "sv": "d67bd375bd2423d082a5801faa8a5f9f2050c2d83fb539261be9374ccf877a6f",
+    "mwsv": "9a6c5df06a01b619f7557e07193ec98c62e47b98f4cfe015583703e0ca599d45",
 }
 
 _SCRIPT = """
 import json, sys
 from ubhl.assertions.smtlib import emit_smtlib
-from ubhl.cases.registry import case_proof, case_source, check_case
-from ubhl.lang.ast import IntT
-from ubhl.lang.parser import parse_program
-from ubhl.lang.typecheck import assertion_env
+from ubhl.cases.registry import check_case
 
 name = sys.argv[1]
 for earlier in sys.argv[2:]:
     check_case(earlier)
 result = check_case(name)
-env = assertion_env(parse_program(case_source(name)), case_proof(name).logicals)
-for extra in ("res", "eta", "eta2"):
-    env.setdefault(extra, IntT())
 print(json.dumps({
     "summary": result.summary(),
     "obligations": [[ob.rule, list(ob.path), ob.status.value]
                     for ob in result.obligations],
-    "smtlib": [emit_smtlib(ob, env) for ob in result.undischarged()],
+    "smtlib": [emit_smtlib(ob, result.sorts) for ob in result.undischarged()],
 }, sort_keys=True))
 """
 

@@ -4,12 +4,15 @@ import pytest
 
 from ubhl.assertions.obligations import Implication, IndexInequality
 from ubhl.assertions.smtlib import emit_smtlib
+from ubhl.cases.registry import CASE_NAMES, check_case
 from ubhl.lang.ast import (
     BOOL, DB, INT, QUERY, REAL, SETINT, ArrayT, BinOp, BoolLit, FuncCall, Var,
 )
 from ubhl.lang.parser import parse_expr
 from ubhl.lang.typecheck import FUNC_SIGS
 from ubhl.semantics.evalexpr import _FUNCS
+
+from smtsorts import SortError, check_script
 
 ENV = {"x": REAL, "y": REAL, "beta": REAL, "Q": INT, "j": INT,
        "q": QUERY, "d": DB, "R": SETINT, "noisy": ArrayT(REAL),
@@ -90,6 +93,7 @@ HEADER = "(set-logic ALL)\n(declare-sort UQuery 0)\n(declare-sort UDb 0)\n"
 BUILTIN_SCRIPTS = {
     "evalQ(q, d) <= y": """
 (declare-fun uEvalQ (UQuery UDb) Real)
+(declare-fun uInvQ (UQuery) UQuery)
 (assert (forall ((p UQuery) (e UDb)) (= (uEvalQ (uInvQ p) e) (- (uEvalQ p e)))))
 (declare-const v_d UDb)
 (declare-const v_q UQuery)
@@ -98,8 +102,8 @@ BUILTIN_SCRIPTS = {
 """,
     "evalQ(invQ(q), d) <= y": """
 (declare-fun uEvalQ (UQuery UDb) Real)
-(assert (forall ((p UQuery) (e UDb)) (= (uEvalQ (uInvQ p) e) (- (uEvalQ p e)))))
 (declare-fun uInvQ (UQuery) UQuery)
+(assert (forall ((p UQuery) (e UDb)) (= (uEvalQ (uInvQ p) e) (- (uEvalQ p e)))))
 (declare-const v_d UDb)
 (declare-const v_q UQuery)
 (declare-const v_y Real)
@@ -119,6 +123,7 @@ BUILTIN_SCRIPTS = {
     "evalQ(error(q, d), d) >= y": """
 (declare-fun uErrorQ (UQuery UDb) UQuery)
 (declare-fun uEvalQ (UQuery UDb) Real)
+(declare-fun uInvQ (UQuery) UQuery)
 (assert (forall ((p UQuery) (e UDb)) (= (uEvalQ (uInvQ p) e) (- (uEvalQ p e)))))
 (declare-const v_d UDb)
 (declare-const v_q UQuery)
@@ -139,19 +144,17 @@ BUILTIN_SCRIPTS = {
 (assert (not (=> true (<= (to_real (uSize v_d)) v_x))))
 """,
     "size(R) >= 1": """
-(declare-fun uSize (UDb) Int)
-(assert (forall ((e UDb)) (>= (uSize e) 0)))
 (declare-fun uSizeSet ((Array Int Bool)) Int)
+(assert (forall ((s (Array Int Bool))) (>= (uSizeSet s) 0)))
 (declare-const v_R (Array Int Bool))
-(assert (not (=> true (>= (uSize v_R) 1))))
+(assert (not (=> true (>= (uSizeSet v_R) 1))))
 """,
     "size(R) <= x": """
-(declare-fun uSize (UDb) Int)
-(assert (forall ((e UDb)) (>= (uSize e) 0)))
 (declare-fun uSizeSet ((Array Int Bool)) Int)
+(assert (forall ((s (Array Int Bool))) (>= (uSizeSet s) 0)))
 (declare-const v_R (Array Int Bool))
 (declare-const v_x Real)
-(assert (not (=> true (<= (to_real (uSize v_R)) v_x))))
+(assert (not (=> true (<= (to_real (uSizeSet v_R)) v_x))))
 """,
     "pick(R) == j": """
 (declare-fun uPick ((Array Int Bool)) Int)
@@ -187,6 +190,17 @@ BUILTIN_SCRIPTS = {
 (declare-const v_x Real)
 (assert (not (=> true (>= (absR v_x) 0.0))))
 """,
+    "abs(j) >= 1": """
+(define-fun absI ((x Int)) Int (ite (>= x 0) x (- x)))
+(declare-const v_j Int)
+(assert (not (=> true (>= (absI v_j) 1))))
+""",
+    "abs(j) <= x": """
+(define-fun absR ((x Real)) Real (ite (>= x 0.0) x (- x)))
+(declare-const v_j Int)
+(declare-const v_x Real)
+(assert (not (=> true (<= (absR (to_real v_j)) v_x))))
+""",
     "log(x) <= log(4)": """
 (declare-fun ln (Real) Real)
 (assert (forall ((a Real) (b Real)) (=> (and (< 0.0 a) (<= a b)) (<= (ln a) (ln b)))))
@@ -200,6 +214,10 @@ BUILTIN_SCRIPTS = {
 (declare-const v_x Real)
 (declare-const v_y Real)
 (assert (not (=> true (<= (ite (< v_x v_y) v_x v_y) (ite (> v_x (to_real v_j)) v_x (to_real v_j))))))
+""",
+    "max(j, 2) == j": """
+(declare-const v_j Int)
+(assert (not (=> true (= (ite (> v_j 2) v_j 2) v_j))))
 """,
     "mwInit(x, Q, j) == d": """
 (declare-fun uMwInit (Real Int Int) UDb)
@@ -232,6 +250,29 @@ BUILTIN_SCRIPTS = {
 def test_builtin_script_bytes(claim):
     text = emit_smtlib(imp("true", claim), ENV)
     assert text == HEADER + BUILTIN_SCRIPTS[claim].lstrip("\n") + "(check-sat)\n"
+    check_script(text)
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_shipped_obligations_are_well_sorted(name):
+    """Every obligation of a shipped check exports, under the kernel's
+    sorts, as a script that declares each symbol before its use and
+    mixes no sorts."""
+    result = check_case(name)
+    for ob in result.obligations:
+        check_script(emit_smtlib(ob, result.sorts))
+
+
+@pytest.mark.parametrize("text, fault", [
+    ("(declare-const v_x Int)\n(assert (>= v_y 0))", "undeclared constant v_y"),
+    ("(declare-const v_x Int)\n(assert (>= v_x 0.0))", "mixed sorts"),
+    ("(assert (forall ((e UDb)) true))", "undeclared sort UDb"),
+    ("(declare-fun f (Int) Int)\n(assert (= (f true) 1))", "f applied to"),
+    ("(assert (g 1))\n(declare-fun g (Int) Bool)", "undeclared function g"),
+])
+def test_sort_checker_rejects(text, fault):
+    with pytest.raises(SortError, match=fault):
+        check_script(text)
 
 
 GRAMMAR = (Path(__file__).resolve().parent.parent / "docs" / "grammar.md").read_text()
