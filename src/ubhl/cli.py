@@ -57,12 +57,8 @@ def _report_check(result: CheckResult, verbose: bool = True) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        program = _load_program(args.program)
-        script = _load_proof(args.proof)
-    except (UbhlSyntaxError, UbhlTypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    program = _load_program(args.program)
+    script = _load_proof(args.proof)
     result = check(program, script)
     code = _report_check(result, verbose=not args.quiet)
     if args.export and result.accepted:
@@ -97,12 +93,8 @@ def _export_obligations(script, result: CheckResult, out: Path,
 
 
 def cmd_obligations(args) -> int:
-    try:
-        program = _load_program(args.program)
-        script = _load_proof(args.proof)
-    except (UbhlSyntaxError, UbhlTypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    program = _load_program(args.program)
+    script = _load_proof(args.proof)
     result = check(program, script)
     if not result.accepted:
         print(result.summary())
@@ -116,12 +108,8 @@ def cmd_obligations(args) -> int:
 def cmd_run(args) -> int:
     program = _load_program(args.program)
     overrides = _parse_overrides(program, args.set or [])
-    try:
-        mem = run_trial(program, args.entry, Fraction(args.arg), {},
-                        seed=args.seed, overrides=overrides)
-    except (UbhlRuntimeError, TrialAborted) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    mem = run_trial(program, args.entry, Fraction(args.arg), {},
+                    seed=args.seed, overrides=overrides)
     out = {k: _pretty_value(v) for k, v in sorted(mem.to_dict().items())}
     print(json.dumps(out, indent=1, sort_keys=True))
     return 0
@@ -145,12 +133,8 @@ def cmd_exact(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    try:
-        program = _load_program(args.program)
-        script = _load_proof(args.proof)
-    except (UbhlSyntaxError, UbhlTypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    program = _load_program(args.program)
+    script = _load_proof(args.proof)
     report = crosscheck(program, script)
     if not report.checker_accepted:
         print("derivation rejected; nothing to embed")
@@ -302,9 +286,21 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# what bad input raises: a file that cannot be read, a program or
+# script that does not parse or typecheck, an unknown procedure, a
+# malformed value, or a run that fails
+_INPUT_ERRORS = (OSError, UbhlSyntaxError, UbhlTypeError, KeyError, ValueError,
+                 ZeroDivisionError, UbhlRuntimeError, TrialAborted)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _INPUT_ERRORS as exc:
+        shown = f"unknown name {exc}" if isinstance(exc, KeyError) else exc
+        print(f"error: {shown}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -163,3 +163,37 @@ def test_export_declares_res_with_the_kernel_sort(tmp_path):
     weak, = [m for m in manifest if m["note"] == "postcondition weakening"]
     text = (tmp_path / "out" / weak["file"]).read_text()
     assert "(declare-const v_res Real)" in text
+
+
+def _cli_args(cmd: str, program: Path, proof: Path, entry: str, out: Path) -> list[str]:
+    if cmd == "run":
+        return [cmd, str(program), "--entry", entry, "--seed", "1"]
+    if cmd == "exact":
+        return [cmd, str(program), "--entry", entry]
+    flag = {"obligations": ["--export", str(out)], "embed": ["--out", str(out)]}
+    return [cmd, str(program), str(proof), *flag.get(cmd, [])]
+
+
+@pytest.mark.parametrize("fault", ["bad program", "missing file", "unknown entry"])
+@pytest.mark.parametrize("cmd", ["check", "obligations", "run", "exact", "embed"])
+def test_bad_input_exits_one_without_traceback(cmd, fault, tmp_path):
+    """A program that does not parse, a file that is not there and an
+    entry procedure the program lacks end the command with exit 1 and a
+    message, never a traceback; the first two as one `error:` line."""
+    program, proof, entry = CASES / "rnm" / "program.ubhl", CASES / "rnm" / "proof.json", "main"
+    if fault == "bad program":
+        program = tmp_path / "bad.ubhl"
+        program.write_text("var x : int\nproc main(w) { x <- 1; } return x\n")
+    elif fault == "missing file":
+        program = tmp_path / "missing.ubhl"
+    else:
+        entry = "nope"
+        doc = json.loads(proof.read_text())
+        doc["entry"]["proc"] = entry
+        proof = tmp_path / "proof.json"
+        proof.write_text(json.dumps(doc))
+    out = run_cli(*_cli_args(cmd, program, proof, entry, tmp_path / "out"))
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert "Traceback" not in out.stderr
+    if fault != "unknown entry":
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
