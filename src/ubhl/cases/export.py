@@ -10,27 +10,19 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .programs import MWSV_SOURCE, RNM_SOURCE, SV_SOURCE
-from .proofs import mwsv_proof, rnm_proof, sv_proof
-from .registry import DEFAULT_PARAMS
-
-_CASES = {
-    "rnm": (RNM_SOURCE, rnm_proof),
-    "sv": (SV_SOURCE, sv_proof),
-    "mwsv": (MWSV_SOURCE, mwsv_proof),
-}
+from .registry import CASE_NAMES, DEFAULT_PARAMS, case_proof, case_source
 
 
 def export_cases(target: Path) -> list[str]:
     written: list[str] = []
-    for name, (source, builder) in _CASES.items():
+    for name in CASE_NAMES:
         case_dir = target / name
         (case_dir / "params").mkdir(parents=True, exist_ok=True)
         prog = case_dir / "program.ubhl"
-        prog.write_text(source)
+        prog.write_text(case_source(name))
         written.append(str(prog))
         proof = case_dir / "proof.json"
-        proof.write_text(builder().to_json() + "\n")
+        proof.write_text(case_proof(name).to_json() + "\n")
         written.append(str(proof))
         params = case_dir / "params" / "default.json"
         params.write_text(json.dumps(DEFAULT_PARAMS[name], indent=1, sort_keys=True) + "\n")
