@@ -64,6 +64,14 @@ RNM_LOGICALS = {"beta": "real", "R0": "set<int>"}
 RNM_HYPS = "0 < beta && beta < 1 && 0 < eps && 0 < size(R0)"
 
 
+def rnm_theorem() -> tuple[str, str, str]:
+    """The (pre, post, index) `rnm_proof` concludes for `main`; each
+    case's theorem is also what `build_case` validates."""
+    return (conj("R == R0", RNM_HYPS),
+            "forall s in R0 . qscore[res] >= qscore[s] - ((4/eps)*log(size(R0)/beta) + 2)",
+            "beta")
+
+
 def rnm_proof() -> ProofScript:
     T = "(2/eps)*log(size(R0)/beta) + 1"
     phi1 = f"forall s in R0 . s in R || abs(noisy[s] - qscore[s]) <= {T}"
@@ -136,26 +144,22 @@ def rnm_proof() -> ProofScript:
     init_pre, init_nodes = assign_chain(
         [("flag", "true"), ("best", "0")], loop.pre)
     body_chain = seq_chain(init_nodes + [loop], ["0", "0", "beta"])
+    return _script(RNM_LOGICALS, rnm_theorem(), "rstar", body_chain)
 
-    theorem_post = ("forall s in R0 . qscore[res] >= qscore[s]"
-                    " - ((4/eps)*log(size(R0)/beta) + 2)")
-    theorem_pre = conj("R == R0", RNM_HYPS)
-    body_post = subst(theorem_post, "res", "rstar")
-    body = node("weak", theorem_pre, body_post, "beta", [body_chain])
 
-    root = node("call", theorem_pre, theorem_post, "beta", [body],
-                proc="main", callee_pre=theorem_pre, callee_post=theorem_post)
-    return ProofScript(logicals=_sorts(RNM_LOGICALS),
+def _script(logicals: dict[str, str], theorem: tuple[str, str, str], result: str,
+            chain: ProofNode, **ann) -> ProofScript:
+    """The script proving `theorem` (pre, post, index) as `main`'s
+    contract: a weakening, annotated with `ann`, takes `chain`'s
+    judgment to the theorem with `res` read as the program variable
+    `result`."""
+    pre, post, index = theorem
+    body = node("weak", pre, subst(post, "res", result), index, [chain], **ann)
+    root = node("call", pre, post, index, [body],
+                proc="main", callee_pre=pre, callee_post=post)
+    return ProofScript(logicals={k: Parser(v).parse_type() for k, v in logicals.items()},
                        entry={"proc": "main", "arg": "0", "result": "res"},
                        root=root)
-
-
-def _sorts(d: dict[str, str]):
-    out = {}
-    for k, v in d.items():
-        p = Parser(v)
-        out[k] = p.parse_type()
-    return out
 
 
 def forall_sort(var: str, sort: str, body: str) -> str:
@@ -229,6 +233,12 @@ def sv_phi_q(query_term: str, ans_term: str) -> str:
 SV_HYPS = "0 < beta && beta < 1 && 0 < epsin && 1 <= Q"
 
 
+def sv_theorem() -> tuple[str, str, str]:
+    return (conj("Qn == Q", SV_HYPS),
+            "forall j in 1 .. Q . (" + sv_phi_q("q[j]", "res[j]") + ")",
+            "beta")
+
+
 def sv_proof() -> ProofScript:
     iota = "beta/(Q+1)"
     phi_t = sv_phi_t()
@@ -288,17 +298,7 @@ def sv_proof() -> ProofScript:
                        proc="svinit", callee_pre="true", callee_post=phi_t,
                        frame=sv_frame)
     chain = seq_chain([svinit_call, init_weak], [iota, init_weak.index])
-
-    theorem = ("forall j in 1 .. Q . ("
-               + sv_phi_q("q[j]", "res[j]") + ")")
-    theorem_pre = conj("Qn == Q", SV_HYPS)
-    body_post = subst(theorem, "res", "ans")
-    body = node("weak", theorem_pre, body_post, "beta", [chain])
-    root = node("call", theorem_pre, theorem, "beta", [body],
-                proc="main", callee_pre=theorem_pre, callee_post=theorem)
-    return ProofScript(logicals=_sorts(SV_LOGICALS),
-                       entry={"proc": "main", "arg": "0", "result": "res"},
-                       root=root)
+    return _script(SV_LOGICALS, sv_theorem(), "ans", chain)
 
 
 # ── synthetic-database release (online multiplicative weights) ──────
@@ -326,15 +326,16 @@ def mw_defs() -> str:
     )
 
 
-def mw_theorem_pre() -> str:
+def mwsv_theorem() -> tuple[str, str, str]:
     gam = _GAMMA
-    return conj(
+    pre = conj(
         MW_HYPS,
         "Qn == Q",
         "size(d) == n",
         f"alpha >= (24*({gam})/eps)*log(2*(Q+1)/beta)",
         f"alpha >= (4*({gam})/eps)*log(2*({gam})/beta)",
     )
+    return pre, "forall j in 1 .. Q . abs(res[j] - evalQ(q[j], d)) <= alpha", "beta"
 
 
 def mw_phi_t() -> str:
@@ -525,12 +526,4 @@ def mwsv_proof() -> ProofScript:
             node("weak", loop.pre, loop.post, loop.index, [loop])])])
     chain = seq_chain(init_nodes + [svinit_call, post_init],
                       ["0"] * len(init_nodes) + [_IOTA_SV, loop.index])
-
-    theorem = "forall j in 1 .. Q . abs(res[j] - evalQ(q[j], d)) <= alpha"
-    body_post = subst(theorem, "res", "ans")
-    body = node("weak", mw_theorem_pre(), body_post, "beta", [chain], export=["pre"])
-    root = node("call", mw_theorem_pre(), theorem, "beta", [body],
-                proc="main", callee_pre=mw_theorem_pre(), callee_post=theorem)
-    return ProofScript(logicals=_sorts(MWSV_LOGICALS),
-                       entry={"proc": "main", "arg": "0", "result": "res"},
-                       root=root)
+    return _script(MWSV_LOGICALS, mwsv_theorem(), "ans", chain, export=["pre"])

@@ -9,15 +9,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from ..assertions.prover import conjuncts, neg
 from ..checker.kernel import CheckResult, check
 from ..checker.proof import ProofScript
 from ..dp.laplace import lap_tail
-from ..dp.mw import mw_alpha_formulas, solve_feasible_alpha
+from ..dp.mw import solve_feasible_alpha
 from ..dp.queries import Database
-from ..lang.ast import Expr
+from ..lang.ast import Expr, pretty_expr
 from ..lang.parser import parse_expr, parse_program
 from ..lang.typecheck import typecheck
-from ..semantics.evalexpr import UbhlRuntimeError, compile_expr, eval_in_memory
+from ..semantics.evalexpr import UbhlRuntimeError, compile_expr, eval_expr, eval_in_memory
 from ..semantics.trial import (
     AdversaryStrategy, Classifier, CompiledProgram, EstimateReport, TrialAborted,
     clopper_pearson_upper, run_chunked, run_trial,
@@ -25,12 +26,12 @@ from ..semantics.trial import (
 from ..semantics.values import ArrayVal, Value
 from . import adversaries as adv
 from .programs import MWSV_SOURCE, RNM_SOURCE, SV_SOURCE
-from .proofs import mwsv_proof, rnm_proof, sv_proof
+from .proofs import mwsv_proof, mwsv_theorem, rnm_proof, rnm_theorem, sv_proof, sv_theorem
 
 CASE_NAMES = ("rnm", "sv", "mwsv")
 
 
-class PreconditionViolated(Exception):
+class PreconditionViolated(ValueError):
     pass
 
 
@@ -104,43 +105,45 @@ def _frac(x) -> Fraction:
     return Fraction(str(x)) if isinstance(x, float) else Fraction(x)
 
 
+def _case(name: str, theorem: tuple[str, str, str], params: dict,
+          overrides: dict[str, Value], logical_env: dict[str, Value],
+          menu: dict[str, AdversaryStrategy]) -> CaseStudy:
+    """The case at concrete parameters, read off its theorem (pre, post,
+    index): the parameters must satisfy pre, and validation estimates
+    the probability of not post against index."""
+    pre, post, index = (parse_expr(t) for t in theorem)
+    store = {**logical_env, **overrides}
+    for part in conjuncts(pre):
+        try:
+            holds = bool(eval_expr(part, store))
+        except UbhlRuntimeError:
+            holds = False
+        if not holds:
+            raise PreconditionViolated(f"{name}: the theorem needs {pretty_expr(part)}")
+    return CaseStudy(
+        name=name, source=_SOURCES[name], bad_event=neg(post), index=index,
+        params=params, overrides=overrides, logical_env=logical_env,
+        adversary_menu=menu)
+
+
 def _build_rnm(p: dict) -> CaseStudy:
     size = int(p["size"])
-    eps = _frac(p["eps"])
-    beta = _frac(p["beta"])
-    if not (0 < beta < 1) or eps <= 0 or size < 1:
-        raise PreconditionViolated("need eps > 0, beta in (0,1), a nonempty candidate set")
     candidates = frozenset(range(size))
-    qscore = p.get("qscore", [i for i in range(size)])
+    qscore = p.get("qscore", list(range(size)))
     table = ArrayVal(Fraction(0), tuple((i, _frac(v)) for i, v in enumerate(qscore)))
-    overrides = {"R": candidates, "eps": eps, "qscore": table}
-    logical_env = {"beta": beta, "R0": candidates}
-    bad = parse_expr(
-        "exists s in R0 . qscore[res] < qscore[s] - ((4/eps)*log(size(R0)/beta) + 2)")
-    return CaseStudy(
-        name="rnm", source=RNM_SOURCE, bad_event=bad, index=parse_expr("beta"),
-        params=p, overrides=overrides, logical_env=logical_env,
-        adversary_menu={})
+    overrides = {"R": candidates, "eps": _frac(p["eps"]), "qscore": table}
+    logical_env = {"beta": _frac(p["beta"]), "R0": candidates}
+    return _case("rnm", rnm_theorem(), p, overrides, logical_env, {})
 
 
 def _build_sv(p: dict) -> CaseStudy:
     q_count = int(p["Q"])
-    eps = _frac(p["eps"])
-    beta = _frac(p["beta"])
-    if not (0 < beta < 1) or eps <= 0 or q_count < 1:
-        raise PreconditionViolated("need eps > 0, beta in (0,1), Q >= 1")
-    counts = [_frac(c) for c in p["counts"]]
-    db = Database(tuple(counts))
-    overrides = {"Qn": q_count, "epsin": eps, "tin": _frac(p["threshold"]), "d": db}
-    logical_env = {"beta": beta, "Q": q_count}
-    bad = parse_expr(
-        "exists j in 1 .. Q . ((res[j] == true && evalQ(q[j], d) < tin"
-        " - ((6/eps)*log((Q+1)/beta) + 2)) || (res[j] == false && evalQ(q[j], d) > tin"
-        " + ((6/eps)*log((Q+1)/beta) + 2)))")
-    return CaseStudy(
-        name="sv", source=SV_SOURCE, bad_event=bad, index=parse_expr("beta"),
-        params=p, overrides=overrides, logical_env=logical_env,
-        adversary_menu=adv.sv_menu(int(p["universe"]), tuple(counts)))
+    counts = tuple(_frac(c) for c in p["counts"])
+    overrides = {"Qn": q_count, "epsin": _frac(p["eps"]), "tin": _frac(p["threshold"]),
+                 "d": Database(counts)}
+    logical_env = {"beta": _frac(p["beta"]), "Q": q_count}
+    return _case("sv", sv_theorem(), p, overrides, logical_env,
+                 adv.sv_menu(int(p["universe"]), counts))
 
 
 def _build_mwsv(p: dict) -> CaseStudy:
@@ -149,30 +152,16 @@ def _build_mwsv(p: dict) -> CaseStudy:
     beta = float(p["beta"])
     universe = int(p["universe"])
     n = int(p["n"])
-    counts = [_frac(c) for c in p["counts"]]
-    if sum(counts) != n:
-        raise PreconditionViolated(f"counts must sum to n={n}")
-    alpha = p.get("alpha")
-    if alpha is None:
-        alpha = solve_feasible_alpha(eps, q_count, universe, n, beta)
+    if p.get("alpha") is None:
         p = dict(p)
-        p["alpha"] = alpha
-    _, a_sv, a_lap = mw_alpha_formulas(float(alpha), eps, q_count, universe, n, beta)
-    if float(alpha) < max(a_sv, a_lap):
-        raise PreconditionViolated(
-            f"alpha={alpha} below max(alpha_sv, alpha_lap)="
-            f"{max(a_sv, a_lap):.4f}")
-    db = Database(tuple(counts))
+        p["alpha"] = solve_feasible_alpha(eps, q_count, universe, n, beta)
     overrides = {
-        "Qn": q_count, "eps": _frac(eps), "alpha": _frac(alpha),
-        "X": universe, "n": n, "d": db,
+        "Qn": q_count, "eps": _frac(eps), "alpha": _frac(p["alpha"]),
+        "X": universe, "n": n, "d": Database(tuple(_frac(c) for c in p["counts"])),
     }
     logical_env = {"beta": _frac(beta), "Q": q_count}
-    bad = parse_expr("exists j in 1 .. Q . abs(res[j] - evalQ(q[j], d)) > alpha")
-    return CaseStudy(
-        name="mwsv", source=MWSV_SOURCE, bad_event=bad,
-        index=parse_expr("beta"), params=p, overrides=overrides,
-        logical_env=logical_env, adversary_menu=adv.mwsv_menu(universe))
+    return _case("mwsv", mwsv_theorem(), p, overrides, logical_env,
+                 adv.mwsv_menu(universe))
 
 
 def check_case(name: str, prover_budget: int = 60000) -> CheckResult:

@@ -183,12 +183,6 @@ class Checker:
             raise Rejected(path, node.rule, "unknown rule")
         handler(node, command, pre, post, index, path)
 
-    def child(self, node: ProofNode, i: int, path: tuple[str, ...],
-              rule: str) -> ProofNode:
-        if i >= len(node.children):
-            raise Rejected(path, rule, f"rule needs child {i + 1}, got {len(node.children)}")
-        return node.children[i]
-
     def expect_children(self, node: ProofNode, n: int, path, rule) -> None:
         if len(node.children) != n:
             raise Rejected(path, rule,

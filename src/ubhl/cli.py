@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .assertions.obligations import ObStatus
 from .assertions.smtlib import Inexpressible, emit_smtlib
+from .cases.registry import CASE_NAMES, DEFAULT_PARAMS, build_case, validate_case
 from .checker.kernel import CheckResult, check
 from .checker.proof import ProofScript
 from .embed.crosscheck import crosscheck
@@ -160,18 +161,15 @@ def cmd_embed(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .cases.registry import DEFAULT_PARAMS, validate_case
-
-    params = dict(DEFAULT_PARAMS.get(args.case, {}))
+    params = dict(DEFAULT_PARAMS[args.case])
     if args.params:
         params.update(json.loads(Path(args.params).read_text()))
     for key, flag in (("Q", args.Q), ("eps", args.eps), ("beta", args.beta)):
         if flag is not None:
             params[key] = flag
-    adversaries = ([args.adversary] if args.adversary
-                   else (["fixed", "random", "adaptive"] if args.case != "rnm" else [None]))
+    menu = build_case(args.case, params).adversary_menu
+    adversaries = [args.adversary] if args.adversary else list(menu) or [None]
     out = _out_dir(args)
-    worst = 0.0
     code = 0
     for adv_name in adversaries:
         report = validate_case(args.case, params, trials=args.trials,
@@ -180,7 +178,6 @@ def cmd_validate(args) -> int:
         tag = adv_name or "none"
         path = out / f"validate-{args.case}-{tag}-seed{args.seed}.json"
         path.write_text(report.to_json() + "\n")
-        worst = max(worst, report.estimate.failure_rate)
         status = "ok" if report.verdict else "VIOLATION"
         print(f"{args.case}[{tag}]: rate {report.estimate.failure_rate:.4f}"
               f" (upper95 {report.estimate.clopper_pearson_upper_95:.4f})"
@@ -268,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_embed)
 
     p = sub.add_parser("validate", help="Monte Carlo validation of a case study")
-    p.add_argument("case", choices=("rnm", "sv", "mwsv"))
+    p.add_argument("case", choices=CASE_NAMES)
     p.add_argument("--Q", type=int)
     p.add_argument("--eps", type=float)
     p.add_argument("--beta", type=float)

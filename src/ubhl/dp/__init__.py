@@ -9,17 +9,15 @@ from .mw import (
     solve_feasible_alpha, step_decrease_bound,
 )
 from .queries import (
-    Database, DimensionMismatch, EmptyDatabase, NotLinear, Query, db_add,
-    db_size, db_zero, dump_db_text, error_query, eval_query, inv_query,
-    load_db_text, make_db, make_query, neg_query,
+    Database, DimensionMismatch, NotLinear, Query, db_add, db_size, db_zero,
+    error_query, eval_query, inv_query, make_db, make_query, neg_query,
 )
 
 __all__ = [
-    "Database", "DimensionMismatch", "DomainError", "EmptyDatabase",
-    "NotLinear", "Query", "SynthDB", "db_add", "db_size",
-    "db_zero", "dump_db_text", "error_query", "eval_query", "inv_query",
-    "lap_acc_threshold", "lap_masses_exact", "lap_pmf", "lap_sample",
-    "lap_tail", "lap_tail_closed", "load_db_text", "make_db", "make_query",
+    "Database", "DimensionMismatch", "DomainError", "NotLinear", "Query",
+    "SynthDB", "db_add", "db_size", "db_zero", "error_query", "eval_query",
+    "inv_query", "lap_acc_threshold", "lap_masses_exact", "lap_pmf",
+    "lap_sample", "lap_tail", "lap_tail_closed", "make_db", "make_query",
     "mw_alpha_formulas", "mw_init", "mw_step", "neg_query", "potential",
     "solve_feasible_alpha", "step_decrease_bound",
 ]

@@ -80,7 +80,7 @@ def mw_alpha_formulas(alpha: float, eps: float, queries: int, universe: int,
                       n: int, beta: float) -> tuple[float, float, float]:
     """(gamma, alpha_sv, alpha_lap) at a given alpha: the one numeric
     copy of the accuracy premise that mwsv's proof states symbolically
-    (`mw_theorem_pre` in `cases/proofs.py`)."""
+    (the pre of `mwsv_theorem` in `cases/proofs.py`)."""
     gamma = 4 * n * n * math.log(universe) / (alpha * alpha)
     alpha_sv = (24 * gamma / eps) * math.log(2 * (queries + 1) / beta)
     alpha_lap = (4 * gamma / eps) * math.log(2 * gamma / beta)

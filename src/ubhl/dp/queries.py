@@ -23,10 +23,6 @@ class NotLinear(Exception):
     pass
 
 
-class EmptyDatabase(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class Query:
     """Affine query over a universe of size X: offset + <weights, counts>."""
@@ -103,32 +99,3 @@ def error_query(q: Query, d1: Database) -> Query:
         raise DimensionMismatch("query dimension does not match database")
     return Query(eval_query(q, d1) - q.offset, tuple(-w for w in q.weights))
 
-
-# ── columnar text format ────────────────────────────────────────────
-# line 1: universe size X
-# line 2: X counts (the database)
-# each further line: X weights (one query each, offset 0)
-
-
-def load_db_text(text: str) -> tuple[Database, list[Query]]:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if len(lines) < 2:
-        raise ValueError("expected universe size line and counts line")
-    x = int(lines[0])
-    counts = [Fraction(tok) for tok in lines[1].split()]
-    if len(counts) != x:
-        raise ValueError(f"expected {x} counts, got {len(counts)}")
-    queries = []
-    for ln in lines[2:]:
-        ws = [Fraction(tok) for tok in ln.split()]
-        if len(ws) != x:
-            raise ValueError(f"expected {x} weights, got {len(ws)}")
-        queries.append(Query(Fraction(0), tuple(ws)))
-    return Database(tuple(counts)), queries
-
-
-def dump_db_text(d: Database, queries: Sequence[Query] = ()) -> str:
-    lines = [str(len(d.counts)), " ".join(str(c) for c in d.counts)]
-    for q in queries:
-        lines.append(" ".join(str(w) for w in q.weights))
-    return "\n".join(lines) + "\n"

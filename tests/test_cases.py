@@ -5,13 +5,14 @@ from pathlib import Path
 
 import pytest
 
+from ubhl.assertions.prover import neg
 from ubhl.cases.export import export_cases
 from ubhl.cases.registry import (
-    DEFAULT_PARAMS, PreconditionViolated, build_case, case_proof, case_source,
-    check_case, rnm_analytic_bound, validate_case,
+    CASE_NAMES, DEFAULT_PARAMS, PreconditionViolated, build_case, case_proof,
+    case_source, check_case, rnm_analytic_bound, validate_case,
 )
 from ubhl.checker.proof import ProofScript
-from ubhl.lang.parser import parse_program
+from ubhl.lang.parser import parse_expr, parse_program
 from ubhl.lang.typecheck import typecheck
 
 REPO = Path(__file__).resolve().parent.parent
@@ -60,6 +61,25 @@ def test_mwsv_alpha_feasibility_enforced():
         build_case("mwsv", {"alpha": 1.0})
     with pytest.raises(PreconditionViolated):
         build_case("mwsv", {"counts": [1] * 8})  # does not sum to n
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_case_validates_its_proofs_theorem(name):
+    """Validation estimates Pr[not post] of the proof's root judgment
+    against that judgment's index."""
+    case, root = build_case(name), case_proof(name).root
+    assert case.bad_event == neg(parse_expr(root.post))
+    assert case.index == parse_expr(root.index)
+
+
+@pytest.mark.parametrize("params, needs", [
+    ({"beta": 1.5}, "beta < 1"),
+    ({"Q": 0}, "1 <= Q"),
+    ({"eps": -1}, "0 < eps"),
+])
+def test_mwsv_rejects_parameters_outside_its_theorem(params, needs):
+    with pytest.raises(PreconditionViolated, match=f"^mwsv: the theorem needs {needs}$"):
+        build_case("mwsv", params)
 
 
 def test_validation_smoke_all_cases():

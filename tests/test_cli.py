@@ -95,6 +95,19 @@ def test_validate_writes_reports(tmp_path):
     assert report_path.read_bytes() == first
 
 
+@pytest.mark.parametrize("case, flag, value, needs", [
+    ("sv", "--beta", "1", "beta < 1"),
+    ("mwsv", "--eps", "-1", "0 < eps"),
+])
+def test_validate_rejects_parameters_outside_the_theorem(case, flag, value, needs, tmp_path):
+    out = run_cli("validate", case, flag, value, "--trials", "20", "--seed", "1",
+                  "--out", str(tmp_path / "out"))
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert out.stderr == f"error: {case}: the theorem needs {needs}\n"
+    assert "VIOLATION" not in out.stdout
+    assert not (tmp_path / "out").exists()
+
+
 def test_obligations_export(tmp_path):
     out = run_cli("obligations", str(CASES / "mwsv" / "program.ubhl"),
                   str(CASES / "mwsv" / "proof.json"),

@@ -13,8 +13,8 @@ from ubhl.dp.mw import (
     solve_feasible_alpha, step_decrease_bound,
 )
 from ubhl.dp.queries import (
-    NotLinear, db_add, db_size, db_zero, dump_db_text, error_query,
-    eval_query, inv_query, load_db_text, make_db, make_query, neg_query,
+    NotLinear, db_add, db_size, db_zero, error_query, eval_query, inv_query,
+    make_db, make_query, neg_query,
 )
 from ubhl.semantics.rng import TrialRng
 
@@ -158,14 +158,6 @@ def test_linear_query_additivity():
         assert eval_query(lin, db_add(d1, d2)) == \
             eval_query(lin, d1) + eval_query(lin, d2)
         assert eval_query(lin, db_zero(x)) == 0
-
-
-def test_columnar_round_trip():
-    d = make_db([3, 0, 2, 1])
-    qs = [make_query([1, 0, 1, 0]), make_query([Fraction(1, 2)] * 4)]
-    text = dump_db_text(d, qs)
-    d2, qs2 = load_db_text(text)
-    assert d2 == d and qs2 == qs
 
 
 # ── multiplicative weights ──

@@ -54,25 +54,30 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{sub.name}", sub.name, sub
 
 
-def _references(tree: ast.Module) -> list[tuple[str, int]]:
-    """Every name the code mentions, with its line: variables,
-    attributes and imported names."""
+def _references(tree: ast.Module, path: Path) -> list[tuple[str, int, bool]]:
+    """Every name the code mentions, with its line and whether it is
+    read as an attribute: variables, attributes and imported names. A
+    package's `__init__` only re-exports what it imports, so its imports
+    are not uses."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.append((node.id, node.lineno))
+            out.append((node.id, node.lineno, False))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, node.lineno))
-        elif isinstance(node, ast.ImportFrom):
-            out.extend((alias.name, node.lineno) for alias in node.names)
+            out.append((node.attr, node.lineno, True))
+        elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+            out.extend((alias.name, node.lineno, False) for alias in node.names)
     return out
 
 
 def test_every_src_name_is_referenced_outside_its_definition():
+    """A method counts as used only where it is read as an attribute, so
+    a local variable of the same name does not keep it alive."""
     trees = {p: ast.parse(p.read_text()) for d in ("src", "tests", "bench")
              for p in sorted((REPO / d).rglob("*.py"))}
-    refs = {p: _references(tree) for p, tree in trees.items()}
-    uses = Counter(name for found in refs.values() for name, _ in found)
+    refs = {p: _references(tree, p) for p, tree in trees.items()}
+    uses = Counter(name for found in refs.values() for name, _, _ in found)
+    attr_uses = Counter(name for found in refs.values() for name, _, attr in found if attr)
     dead = []
     for path, tree in trees.items():
         if REPO / "src" not in path.parents:
@@ -80,8 +85,10 @@ def test_every_src_name_is_referenced_outside_its_definition():
         for qualified, name, node in _definitions(tree):
             if qualified in UNREFERENCED_OK or qualified.startswith(DISPATCHED):
                 continue
-            inside = sum(1 for n, line in refs[path]
-                         if n == name and node.lineno <= line <= node.end_lineno)
-            if uses[name] == inside:
+            method = qualified != name
+            inside = sum(1 for n, line, attr in refs[path]
+                         if n == name and (attr or not method)
+                         and node.lineno <= line <= node.end_lineno)
+            if (attr_uses if method else uses)[name] == inside:
                 dead.append(f"{path.relative_to(REPO)}:{node.lineno} {qualified}")
     assert not dead

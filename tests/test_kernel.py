@@ -8,14 +8,17 @@ from pathlib import Path
 import pytest
 
 import ubhl
+from ubhl.assertions.prover import neg
 from ubhl.checker.axioms import SchemaMismatch, instantiate_axiom, lap_acc_covers
 from ubhl.checker.index import NegativeIndex, index_equal, index_eval
 from ubhl.checker.kernel import check
 from ubhl.checker.proof import ProofNode, ProofScript
 from ubhl.dp.laplace import lap_acc_threshold
-from ubhl.lang.ast import TRUE, DistExpr, Var
+from ubhl.lang.ast import TRUE, Call, DistExpr, LValue, NumLit, Var
 from ubhl.lang.parser import parse_expr, parse_program
 from ubhl.lang.typecheck import typecheck
+from ubhl.semantics.evalexpr import eval_in_memory
+from ubhl.semantics.exact import denote_exact, initial_memory
 
 
 def node(rule, pre, post, index, children=(), **ann):
@@ -224,3 +227,67 @@ def test_verdict_does_not_depend_on_an_earlier_check():
     second = checked("y / 2")
     assert second.accepted
     assert [ob.note for ob in second.undischarged()] == ["postcondition weakening"]
+
+
+# ── the union bound: `and` adds indices, `or` shares one ──
+
+DIGIT = parse_program("var x : int;\nvar y : int;\nproc main(u) { x <$ unifint(0, 9); } return x")
+typecheck(DIGIT)
+
+
+def digit_site(pre, post, index):
+    return node("rand", pre, post, index,
+                schema="finite_exact", site_post=post, site_index=index)
+
+
+def and_proof(index):
+    """{true} x <$ unifint(0, 9) {x >= 1 && x <= 8} from one site per
+    conjunct, each failing with probability 1/10."""
+    both = node("and", "true", "(x >= 1) && (x <= 8)", index, [
+        digit_site("true", "x >= 1", "1/10"), digit_site("true", "x <= 8", "1/10")])
+    post = "res >= 1 && res <= 8"
+    return script(node("call", "true", post, index, [both],
+                       proc="main", callee_pre="true", callee_post=post))
+
+
+def test_and_rule_adds_the_childrens_indices():
+    res = check(DIGIT, and_proof("1/5"))
+    assert res.accepted and res.fully_proved, res.summary()
+
+
+def test_and_rule_rejects_an_index_below_the_sum():
+    res = check(DIGIT, and_proof("1/10"))
+    assert not res.accepted
+    assert res.rule == "and"
+    assert "index must be the sum of the children's indices" in res.reason
+
+
+def test_and_rule_bound_is_tight():
+    """x = 0 and x = 9 each break one conjunct: the bad mass is exactly
+    the sum 1/5."""
+    cmd = Call(LValue("res"), "main", NumLit(Fraction(0)))
+    dist = denote_exact(DIGIT, cmd, initial_memory(DIGIT).set("res", 0))
+    bad = neg(parse_expr(and_proof("1/5").root.post))
+    assert dist.prob_upper(lambda m: bool(eval_in_memory(bad, m))) == Fraction(1, 5)
+
+
+def or_proof(second_index):
+    """{y >= 0 || y < 0} x <$ unifint(0, 9) {x >= 1} by cases on y."""
+    either = node("or", "(y >= 0) || (y < 0)", "x >= 1", "1/10", [
+        digit_site("y >= 0", "x >= 1", "1/10"),
+        digit_site("y < 0", "x >= 1", second_index)])
+    pre = "y >= 0 || y < 0"
+    return script(node("call", pre, "res >= 1", "1/10", [either],
+                       proc="main", callee_pre=pre, callee_post="res >= 1"))
+
+
+def test_or_rule_accepts_cases_at_one_index():
+    res = check(DIGIT, or_proof("1/10"))
+    assert res.accepted and res.fully_proved, res.summary()
+
+
+def test_or_rule_rejects_cases_at_different_indices():
+    res = check(DIGIT, or_proof("1/5"))
+    assert not res.accepted
+    assert res.rule == "or"
+    assert "children must share the disjunction's index" in res.reason
