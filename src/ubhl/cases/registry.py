@@ -15,7 +15,7 @@ from ..checker.proof import ProofScript
 from ..dp.laplace import lap_tail
 from ..dp.mw import solve_feasible_alpha
 from ..dp.queries import Database
-from ..lang.ast import Expr, pretty_expr
+from ..lang.ast import Expr, free_vars, pretty_expr
 from ..lang.parser import parse_expr, parse_program
 from ..lang.typecheck import typecheck
 from ..semantics.evalexpr import UbhlRuntimeError, compile_expr, eval_expr, eval_in_memory
@@ -45,6 +45,7 @@ class CaseStudy:
     overrides: dict[str, Value]
     logical_env: dict[str, Value]
     adversary_menu: dict[str, AdversaryStrategy] = field(default_factory=dict)
+    extra_checks: dict[str, str] = field(default_factory=dict)  # per-trial, counted by name
 
 
 @dataclass
@@ -105,25 +106,29 @@ def _frac(x) -> Fraction:
     return Fraction(str(x)) if isinstance(x, float) else Fraction(x)
 
 
-def _case(name: str, theorem: tuple[str, str, str], params: dict,
-          overrides: dict[str, Value], logical_env: dict[str, Value],
-          menu: dict[str, AdversaryStrategy]) -> CaseStudy:
-    """The case at concrete parameters, read off its theorem (pre, post,
-    index): the parameters must satisfy pre, and validation estimates
-    the probability of not post against index."""
-    pre, post, index = (parse_expr(t) for t in theorem)
-    store = {**logical_env, **overrides}
-    for part in conjuncts(pre):
+def _require(name: str, pre: str, store: dict[str, Value], skip: str = "") -> None:
+    """Name the first conjunct of `pre` not mentioning `skip` that fails at `store`."""
+    for part in (c for c in conjuncts(parse_expr(pre)) if skip not in free_vars(c)):
         try:
             holds = bool(eval_expr(part, store))
         except UbhlRuntimeError:
             holds = False
         if not holds:
             raise PreconditionViolated(f"{name}: the theorem needs {pretty_expr(part)}")
+
+
+def _case(name: str, theorem: tuple[str, str, str], params: dict,
+          overrides: dict[str, Value], logical_env: dict[str, Value],
+          menu: dict[str, AdversaryStrategy], extra_checks: Optional[dict] = None) -> CaseStudy:
+    """The case at concrete parameters, read off its theorem (pre, post,
+    index): the parameters must satisfy pre, and validation estimates
+    the probability of not post against index."""
+    pre, post, index = theorem
+    _require(name, pre, {**logical_env, **overrides})
     return CaseStudy(
-        name=name, source=_SOURCES[name], bad_event=neg(post), index=index,
-        params=params, overrides=overrides, logical_env=logical_env,
-        adversary_menu=menu)
+        name=name, source=_SOURCES[name], bad_event=neg(parse_expr(post)),
+        index=parse_expr(index), params=params, overrides=overrides,
+        logical_env=logical_env, adversary_menu=menu, extra_checks=extra_checks or {})
 
 
 def _build_rnm(p: dict) -> CaseStudy:
@@ -152,16 +157,17 @@ def _build_mwsv(p: dict) -> CaseStudy:
     beta = float(p["beta"])
     universe = int(p["universe"])
     n = int(p["n"])
-    if p.get("alpha") is None:
-        p = dict(p)
-        p["alpha"] = solve_feasible_alpha(eps, q_count, universe, n, beta)
     overrides = {
-        "Qn": q_count, "eps": _frac(eps), "alpha": _frac(p["alpha"]),
-        "X": universe, "n": n, "d": Database(tuple(_frac(c) for c in p["counts"])),
+        "Qn": q_count, "eps": _frac(eps), "X": universe, "n": n,
+        "d": Database(tuple(_frac(c) for c in p["counts"])),
     }
     logical_env = {"beta": _frac(beta), "Q": q_count}
+    _require("mwsv", mwsv_theorem()[0], {**logical_env, **overrides}, skip="alpha")
+    if p.get("alpha") is None:
+        p = {**p, "alpha": solve_feasible_alpha(eps, q_count, universe, n, beta)}
+    overrides["alpha"] = _frac(p["alpha"])
     return _case("mwsv", mwsv_theorem(), p, overrides, logical_env,
-                 adv.mwsv_menu(universe))
+                 adv.mwsv_menu(universe), {"update_budget_violations": "u > c"})
 
 
 def check_case(name: str, prover_budget: int = 60000) -> CheckResult:
@@ -222,9 +228,7 @@ def validate_case(name: str, params: Optional[dict] = None, trials: int = 1000,
         if adv_name not in menu:
             raise KeyError(f"case {name!r} has no adversary {adv_name!r}")
         strategies = {"adv": menu[adv_name]}
-    extras = dict(extra_checks or {})
-    if name == "mwsv":
-        extras.setdefault("update_budget_violations", "u > c")
+    extras = {**case.extra_checks, **(extra_checks or {})}
     checks = [case.bad_event] + [parse_expr(v) for v in extras.values()]
     counts = run_chunked(_case_classifier,
                          (program, strategies, case.overrides, case.logical_env,

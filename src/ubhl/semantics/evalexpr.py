@@ -3,8 +3,11 @@
 `compile_expr` turns an expression into a closure over a store once
 (Feeley & Lapalme, "Using Closures for Code Generation", 1987); node
 types are dispatched at compile time only. Every runtime error is
-raised when the closure runs, at the node that causes it. `eval_expr`
-compiles and runs in one step, for one-off callers.
+raised when the closure runs, at the node that causes it. A maximal
+non-leaf subterm of a quantifier's body not mentioning the bound variable
+runs at most once per evaluation of the quantifier, when first reached,
+so short-circuiting, empty domains and the first runtime error stay.
+`eval_expr` and `eval_in_memory` compile through one bounded cache.
 
 The store is any mapping from names to values; assertion callers chain
 a memory with a logical environment. Arithmetic is exact on rationals;
@@ -16,17 +19,21 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Callable, Mapping, Union
+from functools import lru_cache
+from typing import Any, Callable, Mapping, Optional, Union
 
 from ..dp import mw as dpmw
 from ..dp import queries as dpq
 from ..lang.ast import (
     BinOp, BoolLit, Expr, FuncCall, Index, IntT, LValue, NumLit, Quant,
-    SetDom, SetLit, SortDom, Store, UnOp, Var,
+    SetDom, SetLit, SortDom, Store, UnOp, Var, children,
 )
 from .values import ArrayVal, Memory, Value
 
 Code = Callable[[Mapping[str, Value]], Value]
+Hoisting = Optional[tuple[str, dict, dict]]  # bound variable, `_mentions` memo, slots
+_SLOTS, _UNSET = object(), object()  # scope key of a quantifier's slots; empty slot
+_LEAVES = (Var, BoolLit, NumLit)
 
 
 class UbhlRuntimeError(Exception):
@@ -121,7 +128,7 @@ def _raises(exc: type, msg: str, *operands: Code) -> Code:
     return fail
 
 
-def _var(e: Var) -> Code:
+def _var(e: Var, h: Hoisting) -> Code:
     name = e.name
 
     def var(s):
@@ -136,13 +143,13 @@ def _const(v: Value) -> Code:
     return lambda s: v
 
 
-def _set_lit(e: SetLit) -> Code:
-    elems = [compile_expr(x) for x in e.elems]
+def _set_lit(e: SetLit, h: Hoisting) -> Code:
+    elems = [_compile(x, h) for x in e.elems]
     return lambda s: frozenset(int(f(s)) for f in elems)
 
 
-def _un_op(e: UnOp) -> Code:
-    a = compile_expr(e.arg)
+def _un_op(e: UnOp, h: Hoisting) -> Code:
+    a = _compile(e.arg, h)
     if e.op == "!":
         return lambda s: not a(s)
     if e.op == "-":
@@ -181,16 +188,16 @@ _BINOPS: dict[str, Callable[[Code, Code], Code]] = {
 }
 
 
-def _bin_op(e: BinOp) -> Code:
-    l, r = compile_expr(e.left), compile_expr(e.right)
+def _bin_op(e: BinOp, h: Hoisting) -> Code:
+    l, r = _compile(e.left, h), _compile(e.right, h)
     make = _BINOPS.get(e.op)
     if make is None:
         return _raises(UbhlRuntimeError, f"unknown operator {e.op!r}", l, r)
     return make(l, r)
 
 
-def _index(e: Index) -> Code:
-    arr, idx = compile_expr(e.arr), compile_expr(e.idx)
+def _index(e: Index, h: Hoisting) -> Code:
+    arr, idx = _compile(e.arr, h), _compile(e.idx, h)
 
     def index(s):
         a, i = arr(s), idx(s)
@@ -200,8 +207,8 @@ def _index(e: Index) -> Code:
     return index
 
 
-def _store(e: Store) -> Code:
-    arr, idx, val = compile_expr(e.arr), compile_expr(e.idx), compile_expr(e.value)
+def _store(e: Store, h: Hoisting) -> Code:
+    arr, idx, val = _compile(e.arr, h), _compile(e.idx, h), _compile(e.value, h)
 
     def store(s):
         a, i, v = arr(s), idx(s), val(s)
@@ -209,32 +216,59 @@ def _store(e: Store) -> Code:
     return store
 
 
-def _func_call(e: FuncCall) -> Code:
-    args = [compile_expr(a) for a in e.args]
+def _func_call(e: FuncCall, h: Hoisting) -> Code:
+    args = [_compile(a, h) for a in e.args]
     fn = _FUNCS.get(e.name)
     if fn is None:
         return _raises(UbhlRuntimeError, f"unknown function {e.name!r}", *args)
     return lambda s: fn([f(s) for f in args])
 
 
-def _quant(e: Quant) -> Code:
+def _mentions(e: Expr, var: str, memo: dict) -> bool:
+    """Whether `var` is free in `e`, memoized per node of one compile."""
+    if type(e) in _LEAVES:
+        return type(e) is Var and e.name == var
+    m = memo.get(id(e))
+    if m is None:
+        kids = children(e)
+        if type(e) is Quant and e.var == var:
+            kids = kids[:-1]  # a rebound `var` in the body is another variable
+        m = memo[id(e)] = any([_mentions(x, var, memo) for x in kids])
+    return m
+
+
+def _slot(code: Code, k: int) -> Code:
+    """`code`, run on first use in slot k of a quantifier evaluation."""
+    def slot(s):
+        vals = s[_SLOTS]
+        v = vals[k]
+        if v is _UNSET:
+            v = vals[k] = code(s)
+        return v
+    return slot
+
+
+def _quant(e: Quant, h: Hoisting) -> Code:
     """A bounded quantifier; `exists` stops at the first true body,
     `forall` at the first false one."""
     dom, var, exists = e.dom, e.var, e.kind != "forall"
     if isinstance(dom, SortDom):
         return _raises(UnboundedQuantifierAtRuntime,
                        f"cannot evaluate unbounded quantifier over {dom.sort}")
-    body = compile_expr(e.body)
+    slots: dict[Expr, Code] = {}
+    body = _compile(e.body, (var, {}, slots))
+    unset = [_UNSET] * len(slots)
     if isinstance(dom, SetDom):
-        set_f = compile_expr(dom.set_expr)
+        set_f = _compile(dom.set_expr, h)
         domain = lambda s: sorted(set_f(s))  # noqa: E731
     else:
-        lo, hi = compile_expr(dom.lo), compile_expr(dom.hi)
+        lo, hi = _compile(dom.lo, h), _compile(dom.hi, h)
         domain = lambda s: range(math.ceil(lo(s)), math.floor(hi(s)) + 1)  # noqa: E731
 
     def quant(s):
         values = domain(s)
         inner = dict(s)
+        inner[_SLOTS] = unset[:]
         for v in values:
             inner[var] = v
             if bool(body(inner)) is exists:
@@ -243,10 +277,10 @@ def _quant(e: Quant) -> Code:
     return quant
 
 
-_COMPILERS: dict[type, Callable[[Any], Code]] = {
+_COMPILERS: dict[type, Callable[[Any, Hoisting], Code]] = {
     Var: _var,
-    BoolLit: lambda e: _const(e.value),
-    NumLit: lambda e: _const(int(e.value) if isinstance(e.type, IntT) else e.value),
+    BoolLit: lambda e, h: _const(bool(e.value)),
+    NumLit: lambda e, h: _const(int(e.value) if isinstance(e.type, IntT) else Fraction(e.value)),
     SetLit: _set_lit,
     UnOp: _un_op,
     BinOp: _bin_op,
@@ -257,14 +291,27 @@ _COMPILERS: dict[type, Callable[[Any], Code]] = {
 }
 
 
-def compile_expr(e: Expr) -> Code:
-    """Closure computing `e` over a store; raises nothing itself."""
+def _compile(e: Expr, h: Hoisting) -> Code:
+    """`compile_expr` in scope `h`, where an invariant subterm is a slot."""
     make = _COMPILERS.get(type(e))
     if make is None:
         return _raises(UbhlRuntimeError, f"unknown expression node: {e!r}")
-    return make(e)
+    if h is not None and type(e) not in _LEAVES and not _mentions(e, h[0], h[1]):
+        if e not in h[2]:
+            h[2][e] = _slot(make(e, None), len(h[2]))
+        return h[2][e]
+    return make(e, h)
 
 
+def compile_expr(e: Expr) -> Code:
+    """Closure computing `e` over a store; raises nothing itself."""
+    return _compile(e, None)
+
+
+compiled_expr = lru_cache(maxsize=1024)(compile_expr)
+
+
+@lru_cache(maxsize=1024)
 def compile_write(lv: LValue) -> Callable[[dict, Value], None]:
     """Closure storing a value at `lv` in a store: the index, if any, is
     evaluated when it runs, after the value."""
@@ -322,7 +369,7 @@ def finite_support(name: str, params: tuple) -> list[tuple[Value, Fraction]]:
 def eval_expr(e: Expr, store: Mapping[str, Value]) -> Value:
     """Evaluate a quantifier-free program expression (or a bounded
     assertion) once."""
-    return compile_expr(e)(store)
+    return compiled_expr(e)(store)
 
 
 def eval_in_memory(e: Union[Expr, Code], mem: Memory,
@@ -334,7 +381,7 @@ def eval_in_memory(e: Union[Expr, Code], mem: Memory,
     satisfies every assertion's negation by convention, handled by
     callers that count failures.
     """
-    code = e if callable(e) else compile_expr(e)
+    code = e if callable(e) else compiled_expr(e)
     store = dict(env) if env else {}
     store.update(mem.to_dict())
     return code(store)

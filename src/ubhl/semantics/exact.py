@@ -20,7 +20,7 @@ from ..lang.ast import (
     Sample, Seq, Skip, While,
 )
 from .evalexpr import (
-    Code, UbhlRuntimeError, compile_expr, compile_write, dist_params, finite_support,
+    UbhlRuntimeError, compile_write, compiled_expr, dist_params, finite_support,
 )
 from .values import Memory, Value
 
@@ -71,21 +71,14 @@ class ExactEvaluator:
         self.budget = budget or Budget()
         self.adversaries = adversaries or {}
         self.residual = Fraction(0)
-        self._codes: dict[object, Code] = {}   # Expr or LValue -> closure
 
     def _eval(self, e: Expr, mem: Memory) -> Value:
-        """`e` over `mem`, compiled once per evaluator."""
-        code = self._codes.get(e)
-        if code is None:
-            code = self._codes[e] = compile_expr(e)
-        return code(mem.to_dict())
+        """`e` over `mem`, compiled once per process."""
+        return compiled_expr(e)(mem.to_dict())
 
     def _write(self, mem: Memory, lv: LValue, value: Value) -> Memory:
-        write = self._codes.get(lv)
-        if write is None:
-            write = self._codes[lv] = compile_write(lv)
         store = mem.to_dict()
-        write(store, value)
+        compile_write(lv)(store, value)
         return Memory(store.items(), mem.error)
 
     def _dist_support(self, d: DistExpr, mem: Memory) -> tuple[list[tuple[Value, Fraction]], Fraction]:

@@ -13,13 +13,14 @@ from typing import Any, Iterable, Optional
 
 from ..dp.queries import Database, Query
 from ..lang.ast import (
-    ArrayT, BoolT, DbT, IntT, QueryT, RealT, SetIntT, Type,
+    ArrayT, BoolT, DbT, IntT, QueryT, RealT, SetIntT, Type, _keeps_hash,
 )
 
 
+@_keeps_hash
 @dataclass(frozen=True)
 class ArrayVal:
-    """Total map int -> value with a default."""
+    """Total map int -> value with a default; `items` is sorted by index."""
     default: Any
     items: tuple[tuple[int, Any], ...] = ()
 
@@ -30,11 +31,15 @@ class ArrayVal:
         return self.default
 
     def set(self, idx: int, value: Any) -> "ArrayVal":
-        m = dict(self.items)
-        if value == self.default and idx not in m:
-            return self
-        m[idx] = value
-        return ArrayVal(self.default, tuple(sorted(m.items())))
+        items = self.items
+        if items and idx <= items[-1][0]:
+            m = dict(items)
+            if value == self.default and idx not in m:
+                return self
+            m[idx] = value
+            return ArrayVal(self.default, tuple(sorted(m.items())))
+        # past the last index: appending keeps the items sorted
+        return self if value == self.default else ArrayVal(self.default, items + ((idx, value),))
 
 
 Value = Any  # bool | int | Fraction | frozenset[int] | ArrayVal | Query | Database

@@ -98,6 +98,10 @@ def test_validate_writes_reports(tmp_path):
 @pytest.mark.parametrize("case, flag, value, needs", [
     ("sv", "--beta", "1", "beta < 1"),
     ("mwsv", "--eps", "-1", "0 < eps"),
+    # alpha is solved from eps and beta, so these are named before solving
+    ("mwsv", "--eps", "0", "0 < eps"),
+    ("mwsv", "--beta", "0", "0 < beta"),
+    ("mwsv", "--beta", "-0.1", "0 < beta"),
 ])
 def test_validate_rejects_parameters_outside_the_theorem(case, flag, value, needs, tmp_path):
     out = run_cli("validate", case, flag, value, "--trials", "20", "--seed", "1",

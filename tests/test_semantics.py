@@ -1,20 +1,25 @@
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ubhl.lang.ast import Call, LValue, NumLit, Seq
+from ubhl.lang.ast import (
+    INT, REAL, BinOp, BoolLit, Call, FuncCall, LValue, NumLit, Quant, RangeDom, Seq, UnOp,
+    Var, map_children, subst_expr,
+)
 from ubhl.lang.parser import parse_expr, parse_program
 from ubhl.lang.typecheck import typecheck
 from ubhl.semantics.evalexpr import (
     DivisionByZero, UbhlRuntimeError, UnboundVariableError,
-    UnboundedQuantifierAtRuntime, eval_expr, eval_in_memory,
+    UnboundedQuantifierAtRuntime, compile_expr, compiled_expr, eval_expr, eval_in_memory,
 )
 from ubhl.semantics.exact import Budget, denote_exact, initial_memory
 from ubhl.semantics.trial import (
     clopper_pearson_upper, estimate_failure, run_trial,
 )
-from ubhl.semantics.values import Memory
+from ubhl.semantics.values import ArrayVal, Memory
 from ubhl.dp.queries import Database, Query, eval_query
 
 
@@ -298,3 +303,150 @@ def test_runtime_failure_classified_alike_on_every_path(name):
                      Budget(max_loop_iters=20))
     assert d.prob_upper(lambda m: False) == 1
     assert sum(d.support.values()) == 0 or all(m.error for m in d.support)
+
+
+# ── quantifier-invariant subterms are hoisted ──
+
+_VARS = st.sampled_from(("x", "n", "j", "k")).map(Var)
+_LEAF_TERMS = st.one_of(_VARS, st.integers(-1, 3).map(lambda v: NumLit(Fraction(v))))
+_TERMS = st.one_of(
+    _LEAF_TERMS,
+    st.builds(BinOp, st.sampled_from("+-*/"), _LEAF_TERMS, _LEAF_TERMS),
+    st.builds(lambda f, a: FuncCall(f, (a,)), st.sampled_from(("log", "abs")), _LEAF_TERMS))
+
+
+_CONNECTIVES = st.sampled_from(("&&", "||", "==>"))
+
+
+def _formulas(depth):
+    atom = st.builds(BinOp, st.sampled_from(("<", "<=", "==")), _TERMS, _TERMS)
+    if depth == 0:
+        return atom
+    sub = _formulas(depth - 1)
+    return st.one_of(atom, st.builds(BinOp, _CONNECTIVES, sub, sub),
+                     sub.map(lambda f: UnOp("!", f)))
+
+
+def _quantified(levels):
+    """A quantifier whose body holds one nested at `levels` - 1 deep."""
+    if levels == 1:
+        body = _formulas(2)
+    else:
+        inner = _quantified(levels - 1)
+        body = st.one_of(inner, st.builds(BinOp, _CONNECTIVES, _formulas(1), inner),
+                         st.builds(BinOp, _CONNECTIVES, inner, _formulas(1)))
+
+    # bounds cannot raise, so unrolling can evaluate them ahead of time
+    def bound(lits):
+        return st.one_of(st.sampled_from(lits).map(lambda v: NumLit(Fraction(v))), _VARS)
+    return st.builds(
+        lambda kind, var, lo, hi, body: Quant(kind, var, RangeDom(lo, hi), body),
+        st.sampled_from(("exists", "forall")),
+        # an inner quantifier mostly binds a new name, sometimes the outer one
+        st.just("j") if levels > 1 else st.sampled_from(("k", "k", "j")),
+        bound((-1, 0, 1)), bound((1, 2, 3)), body)
+
+
+def _unrolled(e, store):
+    """`e` with each bounded quantifier replaced by the `||` (exists) or
+    `&&` (forall) chain of its instances, each made by `subst_expr`:
+    quantifier-free, so it compiles with nothing to hoist."""
+    if not isinstance(e, Quant):
+        return map_children(e, lambda x: _unrolled(x, store))
+    lo, hi = eval_expr(e.dom.lo, store), eval_expr(e.dom.hi, store)
+    op, chain = ("||", BoolLit(False)) if e.kind == "exists" else ("&&", BoolLit(True))
+    for v in reversed(range(math.ceil(lo), math.floor(hi) + 1)):
+        chain = BinOp(op, _unrolled(subst_expr(e.body, e.var, NumLit(Fraction(v))), store),
+                      chain)
+    return chain
+
+
+def _outcome(code, store):
+    try:
+        v = code(store)
+    except UbhlRuntimeError as exc:
+        return type(exc), str(exc)
+    return type(v), v
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_quantified(1), _quantified(2)),
+       st.fixed_dictionaries({v: st.integers(-1, 3) for v in ("x", "n", "j", "k")}))
+def test_hoisted_quantifier_agrees_with_unrolled_instances(e, store):
+    """Same value, or the same exception class and message, as the
+    instances evaluated one by one."""
+    assert _outcome(compile_expr(e), store) == \
+        _outcome(compile_expr(_unrolled(e, store)), store)
+
+
+@pytest.mark.parametrize("text, want", [
+    # an invariant that raises, behind a false left operand
+    ("exists j in 1 .. 3 . j > 5 && log(0) < j", False),
+    ("forall j in 1 .. 3 . j < 5 || 1 / 0 > j", True),
+    # an empty range evaluates no invariant
+    ("exists j in 1 .. 0 . log(0) < j", False),
+    ("forall j in 1 .. 0 . 1 / 0 > j", True),
+    # the inner binder rebinds the outer name
+    ("exists j in 1 .. 2 . exists j in 3 .. 4 . j == 3", True),
+    ("forall j in 1 .. 2 . (j + 0 <= 2 && forall j in 5 .. 6 . j >= 5)", True),
+    # an inner subterm that mentions only the outer variable
+    ("forall i in 1 .. 3 . exists j in 1 .. 1 . i + i == 2 * i", True),
+    ("exists i in 1 .. 3 . forall j in 1 .. 2 . i * i == 9", True),
+])
+def test_hoisting_keeps_laziness_and_scoping(text, want):
+    e = parse_expr(text)
+    assert eval_expr(e, {}) is want
+    assert compile_expr(_unrolled(e, {}))({}) is want
+
+
+def test_invariant_evaluated_once_per_quantifier_evaluation(monkeypatch):
+    from ubhl.dp import queries
+
+    calls = []
+    real = queries.eval_query
+    monkeypatch.setattr(queries, "eval_query", lambda q, d: calls.append(1) or real(q, d))
+    store = {"q": Query(Fraction(0), (Fraction(1),)), "d": Database((Fraction(2),))}
+    e = parse_expr("forall i in 1 .. 3 . forall j in 1 .. 4 . evalQ(q, d) + i > j - 3")
+    assert eval_expr(e, store) is True
+    # once per evaluation of the inner quantifier, not once per (i, j)
+    assert len(calls) == 3
+
+
+def test_equal_expressions_share_one_compiled_closure():
+    assert compiled_expr(parse_expr("x + 1")) is compiled_expr(parse_expr("x + 1"))
+    as_int, as_real = NumLit(Fraction(1), INT), NumLit(Fraction(1), REAL)
+    assert as_int != as_real
+    assert type(compiled_expr(as_int)({})) is int
+    assert type(compiled_expr(as_real)({})) is Fraction
+
+
+# ── arrays ──
+
+
+def _set_by_sorting(a, idx, value):
+    """`ArrayVal.set` as a dict rebuilt and sorted on every write."""
+    m = dict(a.items)
+    if value == a.default and idx not in m:
+        return a
+    m[idx] = value
+    return ArrayVal(a.default, tuple(sorted(m.items())))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 6), st.integers(0, 2)), max_size=12))
+def test_array_writes_match_the_sorting_reference(writes):
+    """Writes at increasing, decreasing and existing indexes, including
+    the default value 0."""
+    got = want = ArrayVal(0)
+    for idx, value in writes:
+        got, want = got.set(idx, value), _set_by_sorting(want, idx, value)
+        assert got.items == want.items
+        assert hash(got) == hash((got.default, got.items))
+
+
+def test_array_pickle_leaves_out_the_kept_hash():
+    a = ArrayVal(Fraction(0), ((1, Fraction(1, 2)), (4, Fraction(3))))
+    hash(a)
+    b = pickle.loads(pickle.dumps(a))
+    assert b == a and "_hash" not in vars(b)
+    assert hash(b) == hash(a)
