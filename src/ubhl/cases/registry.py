@@ -107,7 +107,8 @@ def _frac(x) -> Fraction:
 
 
 def _require(name: str, pre: str, store: dict[str, Value], skip: str = "") -> None:
-    """Name the first conjunct of `pre` not mentioning `skip` that fails at `store`."""
+    """Raise PreconditionViolated on the first conjunct of `pre` that fails
+    at `store`, leaving out those that mention `skip`."""
     for part in (c for c in conjuncts(parse_expr(pre)) if skip not in free_vars(c)):
         try:
             holds = bool(eval_expr(part, store))
