@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from .. import CASE_NAMES
 from ..assertions.prover import conjuncts, neg
 from ..checker.kernel import CheckResult, check
 from ..checker.proof import ProofScript
@@ -27,8 +28,6 @@ from ..semantics.values import ArrayVal, Value
 from . import adversaries as adv
 from .programs import MWSV_SOURCE, RNM_SOURCE, SV_SOURCE
 from .proofs import mwsv_proof, mwsv_theorem, rnm_proof, rnm_theorem, sv_proof, sv_theorem
-
-CASE_NAMES = ("rnm", "sv", "mwsv")
 
 
 class PreconditionViolated(ValueError):

@@ -18,15 +18,17 @@ where the tail at that radius can reach 2*iota/(1 + e^-eps) > iota.
 `lap_acc` adds one lattice step: the exact radius
 `ubhl.dp.lap_acc_threshold` is always below it, which `lap_acc_covers`
 checks.
+
+Only `finite_site_failure` and `lap_acc_covers` evaluate anything; they
+import the evaluator and the noise tables themselves, so loading the
+kernel does not load the semantics.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ..dp.laplace import lap_acc_threshold
 from ..lang.ast import REAL, BinOp, DistExpr, Expr, FuncCall, NumLit, TRUE
-from ..semantics.evalexpr import UbhlRuntimeError, dist_params, eval_expr, finite_support
 
 
 class SchemaMismatch(Exception):
@@ -61,6 +63,9 @@ def instantiate_axiom(schema: str, target: Expr, dist: DistExpr, iota: Expr,
 def lap_acc_covers(eps: float, beta: float) -> bool:
     """Whether lap_acc's radius at (eps, beta) covers the exact discrete
     radius, so Pr[not post] <= beta holds at these parameters."""
+    from ..dp.laplace import lap_acc_threshold
+    from ..semantics.evalexpr import eval_expr
+
     stated = _lap_radius(NumLit(Fraction(eps), REAL), NumLit(Fraction(beta), REAL))
     return lap_acc_threshold(eps, beta) <= eval_expr(stated, {})
 
@@ -69,6 +74,8 @@ def finite_site_failure(dist: DistExpr, target_name: str, post: Expr,
                         store: dict) -> Fraction:
     """Exact Pr[not post] for a closed finite-support site; the `post`
     may only constrain the sampled variable."""
+    from ..semantics.evalexpr import UbhlRuntimeError, dist_params, eval_expr, finite_support
+
     if dist.name not in ("bern", "unifint"):
         raise SchemaMismatch(f"finite_exact does not cover {dist.name!r}")
     try:

@@ -4,7 +4,8 @@ Indices are nonnegative real expressions over logical variables (plus
 log terms and set sizes). Equality is decided by the shared
 rational-function normal form; ordering falls back to a coefficient
 heuristic under the convention that logical index variables are
-positive, and otherwise becomes an obligation.
+positive, and otherwise becomes an obligation. Only `index_eval` runs
+the evaluator, and it imports it itself, so the kernel does not load it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from ..assertions.normform import (
     rf_sub,
 )
 from ..lang.ast import Expr
-from ..semantics.evalexpr import UbhlRuntimeError, eval_expr
 
 
 class NegativeIndex(Exception):
@@ -72,6 +72,8 @@ def _positive_mono(mono) -> bool:
 
 def index_eval(e: Expr, env: Mapping) -> float:
     """Numeric value of an index expression; NegativeIndex if < 0."""
+    from ..semantics.evalexpr import UbhlRuntimeError, eval_expr
+
     try:
         v = eval_expr(e, dict(env))
     except UbhlRuntimeError as exc:

@@ -13,19 +13,19 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .assertions.obligations import ObStatus
-from .assertions.smtlib import Inexpressible, emit_smtlib
-from .cases.registry import CASE_NAMES, DEFAULT_PARAMS, build_case, validate_case
-from .checker.kernel import CheckResult, check
-from .checker.proof import ProofScript
-from .embed.crosscheck import crosscheck
-from .lang.ast import pretty_command
+from . import CASE_NAMES
 from .lang.parser import UbhlSyntaxError, parse_program
 from .lang.typecheck import UbhlTypeError, typecheck
-from .semantics.evalexpr import UbhlRuntimeError
-from .semantics.exact import Budget, denote_exact, initial_memory
-from .semantics.trial import TrialAborted, run_trial
+
+if TYPE_CHECKING:
+    from .checker.kernel import CheckResult
+    from .checker.proof import ProofScript
+
+# Each command imports the layers it runs inside its cmd_* function, so
+# `ubhl check` never loads the trial runner and `ubhl run` never loads
+# the kernel.
 
 
 def _load_program(path: str):
@@ -36,6 +36,8 @@ def _load_program(path: str):
 
 
 def _load_proof(path: str) -> ProofScript:
+    from .checker.proof import ProofScript
+
     return ProofScript.from_json(Path(path).read_text())
 
 
@@ -58,6 +60,8 @@ def _report_check(result: CheckResult, verbose: bool = True) -> int:
 
 
 def cmd_check(args) -> int:
+    from .checker.kernel import check
+
     program = _load_program(args.program)
     script = _load_proof(args.proof)
     result = check(program, script)
@@ -70,6 +74,9 @@ def cmd_check(args) -> int:
 
 def _export_obligations(script, result: CheckResult, out: Path,
                         only_open: bool = False) -> int:
+    from .assertions.obligations import ObStatus
+    from .assertions.smtlib import Inexpressible, emit_smtlib
+
     out.mkdir(parents=True, exist_ok=True)
     manifest = []
     count = 0
@@ -94,6 +101,8 @@ def _export_obligations(script, result: CheckResult, out: Path,
 
 
 def cmd_obligations(args) -> int:
+    from .checker.kernel import check
+
     program = _load_program(args.program)
     script = _load_proof(args.proof)
     result = check(program, script)
@@ -107,6 +116,8 @@ def cmd_obligations(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .semantics.trial import run_trial
+
     program = _load_program(args.program)
     overrides = _parse_overrides(program, args.set or [])
     mem = run_trial(program, args.entry, Fraction(args.arg), {},
@@ -117,6 +128,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_exact(args) -> int:
+    from .semantics.exact import Budget, denote_exact, initial_memory
+
     program = _load_program(args.program)
     overrides = _parse_overrides(program, args.set or [])
     proc = program.procs[args.entry]
@@ -134,6 +147,9 @@ def cmd_exact(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    from .embed.crosscheck import crosscheck
+    from .lang.ast import pretty_command
+
     program = _load_program(args.program)
     script = _load_proof(args.proof)
     report = crosscheck(program, script)
@@ -161,6 +177,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .cases.registry import DEFAULT_PARAMS, build_case, validate_case
+
     params = dict(DEFAULT_PARAMS[args.case])
     if args.params:
         params.update(json.loads(Path(args.params).read_text()))
@@ -287,14 +305,24 @@ def build_parser() -> argparse.ArgumentParser:
 # script that does not parse or typecheck, an unknown procedure, a
 # malformed value, or a run that fails
 _INPUT_ERRORS = (OSError, UbhlSyntaxError, UbhlTypeError, KeyError, ValueError,
-                 ZeroDivisionError, UbhlRuntimeError, TrialAborted)
+                 ZeroDivisionError)
+# a run's failures, by (module, class): only a command that loaded the
+# module can raise its class, so a command that did not is not made to
+# load it
+_RUN_ERRORS = (("ubhl.semantics.evalexpr", "UbhlRuntimeError"),
+               ("ubhl.semantics.trial", "TrialAborted"))
+
+
+def _input_errors() -> tuple[type, ...]:
+    return _INPUT_ERRORS + tuple(getattr(sys.modules[module], name)
+                                 for module, name in _RUN_ERRORS if module in sys.modules)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _INPUT_ERRORS as exc:
+    except _input_errors() as exc:
         shown = f"unknown name {exc}" if isinstance(exc, KeyError) else exc
         print(f"error: {shown}", file=sys.stderr)
         return 1

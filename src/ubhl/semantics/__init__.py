@@ -1,21 +1,34 @@
-"""Executable semantics: exact sub-distributions and seeded trials."""
+"""Executable semantics: exact sub-distributions and seeded trials.
 
-from .evalexpr import (
-    DivisionByZero, UbhlRuntimeError, UnboundedQuantifierAtRuntime,
-    eval_expr, eval_in_memory,
-)
-from .exact import Budget, SubDist, denote_exact, initial_memory
-from .rng import TrialRng
-from .trial import (
-    AdversaryStrategy, EstimateReport, TrialAborted, clopper_pearson_upper,
-    estimate_failure, run_trial,
-)
-from .values import ArrayVal, Memory
+The names below are loaded from their submodule on first use (PEP 562),
+so importing the package, or a module that needs only one evaluator,
+does not load the trial runner or the exact enumerator. To re-export a
+name, add it to `_EXPORTS` under the submodule that defines it.
+"""
 
-__all__ = [
-    "AdversaryStrategy", "ArrayVal", "Budget", "DivisionByZero",
-    "EstimateReport", "Memory", "SubDist", "TrialAborted", "TrialRng",
-    "UbhlRuntimeError", "UnboundedQuantifierAtRuntime",
-    "clopper_pearson_upper", "denote_exact", "estimate_failure", "eval_expr",
-    "eval_in_memory", "initial_memory", "run_trial",
-]
+from importlib import import_module
+
+_EXPORTS = {
+    "evalexpr": ("DivisionByZero", "UbhlRuntimeError", "UnboundedQuantifierAtRuntime",
+                 "eval_expr", "eval_in_memory"),
+    "exact": ("Budget", "SubDist", "denote_exact", "initial_memory"),
+    "rng": ("TrialRng",),
+    "trial": ("AdversaryStrategy", "EstimateReport", "TrialAborted",
+              "clopper_pearson_upper", "estimate_failure", "run_trial"),
+    "values": ("ArrayVal", "Memory"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_OWNER[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _OWNER.keys())

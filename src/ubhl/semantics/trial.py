@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -300,6 +299,9 @@ def run_chunked(make_classifier: Callable[[Any], Classifier], spec: Any,
     size = (trials + jobs - 1) // jobs
     starts = range(0, trials, size)
     counts = [min(size, trials - s) for s in starts]
+    # imported here so that a run with jobs=1 loads no process machinery
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return sum(pool.map(_tally, repeat(make_classifier), repeat(spec), starts, counts),
                    Counter())

@@ -5,6 +5,7 @@ defined in `src/` is used somewhere, so dead code cannot pile up."""
 import ast
 import importlib
 import pkgutil
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -22,24 +23,41 @@ def test_every_subpackage_is_listed():
 
 
 @pytest.mark.parametrize("name", PACKAGES)
-def test_all_names_resolve(name):
+def test_all_names_resolve(name, monkeypatch):
+    """A lazy package (one with a module `__getattr__`) loads each name
+    on first use; this test forgets the names it has loaded so far, so
+    every lookup below goes through that path."""
     module = importlib.import_module(name)
     exported = module.__all__
     assert len(exported) == len(set(exported))
+    if "__getattr__" in vars(module):
+        for n in exported:
+            monkeypatch.delitem(vars(module), n, raising=False)
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing
+    # each name is the object its defining module holds
+    for n in exported:
+        value = getattr(module, n)
+        owner = getattr(value, "__module__", None)
+        if owner is not None:
+            assert getattr(sys.modules[owner], n) is value, n
+    star = {}
+    exec(f"from {name} import *", star)
+    assert all(star[n] is getattr(module, n) for n in exported)
+    assert set(exported) <= set(dir(module))
+    with pytest.raises(AttributeError):
+        module.no_such_name
 
 
 # a name the code reaches only by string: the kernel dispatches each
 # proof rule through getattr(self, "_rule_" + rule)
 DISPATCHED = ("Checker._rule_",)
-UNREFERENCED_OK = {"__version__"}
 REPO = Path(__file__).resolve().parent.parent
 
 
 def _definitions(tree: ast.Module):
     """(qualified name, bare name, definition node) of every module-level
-    def, class and constant, and of every method that is not a dunder."""
+    def, class and constant, and of every method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node.name, node
@@ -50,7 +68,7 @@ def _definitions(tree: ast.Module):
                     yield t.id, t.id, node
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
-                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__"):
+                if isinstance(sub, ast.FunctionDef):
                     yield f"{node.name}.{sub.name}", sub.name, sub
 
 
@@ -72,7 +90,10 @@ def _references(tree: ast.Module, path: Path) -> list[tuple[str, int, bool]]:
 
 def test_every_src_name_is_referenced_outside_its_definition():
     """A method counts as used only where it is read as an attribute, so
-    a local variable of the same name does not keep it alive."""
+    a local variable of the same name does not keep it alive. Dunders are
+    exempt, module-level ones too: the interpreter reaches a class's
+    `__eq__` or a module's `__getattr__` by protocol, and tools read
+    `__version__`."""
     trees = {p: ast.parse(p.read_text()) for d in ("src", "tests", "bench")
              for p in sorted((REPO / d).rglob("*.py"))}
     refs = {p: _references(tree, p) for p, tree in trees.items()}
@@ -83,7 +104,7 @@ def test_every_src_name_is_referenced_outside_its_definition():
         if REPO / "src" not in path.parents:
             continue
         for qualified, name, node in _definitions(tree):
-            if qualified in UNREFERENCED_OK or qualified.startswith(DISPATCHED):
+            if name.startswith("__") or qualified.startswith(DISPATCHED):
                 continue
             method = qualified != name
             inside = sum(1 for n, line, attr in refs[path]
