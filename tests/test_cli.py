@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from ubhl import cli
 from ubhl.lang.ast import pretty_command
 from ubhl.lang.parser import parse_program
 from ubhl.lang.typecheck import typecheck
+from ubhl.semantics import TrialAborted, UbhlRuntimeError
 
 REPO = Path(__file__).resolve().parent.parent
 CASES = REPO / "cases"
@@ -77,6 +79,18 @@ def test_runtime_failure_reported_alike_by_run_and_exact():
     out = run_cli("exact", program)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "support: 1 memories, residual 0.000e+00\n  1  error\n"
+
+
+@pytest.mark.parametrize("failure", [UbhlRuntimeError("lap scale must be positive"),
+                                     TrialAborted("loop budget exceeded")])
+def test_run_failures_exit_one(failure, monkeypatch, capsys):
+    """The CLI names the run failures without importing their modules, so
+    check that each is still caught, with its message and exit 1."""
+    def fail(args):
+        raise failure
+    monkeypatch.setattr(cli, "cmd_run", fail)
+    assert cli.main(["run", "p.ubhl", "--seed", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {failure}\n"
 
 
 def test_validate_writes_reports(tmp_path):
