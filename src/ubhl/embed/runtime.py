@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Union
 
 from ..lang.ast import Program
 from ..semantics.rng import TrialRng
@@ -29,13 +29,17 @@ class GhostTrial:
     filtered: bool          # an assumed site postcondition failed
 
 
-def run_ghost_trial(program: Program, entry: str, arg: Value,
+def run_ghost_trial(program: Union[Program, CompiledProgram], entry: str, arg: Value,
                     sites: Mapping[SitePath, SiteSpec],
                     logical_env: Mapping[str, Value], seed: int, trial: int = 0,
                     adversaries: Optional[Mapping[str, AdversaryStrategy]] = None,
                     overrides: Optional[dict[str, Value]] = None) -> GhostTrial:
-    core = CompiledProgram(program, sites, logical_env)
+    """One ghost trial; deterministic in (program, sites, arg, seed,
+    trial). To run many trials of one compilation, pass a
+    CompiledProgram compiled with these `sites` and `logical_env`."""
+    core = (program if isinstance(program, CompiledProgram)
+            else CompiledProgram(program, sites, logical_env))
     run = RunState(TrialRng(seed, trial), adversaries or {})
     store = core.execute(entry, arg, run, overrides)
-    return GhostTrial(memory=Memory(store.items()), ghost=run.ghost,
+    return GhostTrial(memory=core.memory(store), ghost=run.ghost,
                       executed_sites=run.executed, filtered=run.filtered)

@@ -9,9 +9,10 @@ name, add it to `_EXPORTS` under the submodule that defines it.
 from importlib import import_module
 
 _EXPORTS = {
+    "commands": ("initial_memory",),
     "evalexpr": ("DivisionByZero", "UbhlRuntimeError", "UnboundedQuantifierAtRuntime",
                  "eval_expr", "eval_in_memory"),
-    "exact": ("Budget", "SubDist", "denote_exact", "initial_memory"),
+    "exact": ("Budget", "SubDist", "denote_exact"),
     "rng": ("TrialRng",),
     "trial": ("AdversaryStrategy", "EstimateReport", "TrialAborted",
               "clopper_pearson_upper", "estimate_failure", "run_trial"),

@@ -6,26 +6,34 @@ budget cannot enumerate (Laplace tails beyond the truncation radius,
 loop iterations beyond the unrolling bound) accumulates in `residual`,
 so `mass(E) + residual` always upper-bounds the true probability of E.
 Runtime errors divert a path's mass to a sentinel error memory.
+
+`Enumeration` is the exact binding of the trials' command compiler
+(`semantics.commands`): one program, two interpretations of sampling
+(Ramsey & Pfeffer, POPL 2002). A sample runs the rest of the path once
+per value of its support, on a copy of the store, with the mass times
+the value's. Equal states merge only at loop heads, one frontier per
+iteration, and at the end, where each final store becomes a `Memory`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from ..dp.laplace import lap_masses_exact
-from ..lang.ast import (
-    Assign, Call, Command, DistExpr, Expr, ExtCall, If, LValue, Program,
-    Sample, Seq, Skip, While,
-)
+from ..lang.ast import Command, ExtCall, Program, Sample, While
+from .commands import Commands, SitePath, Step, StoreDict
+from .commands import initial_memory  # noqa: F401  re-exported beside denote_exact
 from .evalexpr import (
-    UbhlRuntimeError, compile_write, compiled_expr, dist_params, finite_support,
+    UbhlRuntimeError, compile_expr, compile_write, dist_params, finite_support,
 )
 from .values import Memory, Value
 
 ExtState = tuple[tuple[str, Value], ...]
 DetAdversary = Callable[[dict[str, Value], tuple[Value, ...]], tuple[dict[str, Value], Value]]
+# a path's external store and mass: what `run` carries during enumeration
+Run = tuple[ExtState, Fraction]
 
 
 @dataclass
@@ -46,7 +54,8 @@ class SubDist:
     def add(self, m: Memory, mass: Fraction) -> None:
         if mass == 0:
             return
-        self.support[m] = self.support.get(m, Fraction(0)) + mass
+        support = self.support
+        support[m] = support[m] + mass if m in support else mass
 
     def prob_upper(self, pred: Callable[[Memory], bool]) -> Fraction:
         """Upper bound on Pr[pred]: matching mass plus residual; error
@@ -60,130 +69,121 @@ class SubDist:
 
 _ERROR = Memory.error_memory()
 
-State = tuple[Memory, ExtState]
-Dist = dict[State, Fraction]
 
+class Enumeration(Commands):
+    """Exact enumeration of one program under a budget and deterministic
+    adversaries. A path that ends adds its mass to the current sink (the
+    frontier the running loop body feeds, or the final states), keyed by
+    its store's items, `None` for the error sentinel, and external
+    store. A runtime error moves the path's mass to the sentinel, caught
+    where the path began: at the start, a sample's value, a loop's
+    iteration or exit, or after an external call."""
 
-class ExactEvaluator:
-    def __init__(self, program: Program, budget: Optional[Budget] = None,
-                 adversaries: Optional[dict[str, DetAdversary]] = None):
-        self.program = program
-        self.budget = budget or Budget()
-        self.adversaries = adversaries or {}
+    def __init__(self, program: Program, budget: Budget,
+                 adversaries: dict[str, DetAdversary]):
+        super().__init__(program)
+        self.budget, self.adversaries = budget, adversaries
         self.residual = Fraction(0)
+        self._sink: dict = {}
+        self._lap: dict[Fraction, tuple[list[tuple[int, Fraction]], Fraction]] = {}
 
-    def _eval(self, e: Expr, mem: Memory) -> Value:
-        """`e` over `mem`, compiled once per process."""
-        return compiled_expr(e)(mem.to_dict())
-
-    def _write(self, mem: Memory, lv: LValue, value: Value) -> Memory:
-        store = mem.to_dict()
-        compile_write(lv)(store, value)
-        return Memory(store.items(), mem.error)
-
-    def _dist_support(self, d: DistExpr, mem: Memory) -> tuple[list[tuple[Value, Fraction]], Fraction]:
-        """Enumerate (value, mass) pairs and un-enumerated residual."""
-        params = dist_params(d.name, [self._eval(a, mem) for a in d.args])
-        if d.name != "lap":
-            return finite_support(d.name, params), Fraction(0)
-        eps, mean = params
-        masses, residual = lap_masses_exact(eps, self.budget.laplace_radius)
-        return [(mean + k, m) for k, m in sorted(masses.items())], residual
-
-    def _loops(self, guard: Expr, st: State, w: Fraction, out: Dist) -> bool:
-        """Whether a loop iterates again from `st`; if not, its mass goes
-        to `out`, on the error memory when the guard fails."""
-        m, e = st
-        if m.error:
-            _acc(out, st, w)
-            return False
-        try:
-            g = self._eval(guard, m)
-        except UbhlRuntimeError:
-            _acc(out, (_ERROR, e), w)
-            return False
-        if not g:
-            _acc(out, st, w)
-        return bool(g)
-
-    # each step maps one state to a distribution over states; errors
-    # collapse to the sentinel
-
-    def _step(self, c: Command, state: State, mass: Fraction, out: Dist) -> None:
-        mem, ext = state
+    def outcomes(self, command: Command, mem: Memory,
+                 ext: ExtState = ()) -> Iterator[tuple[Memory, ExtState, Fraction]]:
+        """Every final (memory, external store, mass) of `command` from
+        (`mem`, `ext`), in the order first reached; `residual` holds the
+        un-enumerated mass once they are all out."""
         if mem.error:
-            _acc(out, state, mass)
+            yield mem, ext, Fraction(1)
             return
+        store = mem.to_dict()
+        seeded, self._sink = len(store), {}
+        final = self._sink
+        self._branch(self.compile(command, (), self._emit), store, (ext, Fraction(1)))
+        for (items, ext_out), mass in final.items():
+            yield (_ERROR if items is None else Memory.of_written(items, seeded),
+                   ext_out, mass)
+
+    def _add(self, items: Optional[tuple], run: Run) -> None:
+        key, sink = (items, run[0]), self._sink
+        prior = sink.get(key)
+        sink[key] = run[1] if prior is None else prior + run[1]
+
+    def _emit(self, store: StoreDict, run: Run) -> None:
+        self._add(tuple(store.items()), run)
+
+    def _branch(self, step: Step, store: StoreDict, run: Run) -> None:
         try:
-            self._step_inner(c, mem, ext, mass, out)
+            step(store, run)
         except UbhlRuntimeError:
-            _acc(out, (_ERROR, ext), mass)
+            self._add(None, run)
 
-    def _step_inner(self, c: Command, mem: Memory, ext: ExtState,
-                    mass: Fraction, out: Dist) -> None:
-        if isinstance(c, Skip):
-            _acc(out, (mem, ext), mass)
-            return
-        if isinstance(c, Assign):
-            value = self._eval(c.expr, mem)
-            _acc(out, (self._write(mem, c.target, value), ext), mass)
-            return
-        if isinstance(c, Sample):
-            pairs, residual = self._dist_support(c.dist, mem)
-            self.residual += mass * residual
-            for value, p in pairs:
-                _acc(out, (self._write(mem, c.target, value), ext), mass * p)
-            return
-        if isinstance(c, Seq):
-            mid: Dist = {}
-            self._step(c.first, (mem, ext), mass, mid)
-            for st, m in mid.items():
-                self._step(c.second, st, m, out)
-            return
-        if isinstance(c, If):
-            guard = self._eval(c.guard, mem)
-            branch = c.then if guard else c.els
-            self._step(branch, (mem, ext), mass, out)
-            return
-        if isinstance(c, While):
-            active: Dist = {(mem, ext): mass}
-            for _ in range(self.budget.max_loop_iters):
-                if not active:
-                    return
-                nxt: Dist = {}
-                for st, w in active.items():
-                    if self._loops(c.guard, st, w, out):
-                        self._step(c.body, st, w, nxt)
-                active = nxt
-            # guard-true mass that survived the unrolling budget
-            for st, w in active.items():
-                if self._loops(c.guard, st, w, out):
-                    self.residual += w
-            return
-        if isinstance(c, Call):
-            callee = self.program.procs.get(c.proc)
-            if callee is None:
-                raise UbhlRuntimeError(f"unknown procedure {c.proc!r}")
-            entry = mem.set(callee.arg, self._eval(c.arg, mem))
-            # the return is one more assignment after the body
-            self._step(Seq(callee.body, Assign(c.target, callee.ret)), (entry, ext), mass, out)
-            return
-        if isinstance(c, ExtCall):
-            strat = self.adversaries.get(c.ext)
+    def _support(self, name: str, params: tuple, mass: Fraction) -> list[tuple[Value, Fraction]]:
+        """(value, probability) pairs of one sample, Laplace masses
+        computed once per scale; the tail beyond the radius goes to the
+        residual."""
+        if name != "lap":
+            return finite_support(name, params)
+        eps, mean = params
+        if eps not in self._lap:
+            masses, residual = lap_masses_exact(eps, self.budget.laplace_radius)
+            self._lap[eps] = sorted(masses.items()), residual
+        offsets, residual = self._lap[eps]
+        self.residual += mass * residual
+        return [(mean + k, p) for k, p in offsets]
+
+    def _sample(self, c: Sample, path: SitePath, k: Step) -> Step:
+        args, name = [compile_expr(a) for a in c.dist.args], c.dist.name
+        write = compile_write(c.target)
+
+        def sample(store, run):
+            ext, mass = run
+            for value, p in self._support(name, dist_params(name, [f(store) for f in args]), mass):
+                if p:
+                    branch = dict(store)
+                    write(branch, value)
+                    self._branch(k, branch, (ext, mass * p))
+        return sample
+
+    def _while(self, c: While, path: SitePath, k: Step) -> Step:
+        guard, body = compile_expr(c.guard), self.compile(c.body, path + ("b",), self._emit)
+        iters = self.budget.max_loop_iters
+
+        def loop(store, run):
+            outer, active = self._sink, {(tuple(store.items()), run[0]): run[1]}
+            try:
+                for i in range(iters + 1):
+                    frontier: dict = {}
+                    for (items, ext), mass in active.items():
+                        self._sink, run = outer, (ext, mass)
+                        try:
+                            again = items is not None and guard(store := dict(items))
+                        except UbhlRuntimeError:
+                            items = None
+                        if items is None:  # an error state, or its guard failed
+                            self._add(None, run)
+                        elif not again:
+                            self._branch(k, store, run)
+                        elif i == iters:
+                            self.residual += mass  # still looping when the budget ran out
+                        else:
+                            self._sink = frontier
+                            self._branch(body, store, run)
+                    active = frontier
+            finally:
+                self._sink = outer
+        return loop
+
+    def _ext_call(self, c: ExtCall, path: SitePath, k: Step) -> Step:
+        args, write, name = [compile_expr(a) for a in c.args], compile_write(c.target), c.ext
+
+        def ext_call(store, run):
+            strat = self.adversaries.get(name)
             if strat is None:
-                raise UbhlRuntimeError(f"no adversary bound for {c.ext!r}")
-            args = tuple(self._eval(a, mem) for a in c.args)
-            ext_dict = dict(ext)
-            new_ext, value = strat(ext_dict, args)
-            _acc(out, (self._write(mem, c.target, value), tuple(sorted(new_ext.items()))), mass)
-            return
-        raise UbhlRuntimeError(f"unsupported command in exact mode: {c!r}")
-
-
-def _acc(d: Dist, st: State, m: Fraction) -> None:
-    if m == 0:
-        return
-    d[st] = d.get(st, Fraction(0)) + m
+                raise UbhlRuntimeError(f"no adversary bound for {name!r}")
+            new_ext, value = strat(dict(run[0]), tuple(f(store) for f in args))
+            write(store, value)
+            self._branch(k, store, (tuple(sorted(new_ext.items())), run[1]))
+        return ext_call
 
 
 def denote_exact(program: Program, command: Command, mem: Memory,
@@ -192,27 +192,9 @@ def denote_exact(program: Program, command: Command, mem: Memory,
                  ext: Optional[dict[str, Value]] = None) -> SubDist:
     """Exact pushforward of `command` from `mem`, projected to internal
     memories."""
-    ev = ExactEvaluator(program, budget, adversaries)
-    out: Dist = {}
-    ext_state: ExtState = tuple(sorted((ext or {}).items()))
-    ev._step(command, (mem, ext_state), Fraction(1), out)
-    result = SubDist(residual=ev.residual)
-    for (m, _e), w in out.items():
-        result.add(m, w)
+    enum = Enumeration(program, budget or Budget(), adversaries or {})
+    result = SubDist()
+    for m, _ext, mass in enum.outcomes(command, mem, tuple(sorted((ext or {}).items()))):
+        result.add(m, mass)
+    result.residual = enum.residual
     return result
-
-
-def initial_memory(program: Program, overrides: Optional[dict[str, Value]] = None) -> Memory:
-    """All internal variables at their type defaults, then overrides."""
-    from .values import default_value
-
-    from ..lang.ast import INT
-
-    store: dict[str, Value] = {}
-    for name, t in program.vars.items():
-        store[name] = default_value(t)
-    for proc in program.procs.values():
-        store.setdefault(proc.arg, default_value(INT))
-    if overrides:
-        store.update(overrides)
-    return Memory(store.items())

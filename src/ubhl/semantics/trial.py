@@ -1,8 +1,8 @@
 """Seeded Monte Carlo execution and failure-rate estimation.
 
-`CompiledProgram` compiles a program's commands and procedure calls
-into nested closures once (expressions: `evalexpr.compile_expr`); each
-trial runs them on a fresh store and a `RunState` (RNG stream,
+`CompiledProgram` is the trial binding of the command compiler
+(`semantics.commands`): it compiles a program's commands once, and
+each trial runs them on a fresh store and a `RunState` (RNG stream,
 adversaries, external store, loop cap). Compiled with ghost sites, the
 same core also tracks the embedding's ghost (`ubhl.embed.runtime`).
 
@@ -23,19 +23,13 @@ from itertools import repeat
 from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
 from ..dp.laplace import lap_sample
-from ..lang.ast import (
-    Assign, Call, Command, Expr, ExtCall, If, Program, Sample, Seq, Skip,
-    While,
-)
+from ..lang.ast import Expr, ExtCall, Program, Sample, While
+from .commands import Commands, SitePath, Step, StoreDict, initial_memory
 from .evalexpr import (
     UbhlRuntimeError, compile_expr, compile_write, dist_params, eval_in_memory,
 )
-from .exact import initial_memory
 from .rng import TrialRng
 from .values import Memory, Value
-
-StoreDict = dict[str, Value]
-SitePath = tuple[str, ...]
 
 
 class TrialAborted(Exception):
@@ -68,8 +62,6 @@ class RunState:
     filtered: bool = field(init=False, default=False)
 
 
-Step = Callable[[StoreDict, RunState], None]
-
 _DRAW = {
     "bern": lambda rng, p: rng.bernoulli(p),
     "unifint": lambda rng, lo, hi: rng.unif_int(lo, hi),
@@ -77,24 +69,29 @@ _DRAW = {
 }
 
 
-class CompiledProgram:
-    """A program's procedures as closures, each compiled on first use.
+def _halt(store: StoreDict, run: RunState) -> None:
+    """What runs after an entry procedure's body or a loop's body."""
+
+
+class CompiledProgram(Commands):
+    """The trial binding of the command compiler: a sample draws one
+    value from the run's RNG, a loop runs until its guard fails or the
+    run's loop cap trips, and an external call asks the run's
+    adversary. Each entry procedure is compiled on first use.
 
     With `sites` (site path -> spec with `index` and `post`), every
     sampling site that has a spec also charges the spec's index to the
     run's ghost and evaluates its post over the logical environment
-    chained with the store. A site's path is static: `1`/`2` into a
-    sequence, `t`/`e` into a branch, `b` into a loop body, and a called
-    procedure's body is compiled under its caller's path.
+    chained with the store.
     """
 
     def __init__(self, program: Program, sites: Optional[Mapping[SitePath, Any]] = None,
                  logical_env: Optional[Mapping[str, Value]] = None):
-        self.program = program
+        super().__init__(program)
         self._sites = dict(sites or {})
         self._logical_env = dict(logical_env or {})
         self._defaults = initial_memory(program).to_dict()
-        self._procs: dict[tuple[str, SitePath], tuple[Step, Callable]] = {}
+        self._entries: dict[str, tuple[Step, Callable]] = {}
 
     def execute(self, entry: str, arg: Value, run: RunState,
                 overrides: Optional[Mapping[str, Value]] = None) -> StoreDict:
@@ -103,69 +100,46 @@ class CompiledProgram:
         store = dict(self._defaults)
         store.update(overrides or {})
         store[proc.arg] = arg
-        body, ret = self._proc(entry, ())
+        if entry not in self._entries:
+            self._entries[entry] = (self.compile(proc.body, (), _halt), compile_expr(proc.ret))
+        body, ret = self._entries[entry]
         body(store, run)
         store["res"] = ret(store)
         return store
 
-    def _proc(self, name: str, path: SitePath) -> tuple[Step, Callable]:
-        key = (name, path)
-        if key not in self._procs:
-            proc = self.program.procs[name]
-            self._procs[key] = (self._command(proc.body, path), compile_expr(proc.ret))
-        return self._procs[key]
+    def memory(self, store: StoreDict) -> Memory:
+        """The memory of a store that `execute` returned."""
+        return Memory.of_written(tuple(store.items()), len(self._defaults))
 
-    def _command(self, c: Command, path: SitePath) -> Step:
-        make = _COMMANDS.get(type(c))
-        if make is None:
-            def unsupported(store, run):
-                raise UbhlRuntimeError(f"unsupported command: {c!r}")
-            return unsupported
-        return make(self, c, path)
-
-    def _seq(self, c: Seq, path: SitePath) -> Step:
-        first = self._command(c.first, path + ("1",))
-        second = self._command(c.second, path + ("2",))
-
-        def seq(store, run):
-            first(store, run)
-            second(store, run)
-        return seq
-
-    def _assign(self, c: Assign, path: SitePath) -> Step:
-        e, write = compile_expr(c.expr), compile_write(c.target)
-        return lambda store, run: write(store, e(store))
-
-    def _sample(self, c: Sample, path: SitePath) -> Step:
+    def _sample(self, c: Sample, path: SitePath, k: Step) -> Step:
         args, name = [compile_expr(a) for a in c.dist.args], c.dist.name
         write, draw = compile_write(c.target), _DRAW.get(name)
+        spec = self._sites.get(path)
+        if spec is not None:
+            k = self._site(spec, path, k)
 
         def sample(store, run):
             params = dist_params(name, [f(store) for f in args])
             write(store, draw(run.rng, *params))
-        spec = self._sites.get(path)
-        if spec is None:
-            return sample
+            k(store, run)
+        return sample
+
+    def _site(self, spec: Any, path: SitePath, k: Step) -> Step:
+        """`k` after the ghost bookkeeping of the site at `path`."""
         index, post, env = compile_expr(spec.index), compile_expr(spec.post), self._logical_env
 
         def site(store, run):
-            sample(store, run)
             scope = dict(env)
             scope.update(store)
             run.ghost += Fraction(index(scope))
             run.executed.append(path)
             if not bool(post(scope)):
                 run.filtered = True
+            k(store, run)
         return site
 
-    def _if(self, c: If, path: SitePath) -> Step:
-        guard = compile_expr(c.guard)
-        then = self._command(c.then, path + ("t",))
-        els = self._command(c.els, path + ("e",))
-        return lambda store, run: (then if guard(store) else els)(store, run)
-
-    def _while(self, c: While, path: SitePath) -> Step:
-        guard, body = compile_expr(c.guard), self._command(c.body, path + ("b",))
+    def _while(self, c: While, path: SitePath, k: Step) -> Step:
+        guard, body = compile_expr(c.guard), self.compile(c.body, path + ("b",), _halt)
 
         def loop(store, run):
             iters = 0
@@ -174,20 +148,10 @@ class CompiledProgram:
                 iters += 1
                 if iters >= run.loop_cap:
                     raise TrialAborted(f"loop exceeded {run.loop_cap} iterations")
+            k(store, run)
         return loop
 
-    def _call(self, c: Call, path: SitePath) -> Step:
-        arg, write, name = compile_expr(c.arg), compile_write(c.target), c.proc
-
-        def call(store, run):
-            callee = self.program.procs[name]
-            store[callee.arg] = arg(store)
-            body, ret = self._proc(name, path)
-            body(store, run)
-            write(store, ret(store))
-        return call
-
-    def _ext_call(self, c: ExtCall, path: SitePath) -> Step:
+    def _ext_call(self, c: ExtCall, path: SitePath, k: Step) -> Step:
         args, write, name = [compile_expr(a) for a in c.args], compile_write(c.target), c.ext
 
         def ext_call(store, run):
@@ -196,15 +160,8 @@ class CompiledProgram:
                 raise UbhlRuntimeError(f"no adversary bound for {name!r}")
             run.ext, value = strat.respond(run.ext, tuple(f(store) for f in args), run.rng)
             write(store, value)
+            k(store, run)
         return ext_call
-
-
-_COMMANDS: dict[type, Callable[[CompiledProgram, Any, SitePath], Step]] = {
-    Skip: lambda self, c, path: lambda store, run: None,
-    Seq: CompiledProgram._seq, Assign: CompiledProgram._assign, Sample: CompiledProgram._sample,
-    If: CompiledProgram._if, While: CompiledProgram._while,
-    Call: CompiledProgram._call, ExtCall: CompiledProgram._ext_call,
-}
 
 
 def run_trial(program: Union[Program, CompiledProgram], entry: str, arg: Value,
@@ -215,7 +172,7 @@ def run_trial(program: Union[Program, CompiledProgram], entry: str, arg: Value,
     Pass a CompiledProgram to run many trials of one compilation."""
     core = program if isinstance(program, CompiledProgram) else CompiledProgram(program)
     run = RunState(TrialRng(seed, trial), adversaries, loop_cap)
-    return Memory(core.execute(entry, arg, run, overrides).items())
+    return core.memory(core.execute(entry, arg, run, overrides))
 
 
 @dataclass

@@ -7,8 +7,10 @@ hashable so sub-distributions can key on them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any, Iterable, Optional
 
 from ..dp.queries import Database, Query
@@ -74,6 +76,20 @@ class Memory:
         self.error = error
         self._hash: Optional[int] = None
 
+    @classmethod
+    def _of_sorted(cls, items: tuple[tuple[str, Value], ...], error: bool = False) -> "Memory":
+        m = object.__new__(cls)
+        m._items, m.error, m._hash = items, error, None
+        return m
+
+    @classmethod
+    def of_written(cls, items: tuple[tuple[str, Value], ...], seeded: int) -> "Memory":
+        """The memory over the items of a store (a dict) that was seeded
+        with `seeded` names in sorted order and then only written: they
+        are still in order unless a write added a name, and only then
+        are they sorted."""
+        return cls._of_sorted(items if len(items) == seeded else tuple(sorted(items)))
+
     @staticmethod
     def error_memory() -> "Memory":
         return Memory((), error=True)
@@ -85,9 +101,10 @@ class Memory:
         raise KeyError(name)
 
     def set(self, name: str, value: Value) -> "Memory":
-        d = dict(self._items)
-        d[name] = value
-        return Memory(d.items(), self.error)
+        items = self._items
+        i = bisect_left(items, name, key=itemgetter(0))
+        j = i + 1 if i < len(items) and items[i][0] == name else i
+        return Memory._of_sorted(items[:i] + ((name, value),) + items[j:], self.error)
 
     def to_dict(self) -> dict[str, Value]:
         return dict(self._items)

@@ -218,6 +218,7 @@ def test_criterion_8_embedding_cross_check():
     from test_embed import ONE_LAP, ONE_LAP_SCRIPT, TWO_LAP, TWO_LAP_SCRIPT
     from ubhl.embed.crosscheck import collect_sites, crosscheck
     from ubhl.embed.runtime import run_ghost_trial
+    from ubhl.semantics.trial import CompiledProgram
 
     t0 = time.time()
     # straight-line generated corpus plus the one- and two-sample toys
@@ -237,9 +238,9 @@ def test_criterion_8_embedding_cross_check():
         sites, _ = collect_sites(script, program,
                                  program.procs["main"].body, "x_beta")
         beta = index_eval(parse_expr(script.root.index), {})
+        core = CompiledProgram(program, sites, {})
         for trial in range(40):
-            out = run_ghost_trial(program, "main", 0, sites, {}, seed=8,
-                                  trial=trial)
+            out = run_ghost_trial(core, "main", 0, sites, {}, seed=8, trial=trial)
             assert float(out.ghost) == pytest.approx(beta)
     elapsed = time.time() - t0
     ok = elapsed < 10

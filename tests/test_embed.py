@@ -142,8 +142,9 @@ def test_two_lap_ghost_sum():
     sites, _ = collect_sites(TWO_LAP_SCRIPT, TWO_LAP,
                              TWO_LAP.procs["main"].body, "x_beta")
     beta = index_eval(parse_expr(TWO_LAP_SCRIPT.root.index), {})
+    core = CompiledProgram(TWO_LAP, sites, {})
     for trial in range(50):
-        out = run_ghost_trial(TWO_LAP, "main", 0, sites, {}, seed=3, trial=trial)
+        out = run_ghost_trial(core, "main", 0, sites, {}, seed=3, trial=trial)
         assert float(out.ghost) == pytest.approx(beta)
         assert len(out.executed_sites) == 2
 
@@ -222,9 +223,21 @@ def test_ghost_conservation_under_filtering():
     sites, _ = collect_sites(ONE_LAP_SCRIPT, ONE_LAP,
                              ONE_LAP.procs["main"].body, "x_beta")
     filtered = 0
+    core = CompiledProgram(ONE_LAP, sites, {})
     for trial in range(400):
-        out = run_ghost_trial(ONE_LAP, "main", 0, sites, {}, seed=17, trial=trial)
+        out = run_ghost_trial(core, "main", 0, sites, {}, seed=17, trial=trial)
         assert out.ghost == Fraction(1, 10)
         filtered += out.filtered
     # the assumed fact fails with probability about 1/10
     assert 10 <= filtered <= 80
+
+
+def test_reused_ghost_core_matches_a_fresh_one():
+    """A ghost trial is the same whether its core is compiled for it or
+    reused from earlier trials."""
+    sites, _ = collect_sites(TWO_LAP_SCRIPT, TWO_LAP,
+                             TWO_LAP.procs["main"].body, "x_beta")
+    core = CompiledProgram(TWO_LAP, sites, {})
+    for trial in range(50):
+        fresh = run_ghost_trial(TWO_LAP, "main", 0, sites, {}, seed=5, trial=trial)
+        assert run_ghost_trial(core, "main", 0, sites, {}, seed=5, trial=trial) == fresh

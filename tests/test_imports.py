@@ -1,6 +1,7 @@
 """Each entry path loads only the layers it runs: checking a proof loads
 neither the semantics nor the case builders nor any process machinery,
-and a one-process validation loads no process pool. Each path runs in a
+exact enumeration loads no trial runner, case builder, checker or
+process machinery, and a one-process validation loads no process pool. Each path runs in a
 fresh interpreter, so nothing an earlier test imported counts."""
 
 import json
@@ -32,6 +33,12 @@ assert main(["check", {str(RNM / "program.ubhl")!r}, {str(RNM / "proof.json")!r}
              "--quiet"]) == 0
 """
 
+CLI_EXACT = f"""
+from ubhl.cli import main
+assert main(["exact", {str(RNM / "program.ubhl")!r}]) == 0
+"""
+NOT_FOR_EXACT = ("ubhl.cases", "ubhl.embed", "ubhl.checker", "ubhl.semantics.trial") + POOL
+
 VALIDATE = """
 from ubhl.cases import validate_case
 assert validate_case("sv", trials=20, seed=1, adversary="fixed", jobs=1).verdict
@@ -52,6 +59,12 @@ def loaded_after(code: str, names: tuple[str, ...]) -> list[str]:
 @pytest.mark.parametrize("code", [KERNEL_CHECK, CLI_CHECK], ids=["kernel", "cli"])
 def test_checking_loads_no_semantics(code):
     assert loaded_after(code, NOT_FOR_CHECKING) == []
+
+
+def test_exact_loads_neither_trials_nor_cases_nor_checker():
+    """Exact enumeration shares the trial compiler's command layer, not
+    the trial runner."""
+    assert loaded_after(CLI_EXACT, NOT_FOR_EXACT) == []
 
 
 def test_one_process_validation_loads_no_pool():

@@ -13,7 +13,7 @@ from ubhl.lang.ast import (
 from ubhl.lang.parser import parse_program
 from ubhl.lang.typecheck import assertion_env, typecheck
 from ubhl.semantics.evalexpr import eval_expr
-from ubhl.semantics.exact import ExactEvaluator, denote_exact, initial_memory
+from ubhl.semantics.exact import Budget, Enumeration, denote_exact, initial_memory
 from ubhl.semantics.trial import run_trial
 from ubhl.semantics.values import ArrayVal
 from ubhl.dp.queries import Database, Query
@@ -65,13 +65,13 @@ proc main(w) { x <$ bern(1/2); } return x
 """
     program = parse_program(src)
     typecheck(program)
-    ev = ExactEvaluator(program)
-    out = {}
+    enum = Enumeration(program, Budget(), {})
     ext0 = (("hidden", 7),)
-    ev._step(program.procs["main"].body, (initial_memory(program), ext0),
-             Fraction(1), out)
-    assert out
-    for (_mem, ext), _mass in out.items():
+    outcomes = list(enum.outcomes(program.procs["main"].body, initial_memory(program), ext0))
+    # both values of x, each with the external store as it began
+    assert {mem.get("x") for mem, _ext, _mass in outcomes} == {True, False}
+    assert sum(mass for _mem, _ext, mass in outcomes) == 1
+    for _mem, ext, _mass in outcomes:
         assert ext == ext0
 
 

@@ -266,6 +266,30 @@ def test_memory_round_trip(x, n):
     assert hash(m) == hash(Memory({"b": Fraction(1, n), "a": x}.items()))
 
 
+_NAMES = st.sampled_from(("a", "b", "res", "w", "x"))
+_VALUES = st.one_of(st.integers(-3, 3), st.booleans(),
+                    st.fractions(min_value=-2, max_value=2, max_denominator=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(_NAMES, _VALUES), st.lists(st.tuples(_NAMES, _VALUES), max_size=6))
+def test_memory_fast_paths_match_the_sorting_constructor(seed, writes):
+    """A store seeded in name order and then written, some writes adding
+    a name, gives on the fast paths (`Memory.of_written`, `Memory.set`)
+    the memory the sorting constructor gives: equal, with equal hash
+    and repr."""
+    store = dict(sorted(seed.items()))
+    seeded, mem = len(store), Memory(store.items())
+    for name, value in writes:
+        store[name] = value
+        mem = mem.set(name, value)
+    want = Memory(store.items())
+    for got in (Memory.of_written(tuple(store.items()), seeded), mem):
+        assert got == want
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want)
+
+
 # ── one classification of runtime failures on every path ──
 
 FAULTY = {
