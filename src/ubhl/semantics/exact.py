@@ -95,9 +95,8 @@ class Enumeration(Commands):
         if mem.error:
             yield mem, ext, Fraction(1)
             return
-        store = mem.to_dict()
-        seeded, self._sink = len(store), {}
-        final = self._sink
+        store, final = mem.to_dict(), {}
+        seeded, self._sink = len(store), final
         self._branch(self.compile(command, (), self._emit), store, (ext, Fraction(1)))
         for (items, ext_out), mass in final.items():
             yield (_ERROR if items is None else Memory.of_written(items, seeded),

@@ -1,8 +1,9 @@
 """Each entry path loads only the layers it runs: checking a proof loads
 neither the semantics nor the case builders nor any process machinery,
 exact enumeration loads no trial runner, case builder, checker or
-process machinery, and a one-process validation loads no process pool. Each path runs in a
-fresh interpreter, so nothing an earlier test imported counts."""
+process machinery, and a one-process validation loads no process pool.
+Each path runs in a fresh interpreter, so nothing an earlier test
+imported counts."""
 
 import json
 import os
