@@ -375,8 +375,7 @@ class Checker:
                                 path, "callee_pre")
         callee_post = self.parse(node.annotations.get("callee_post", "true"),
                                  path, "callee_post")
-        progvars = set(self.program.vars) | {pr.arg for pr in self.program.procs.values()}
-        self.require("res" not in progvars, path, "call",
+        self.require("res" not in self.program.store_sorts(), path, "call",
                      "program variable 'res' shadows the contract result symbol")
         body_mods = modified_vars(callee.body, self.program)
 

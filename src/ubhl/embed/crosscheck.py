@@ -125,10 +125,7 @@ def crosscheck(program: Program, script: ProofScript,
 
     entry = script.entry
     proc = program.procs[entry["proc"]]
-    avoid = set(program.vars) | set(program.extvars)
-    for pr in program.procs.values():
-        avoid.add(pr.arg)
-    ghost = fresh_name("x_beta", avoid)
+    ghost = fresh_name("x_beta", program.store_sorts().keys() | program.extvars.keys())
     sites, invariants = collect_sites(script, program, proc.body, ghost)
     root = script.root
     pre = parse_expr(root.pre)

@@ -56,11 +56,7 @@ def embed(command: Command, sites: dict[SitePath, SiteSpec], pre: Expr,
           post: Expr, index: Expr, program: Optional[Program] = None,
           ghost: Optional[str] = None) -> tuple[Command, HoareTriple]:
     """Replace sampling with havoc/assume/ghost-add instrumentation."""
-    avoid = set()
-    if program is not None:
-        avoid |= set(program.vars) | set(program.extvars)
-        for p in program.procs.values():
-            avoid.add(p.arg)
+    avoid = set() if program is None else program.store_sorts().keys() | program.extvars.keys()
     ghost_var = ghost or fresh_name("x_beta", avoid)
 
     def walk(c: Command, path: SitePath) -> Command:

@@ -328,8 +328,16 @@ class ExternDecl:
 class Program:
     procs: dict[str, Procedure] = field(default_factory=dict)
     externs: dict[str, ExternDecl] = field(default_factory=dict)
-    vars: dict[str, Type] = field(default_factory=dict)       # internal store
+    vars: dict[str, Type] = field(default_factory=dict)       # declared internal vars
     extvars: dict[str, Type] = field(default_factory=dict)    # external store
+
+    def store_sorts(self) -> dict[str, Type]:
+        """The internal store: each declared variable, then each
+        procedure's argument, an int unless declared."""
+        sorts = dict(self.vars)
+        for proc in self.procs.values():
+            sorts.setdefault(proc.arg, INT)
+        return sorts
 
 
 # ── Subterms, free variables and substitution ──────────────────────
@@ -479,7 +487,40 @@ def subst_lvalue(a: Expr, lv: LValue, value: Expr) -> Expr:
     return subst_expr(a, lv.base, Store(Var(lv.base), lv.idx, value))
 
 
-# ── Modified variables ──────────────────────────────────────────────
+# ── The parts of a command ──────────────────────────────────────────
+
+
+CommandParts = tuple[tuple[LValue, ...], tuple[Expr, ...], tuple[Command, ...]]
+
+
+def _writes(target: LValue, *evaluated: Expr) -> CommandParts:
+    idx = () if target.idx is None else (target.idx,)
+    return (target,), evaluated + idx, ()
+
+
+_PARTS = {
+    Skip: lambda c: ((), (), ()),
+    Assign: lambda c: _writes(c.target, c.expr),
+    Sample: lambda c: _writes(c.target, *c.dist.args),
+    Call: lambda c: _writes(c.target, c.arg),
+    ExtCall: lambda c: _writes(c.target, *c.args),
+    Havoc: lambda c: _writes(c.target),
+    GhostAdd: lambda c: _writes(LValue(c.ghost), c.amount),
+    Seq: lambda c: ((), (), (c.first, c.second)),
+    If: lambda c: ((), (c.guard,), (c.then, c.els)),
+    While: lambda c: ((), (c.guard,), (c.body,)),
+    Assume: lambda c: ((), (c.assertion,), ()),
+}
+
+
+def command_parts(c: Command) -> CommandParts:
+    """The lvalues `c` writes, the expressions it evaluates itself (a
+    written lvalue's index among them) and its sub-commands. A call's
+    callee body is not a sub-command: it belongs to the procedure."""
+    parts = _PARTS.get(type(c))
+    if parts is None:
+        raise TypeError(f"unknown command node: {c!r}")
+    return parts(c)
 
 
 def modified_vars(c: Command, program: Optional[Program] = None) -> set[str]:
@@ -489,29 +530,14 @@ def modified_vars(c: Command, program: Optional[Program] = None) -> set[str]:
     formal argument). External calls write only their target (the
     adversary owns a separate store).
     """
-    if isinstance(c, Skip):
-        return set()
-    if isinstance(c, (Assign, Sample, Havoc)):
-        return {c.target.base}
-    if isinstance(c, Seq):
-        return modified_vars(c.first, program) | modified_vars(c.second, program)
-    if isinstance(c, If):
-        return modified_vars(c.then, program) | modified_vars(c.els, program)
-    if isinstance(c, While):
-        return modified_vars(c.body, program)
-    if isinstance(c, Call):
-        out = {c.target.base}
-        if program is not None and c.proc in program.procs:
-            p = program.procs[c.proc]
-            out |= {p.arg} | modified_vars(p.body, program)
-        return out
-    if isinstance(c, ExtCall):
-        return {c.target.base}
-    if isinstance(c, Assume):
-        return set()
-    if isinstance(c, GhostAdd):
-        return {c.ghost}
-    raise TypeError(f"unknown command node: {c!r}")
+    writes, _, subs = command_parts(c)
+    out = {lv.base for lv in writes}
+    for sub in subs:
+        out |= modified_vars(sub, program)
+    if isinstance(c, Call) and program is not None and c.proc in program.procs:
+        p = program.procs[c.proc]
+        out |= {p.arg} | modified_vars(p.body, program)
+    return out
 
 
 # ── Operator syntax and the pretty printer ─────────────────────────

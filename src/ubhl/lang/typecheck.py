@@ -14,8 +14,8 @@ from .ast import (
     ArrayT, Assign, Assume, BinOp, BOOL, BoolLit, BoolT, Call, Command, DB,
     DistExpr, Expr, ExtCall, FuncCall, Havoc, If, Index, INT, IntT, LValue,
     NumLit, Program, Quant, QUERY, RangeDom, REAL, RealT, Sample, Seq, SetDom,
-    SETINT, SetIntT, SetLit, Skip, Store, Type, UnOp, Var, While, free_vars,
-    is_numeric,
+    SETINT, SetIntT, SetLit, Skip, Store, Type, UnOp, Var, While, command_parts,
+    free_vars, is_numeric,
 )
 
 
@@ -248,24 +248,30 @@ def _check_no_external(e: Expr, prog: Program) -> None:
 
 def typecheck(prog: Program) -> TypedProgram:
     """Check the whole program; raises the first error found."""
-    env: TypeEnv = dict(prog.vars)
-    for proc in prog.procs.values():
-        env.setdefault(proc.arg, INT)
+    env = prog.store_sorts()
 
     ret_types: dict[str, Type] = {}
     for proc in prog.procs.values():
         _check_no_external(proc.ret, prog)
         ret_types[proc.name] = expr_type(proc.ret, env)
 
+    # one walk of each body: the names it mentions
+    used: dict[str, set[str]] = {}
+    for proc in prog.procs.values():
+        names, todo = free_vars(proc.ret), [proc.body]
+        while todo:
+            writes, evaluated, subs = command_parts(todo.pop())
+            names.update(lv.base for lv in writes)
+            names.update(*map(free_vars, evaluated))
+            todo.extend(subs)
+        used[proc.name] = names
+
     # arg_f may appear only in the body (and return) of f
     for proc in prog.procs.values():
         if proc.arg in prog.vars:
             continue  # explicitly declared as an ordinary global
         for other in prog.procs.values():
-            if other.name == proc.name:
-                continue
-            used = _cmd_vars(other.body) | free_vars(other.ret)
-            if proc.arg in used:
+            if other.name != proc.name and proc.arg in used[other.name]:
                 raise UbhlTypeError(
                     f"argument {proc.arg!r} of {proc.name!r} used in {other.name!r}")
 
@@ -274,105 +280,41 @@ def typecheck(prog: Program) -> TypedProgram:
     return TypedProgram(prog, env, ret_types)
 
 
-def _cmd_vars(c: Command) -> set[str]:
-    out: set[str] = set()
-    if isinstance(c, Skip):
-        return out
-    if isinstance(c, Assign):
-        out = {c.target.base} | free_vars(c.expr)
-        if c.target.idx is not None:
-            out |= free_vars(c.target.idx)
-        return out
-    if isinstance(c, Sample):
-        out = {c.target.base}
-        if c.target.idx is not None:
-            out |= free_vars(c.target.idx)
-        for a in c.dist.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(c, Seq):
-        return _cmd_vars(c.first) | _cmd_vars(c.second)
-    if isinstance(c, If):
-        return free_vars(c.guard) | _cmd_vars(c.then) | _cmd_vars(c.els)
-    if isinstance(c, While):
-        return free_vars(c.guard) | _cmd_vars(c.body)
-    if isinstance(c, Call):
-        out = {c.target.base} | free_vars(c.arg)
-        if c.target.idx is not None:
-            out |= free_vars(c.target.idx)
-        return out
-    if isinstance(c, ExtCall):
-        out = {c.target.base}
-        if c.target.idx is not None:
-            out |= free_vars(c.target.idx)
-        for a in c.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(c, Havoc):
-        out = {c.target.base}
-        if c.target.idx is not None:
-            out |= free_vars(c.target.idx)
-        return out
-    if isinstance(c, Assume):
-        return free_vars(c.assertion)
-    raise UbhlTypeError(f"unknown command node: {c!r}")
-
-
 def _check_command(c: Command, prog: Program, env: TypeEnv,
                    ret_types: dict[str, Type]) -> None:
-    if isinstance(c, Skip):
-        return
-    if isinstance(c, Assign):
-        _check_no_external(c.expr, prog)
-        if c.target.base in prog.extvars:
+    writes, evaluated, subs = command_parts(c)
+    for e in evaluated:
+        _check_no_external(e, prog)
+    for lv in writes:
+        if lv.base in prog.extvars:
             raise ExternalMemoryViolation(
-                f"internal code writes external variable {c.target.base!r}")
+                f"internal code writes external variable {lv.base!r}")
+    if isinstance(c, Assign):
         t_lv = _lvalue_type(c.target, env)
         t_rhs = expr_type(c.expr, env)
         if not compatible(t_lv, t_rhs):
             raise TypeMismatch(f"cannot assign {t_rhs} to {c.target} : {t_lv}")
-        return
-    if isinstance(c, Sample):
-        if c.target.base in prog.extvars:
-            raise ExternalMemoryViolation(
-                f"internal code writes external variable {c.target.base!r}")
+    elif isinstance(c, Sample):
         t_lv = _lvalue_type(c.target, env)
         params, result = dist_sig(c.dist)
         if len(c.dist.args) != len(params):
             raise TypeMismatch(
                 f"{c.dist.name} expects {len(params)} parameters, got {len(c.dist.args)}")
         for i, (p, a) in enumerate(zip(params, c.dist.args)):
-            _check_no_external(a, prog)
             t_a = expr_type(a, env)
             if not compatible(p, t_a):
                 raise TypeMismatch(f"{c.dist.name} parameter {i + 1}: expected {p}, got {t_a}")
         if not compatible(t_lv, result):
             raise TypeMismatch(f"cannot sample {result} into {c.target} : {t_lv}")
-        return
-    if isinstance(c, Seq):
-        _check_command(c.first, prog, env, ret_types)
-        _check_command(c.second, prog, env, ret_types)
-        return
-    if isinstance(c, If):
-        _check_no_external(c.guard, prog)
+    elif isinstance(c, (If, While)):
         t_g = expr_type(c.guard, env)
         if not isinstance(t_g, BoolT):
-            raise TypeMismatch(f"if guard must be bool, got {t_g}")
-        _check_command(c.then, prog, env, ret_types)
-        _check_command(c.els, prog, env, ret_types)
-        return
-    if isinstance(c, While):
-        _check_no_external(c.guard, prog)
-        t_g = expr_type(c.guard, env)
-        if not isinstance(t_g, BoolT):
-            raise TypeMismatch(f"while guard must be bool, got {t_g}")
-        _check_command(c.body, prog, env, ret_types)
-        return
-    if isinstance(c, Call):
+            kind = "if" if isinstance(c, If) else "while"
+            raise TypeMismatch(f"{kind} guard must be bool, got {t_g}")
+    elif isinstance(c, Call):
         if c.proc not in prog.procs:
             raise UnboundVariable(f"unknown procedure {c.proc!r}")
         callee = prog.procs[c.proc]
-        _check_no_external(c.arg, prog)
         t_arg = expr_type(c.arg, env)
         if not compatible(env[callee.arg], t_arg):
             raise TypeMismatch(
@@ -381,8 +323,7 @@ def _check_command(c: Command, prog: Program, env: TypeEnv,
         if not compatible(t_lv, ret_types[c.proc]):
             raise TypeMismatch(
                 f"call {c.proc}: returns {ret_types[c.proc]}, target is {t_lv}")
-        return
-    if isinstance(c, ExtCall):
+    elif isinstance(c, ExtCall):
         if c.ext not in prog.externs:
             raise UnboundVariable(f"unknown external procedure {c.ext!r}")
         decl = prog.externs[c.ext]
@@ -390,7 +331,6 @@ def _check_command(c: Command, prog: Program, env: TypeEnv,
             raise TypeMismatch(
                 f"external {c.ext} expects {len(decl.arg_types)} arguments")
         for i, (p, a) in enumerate(zip(decl.arg_types, c.args)):
-            _check_no_external(a, prog)
             t_a = expr_type(a, env)
             if not compatible(p, t_a):
                 raise TypeMismatch(f"external {c.ext} argument {i + 1}: expected {p}, got {t_a}")
@@ -398,32 +338,20 @@ def _check_command(c: Command, prog: Program, env: TypeEnv,
         if not compatible(t_lv, decl.ret_type):
             raise TypeMismatch(
                 f"external {c.ext} returns {decl.ret_type}, target is {t_lv}")
-        return
-    if isinstance(c, Havoc):
-        if c.target.base in prog.extvars:
-            raise ExternalMemoryViolation(
-                f"internal code writes external variable {c.target.base!r}")
+    elif isinstance(c, Havoc):
         _lvalue_type(c.target, env)
-        return
-    if isinstance(c, Assume):
+    elif isinstance(c, Assume):
         # the assumed fact is an assertion: quantifiers are allowed
-        _check_no_external(c.assertion, prog)
         check_assertion(c.assertion, env)
-        return
-    raise UbhlTypeError(f"unknown command node: {c!r}")
+    elif not isinstance(c, (Skip, Seq)):
+        raise UbhlTypeError(f"unknown command node: {c!r}")
+    for sub in subs:
+        _check_command(sub, prog, env, ret_types)
 
 
-def assertion_env(prog: Program, logicals: Optional[TypeEnv] = None,
-                  extra: Optional[TypeEnv] = None) -> TypeEnv:
+def assertion_env(prog: Program, logicals: Optional[TypeEnv] = None) -> TypeEnv:
     """Typing environment for assertions: program vars + logical vars."""
-    env: TypeEnv = dict(prog.vars)
-    for proc in prog.procs.values():
-        env.setdefault(proc.arg, INT)
-    if logicals:
-        env.update(logicals)
-    if extra:
-        env.update(extra)
-    return env
+    return {**prog.store_sorts(), **(logicals or {})}
 
 
 def check_assertion(a: Expr, env: TypeEnv) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from ..lang.ast import (
-    INT, Assign, Call, Command, ExtCall, If, Program, Sample, Seq, Skip, While,
+    Assign, Call, Command, ExtCall, If, Program, Sample, Seq, Skip, While,
 )
 from .evalexpr import UbhlRuntimeError, compile_expr, compile_write
 from .values import Memory, Value, default_value
@@ -26,11 +26,7 @@ Step = Callable[[StoreDict, Any], None]
 
 def initial_memory(program: Program, overrides: Optional[dict[str, Value]] = None) -> Memory:
     """All internal variables at their type defaults, then overrides."""
-    store: dict[str, Value] = {}
-    for name, t in program.vars.items():
-        store[name] = default_value(t)
-    for proc in program.procs.values():
-        store.setdefault(proc.arg, default_value(INT))
+    store = {name: default_value(t) for name, t in program.store_sorts().items()}
     if overrides:
         store.update(overrides)
     return Memory(store.items())
