@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from ..dp.queries import Query
 from ..semantics.rng import TrialRng
-from ..semantics.trial import AdversaryStrategy
+from ..semantics.commands import AdversaryStrategy
 from ..semantics.values import Value
 
 GRAIN = 16  # weight granularity: multiples of 1/16 keep values exact

@@ -46,13 +46,12 @@ def assign_chain(stmts: list[tuple[str, str]], post: str) -> tuple[str, list[Pro
     return posts[0], nodes
 
 
-def seq_chain(children: list[ProofNode], indices: list[str]) -> ProofNode:
-    """Right-nested Seq nodes matching the parser's statement nesting."""
-    assert len(children) == len(indices) and children
+def seq_chain(children: list[ProofNode]) -> ProofNode:
+    """Right-nested Seq nodes matching the parser's statement nesting;
+    each node's index is the sum of its two children's."""
     out = children[-1]
-    for child, idx in zip(reversed(children[:-1]), reversed(indices[:-1])):
-        combined = f"({idx}) + ({out.index})"
-        out = node("seq", child.pre, out.post, combined, [child, out])
+    for child in reversed(children[:-1]):
+        out = node("seq", child.pre, out.post, f"({child.index}) + ({out.index})", [child, out])
     return out
 
 
@@ -97,7 +96,7 @@ def rnm_proof() -> ProofScript:
     # then branch: flag <- false; rstar <- r; best <- noisy[r]
     then_pre, then_nodes = assign_chain(
         [("flag", "false"), ("rstar", "r"), ("best", "noisy[r]")], inv_removed)
-    then_seq = seq_chain(then_nodes, ["0", "0", "0"])
+    then_seq = seq_chain(then_nodes)
     then_child = node("weak", conj(p2, guard), inv_removed, "0", [then_seq])
     else_child = node(
         "weak", conj(p2, f"!({guard})"), inv_removed, "0",
@@ -110,7 +109,7 @@ def rnm_proof() -> ProofScript:
              schema="lap_acc", site_index=iter_index, frame=frame),
         if_node,
         node("assn", inv_removed, inv, "0"),                     # R <- remove(R, r)
-    ], ["0", iter_index, "0", "0"])
+    ])
     preserve = node("weak", inv, inv, iter_index, [
         node("weak", inv, inv, preserve_body.index, [preserve_body])])
 
@@ -130,7 +129,7 @@ def rnm_proof() -> ProofScript:
         ]),
         node("assn", dvar, "size(R) < eta", "0"),                # R <- remove(R, r)
     ]
-    decrease = seq_chain(dec_nodes, ["0", "0", "0", "0"])
+    decrease = seq_chain(dec_nodes)
     decrease = node("weak", dec_pre, "size(R) < eta", "0", [decrease])
 
     loop = node(
@@ -143,7 +142,7 @@ def rnm_proof() -> ProofScript:
     # initialization: flag <- true; best <- 0 establish the invariant
     init_pre, init_nodes = assign_chain(
         [("flag", "true"), ("best", "0")], loop.pre)
-    body_chain = seq_chain(init_nodes + [loop], ["0", "0", "beta"])
+    body_chain = seq_chain(init_nodes + [loop])
     return _script(RNM_LOGICALS, rnm_theorem(), "rstar", body_chain)
 
 
@@ -179,7 +178,7 @@ def _svinit_body(scale: str, iota: str, phi_t: str) -> ProofNode:
              [node("assn", "epsin == epsin", f"{scale} == epsin", "0")]),
         node("rand", f"{scale} == epsin", phi_t, iota,
              schema="lap_acc", site_index=iota, frame=f"{scale} == epsin"),
-    ], ["0", iota])
+    ])
 
 
 def _svstep_body(scale: str, threshold: str, iota: str, phi_t: str,
@@ -198,7 +197,7 @@ def _svstep_body(scale: str, threshold: str, iota: str, phi_t: str,
         node("rand", phi_t, p_a, iota,
              schema="lap_acc", site_index=iota, frame=phi_t),
         if_node,
-    ], [iota, "0"])
+    ])
 
 
 def _svstep_trivial(threshold: str) -> ProofNode:
@@ -211,7 +210,7 @@ def _svstep_trivial(threshold: str) -> ProofNode:
         node("weak", conj("true", f"!(a < {threshold})"), "true", "0",
              [node("assn", "true", "true", "0")]),
     ])
-    return seq_chain([rand, if_node], ["0", "0"])
+    return seq_chain([rand, if_node])
 
 
 # ── interactive above-threshold (sparse vector) ─────────────────────
@@ -261,7 +260,7 @@ def sv_proof() -> ProofScript:
              frame=conj(SV_HYPS, "Qn == Q",
                         "forall j in 1 .. u - 1 . (" + sv_phi_q("q[j]", "ans[j]") + ")")),
     ])
-    preserve = seq_chain([s1, s2, s3], ["0", "0", iota])
+    preserve = seq_chain([s1, s2, s3])
 
     # variant decrease
     dvar = "Qn - u < eta"
@@ -273,7 +272,7 @@ def sv_proof() -> ProofScript:
         node("call", dvar, dvar, "0",
              [_svstep_trivial("T")],
              proc="svstep", callee_pre="true", callee_post="true", frame=dvar),
-    ], ["0", "0", "0"])
+    ])
     decrease = node("weak", dec_pre, dvar, "0", [dec])
 
     loop = node("while", conj(inv, "Qn - u <= Q"), conj(inv, "u >= Qn"),
@@ -288,7 +287,7 @@ def sv_proof() -> ProofScript:
         node("assn", pre_u, pre_ans, "0"),
         node("assn", pre_ans, loop.pre, "0"),
         loop,
-    ], ["0", "0", loop.index])
+    ])
     sv_frame = conj(SV_HYPS, "Qn == Q")
     init_weak = node("weak", conj(phi_t, sv_frame), loop.post, init_sub.index,
                      [init_sub])
@@ -297,7 +296,7 @@ def sv_proof() -> ProofScript:
                        iota, [_svinit_body("eps", iota, phi_t)],
                        proc="svinit", callee_pre="true", callee_post=phi_t,
                        frame=sv_frame)
-    chain = seq_chain([svinit_call, init_weak], [iota, init_weak.index])
+    chain = seq_chain([svinit_call, init_weak])
     return _script(SV_LOGICALS, sv_theorem(), "ans", chain)
 
 
@@ -438,7 +437,7 @@ def mwsv_proof() -> ProofScript:
     psi_k = f"abs(ans[k] - exact) <= (1/(eps/(2*c)))*log(1/({_IOTA_LAP})) + 1"
     rand_k = node("rand", r2, conj(psi_k, r2), _IOTA_LAP,
                   schema="lap_acc", site_index=_IOTA_LAP, frame=r2)
-    upd_chain = seq_chain([u1, iif, m3, rand_k], ["0", "0", "0", _IOTA_LAP])
+    upd_chain = seq_chain([u1, iif, m3, rand_k])
     upd_branch = node("weak", conj(p5, "at == true || bt == true"), inv,
                       _IOTA_LAP, [upd_chain], export=["post"])
 
@@ -448,13 +447,11 @@ def mwsv_proof() -> ProofScript:
                  _IOTA_LAP, [noupd_assn], export=["pre"])
 
     e5 = node("if", p5, inv, _IOTA_LAP, [upd_branch, noupd])
-    inner = seq_chain([e1, e2, e3, e4, e5],
-                      ["0", _IOTA_SV, "0", _IOTA_SV, _IOTA_LAP])
+    inner = seq_chain([e1, e2, e3, e4, e5])
     else_branch = node("weak", conj(p3, "!(k >= c)"), inv, beta_iter, [inner])
 
     outer_if = node("if", p3, inv, beta_iter, [then_branch, else_branch])
-    preserve = seq_chain([s1, s2, s3, s4, outer_if],
-                         ["0", "0", "0", "0", beta_iter])
+    preserve = seq_chain([s1, s2, s3, s4, outer_if])
 
     # variant decrease child
     dvar = "Qn - k < eta2"
@@ -472,7 +469,7 @@ def mwsv_proof() -> ProofScript:
                 node("assn", dvar, dvar, "0"),
                 node("rand", dvar, conj("true", dvar), "0",
                      schema="true_post", site_index="0", frame=dvar),
-            ], ["0", "0", "0", "0"]),
+            ]),
         ]),
         node("weak", conj(dvar, "!(at == true || bt == true)"), conj("true", dvar), "0",
              [node("assn", conj("true", dvar), conj("true", dvar), "0")]),
@@ -497,12 +494,12 @@ def mwsv_proof() -> ProofScript:
                          proc="svstep", callee_pre="true", callee_post="true",
                          frame=dvar),
                     dec_if_inner,
-                ], ["0", "0", "0", "0", "0"]),
+                ]),
             ]),
         ]),
     ]
     decrease = node("weak", dec_pre, "Qn - k < eta2", "0",
-                    [seq_chain(dec_nodes, ["0", "0", "0", "0", "0"])])
+                    [seq_chain(dec_nodes)])
 
     loop = node("while", conj(inv, "Qn - k <= Q"), conj(inv, "k >= Qn"),
                 f"Q * ({beta_iter})", [preserve, decrease],
@@ -524,6 +521,5 @@ def mwsv_proof() -> ProofScript:
     post_init = node("weak", svinit_call.post, loop.post, loop.index, [
         node("weak", conj(phi_t, frame_init), loop.post, loop.index, [
             node("weak", loop.pre, loop.post, loop.index, [loop])])])
-    chain = seq_chain(init_nodes + [svinit_call, post_init],
-                      ["0"] * len(init_nodes) + [_IOTA_SV, loop.index])
+    chain = seq_chain(init_nodes + [svinit_call, post_init])
     return _script(MWSV_LOGICALS, mwsv_theorem(), "ans", chain, export=["pre"])

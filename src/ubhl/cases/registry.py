@@ -19,10 +19,11 @@ from ..dp.queries import Database
 from ..lang.ast import Expr, free_vars, pretty_expr
 from ..lang.parser import parse_expr, parse_program
 from ..lang.typecheck import typecheck
+from ..semantics.commands import AdversaryStrategy
 from ..semantics.evalexpr import UbhlRuntimeError, compile_expr, eval_expr, eval_in_memory
 from ..semantics.trial import (
-    AdversaryStrategy, Classifier, CompiledProgram, EstimateReport, TrialAborted,
-    clopper_pearson_upper, run_chunked, run_trial,
+    Classifier, CompiledProgram, EstimateReport, TrialAborted, clopper_pearson_upper,
+    run_chunked, run_trial,
 )
 from ..semantics.values import ArrayVal, Value
 from . import adversaries as adv

@@ -216,10 +216,17 @@ def cmd_cases(args) -> int:
 
 
 def _parse_overrides(program, pairs):
-    out = {}
+    from .semantics.values import parse_value
+
+    sorts, out = program.store_sorts(), {}
     for pair in pairs:
         name, _, raw = pair.partition("=")
-        out[name] = json.loads(raw) if raw.startswith("[") else Fraction(raw)
+        if name not in sorts:
+            raise ValueError(f"--set {name}: not a variable of the program")
+        try:
+            out[name] = parse_value(sorts[name], raw)
+        except ValueError as exc:
+            raise ValueError(f"--set {name}: {exc}") from None
     return out
 
 

@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Optional
 
 from ..lang.ast import (
-    Assign, Assume, BinOp, Command, Expr, GhostAdd, Havoc, If, LValue, NumLit,
-    Program, Sample, Seq, While, fresh_name,
+    Assign, Assume, BinOp, Call, Command, Expr, GhostAdd, Havoc, If, LValue,
+    NumLit, Program, Sample, Seq, Var, While, fresh_name,
 )
 
 
@@ -41,15 +41,10 @@ class HoareTriple:
     ghost: str
 
     def pre_full(self) -> Expr:
-        return BinOp("&&", self.pre, BinOp("==", _v(self.ghost), NumLit(Fraction(0))))
+        return BinOp("&&", self.pre, BinOp("==", Var(self.ghost), NumLit(Fraction(0))))
 
     def post_full(self) -> Expr:
-        return BinOp("&&", self.post, BinOp("<=", _v(self.ghost), self.index))
-
-
-def _v(name: str):
-    from ..lang.ast import Var
-    return Var(name)
+        return BinOp("&&", self.post, BinOp("<=", Var(self.ghost), self.index))
 
 
 def embed(command: Command, sites: dict[SitePath, SiteSpec], pre: Expr,
@@ -72,7 +67,6 @@ def embed(command: Command, sites: dict[SitePath, SiteSpec], pre: Expr,
             return If(c.guard, walk(c.then, path + ("t",)), walk(c.els, path + ("e",)))
         if isinstance(c, While):
             return While(c.guard, walk(c.body, path + ("b",)))
-        from ..lang.ast import Call
         if isinstance(c, Call) and program is not None:
             # procedures are non-recursive and share the global store,
             # so a call is exactly argument assignment, body, return

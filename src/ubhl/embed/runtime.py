@@ -15,8 +15,9 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from ..lang.ast import Program
+from ..semantics.commands import AdversaryStrategy
 from ..semantics.rng import TrialRng
-from ..semantics.trial import AdversaryStrategy, CompiledProgram, RunState
+from ..semantics.trial import CompiledProgram, RunState
 from ..semantics.values import Memory, Value
 from .instrument import SitePath, SiteSpec
 

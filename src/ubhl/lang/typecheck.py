@@ -2,7 +2,8 @@
 
 The formal argument of a procedure is an ordinary program variable; its
 type may be pinned with a `var` declaration and defaults to int. A
-static pass enforces that it appears only in its own procedure.
+static pass enforces that it appears only in its own procedure, and
+that no procedure calls itself, directly or through others.
 """
 
 from __future__ import annotations
@@ -255,16 +256,20 @@ def typecheck(prog: Program) -> TypedProgram:
         _check_no_external(proc.ret, prog)
         ret_types[proc.name] = expr_type(proc.ret, env)
 
-    # one walk of each body: the names it mentions
+    # one walk of each body: the names it mentions, the procedures it calls
     used: dict[str, set[str]] = {}
+    calls: dict[str, set[str]] = {}  # callee names, unknown ones included
     for proc in prog.procs.values():
-        names, todo = free_vars(proc.ret), [proc.body]
+        names, called, todo = free_vars(proc.ret), set(), [proc.body]
         while todo:
-            writes, evaluated, subs = command_parts(todo.pop())
+            c = todo.pop()
+            writes, evaluated, subs = command_parts(c)
             names.update(lv.base for lv in writes)
             names.update(*map(free_vars, evaluated))
+            if isinstance(c, Call):
+                called.add(c.proc)
             todo.extend(subs)
-        used[proc.name] = names
+        used[proc.name], calls[proc.name] = names, called
 
     # arg_f may appear only in the body (and return) of f
     for proc in prog.procs.values():
@@ -277,7 +282,25 @@ def typecheck(prog: Program) -> TypedProgram:
 
     for proc in prog.procs.values():
         _check_command(proc.body, prog, env, ret_types)
+    _reject_recursion(calls)
     return TypedProgram(prog, env, ret_types)
+
+
+def _reject_recursion(calls: dict[str, set[str]]) -> None:
+    """Raise on the first cycle of the call graph, naming it."""
+    done: set[str] = set()
+
+    def visit(path: list[str]) -> None:
+        for callee in sorted(calls.get(path[-1], ())):
+            if callee in path:
+                cycle = " -> ".join(path[path.index(callee):] + [callee])
+                raise UbhlTypeError(f"recursive procedure: {cycle}")
+            if callee not in done:
+                visit(path + [callee])
+        done.add(path[-1])
+
+    for name in calls:
+        visit([name])
 
 
 def _check_command(c: Command, prog: Program, env: TypeEnv,

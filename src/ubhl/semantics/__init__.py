@@ -9,12 +9,12 @@ name, add it to `_EXPORTS` under the submodule that defines it.
 from importlib import import_module
 
 _EXPORTS = {
-    "commands": ("initial_memory",),
+    "commands": ("AdversaryStrategy", "initial_memory"),
     "evalexpr": ("DivisionByZero", "UbhlRuntimeError", "UnboundedQuantifierAtRuntime",
                  "eval_expr", "eval_in_memory"),
     "exact": ("Budget", "SubDist", "denote_exact"),
     "rng": ("TrialRng",),
-    "trial": ("AdversaryStrategy", "EstimateReport", "TrialAborted",
+    "trial": ("EstimateReport", "TrialAborted",
               "clopper_pearson_upper", "estimate_failure", "run_trial"),
     "values": ("ArrayVal", "Memory"),
 }

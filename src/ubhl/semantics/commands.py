@@ -11,13 +11,16 @@ trial (`trial.CompiledProgram`) draws one value, exact enumeration
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..lang.ast import (
     Assign, Call, Command, ExtCall, If, Program, Sample, Seq, Skip, While,
 )
 from .evalexpr import UbhlRuntimeError, compile_expr, compile_write
 from .values import Memory, Value, default_value
+
+if TYPE_CHECKING:
+    from .rng import TrialRng
 
 StoreDict = dict[str, Value]
 SitePath = tuple[str, ...]
@@ -30,6 +33,17 @@ def initial_memory(program: Program, overrides: Optional[dict[str, Value]] = Non
     if overrides:
         store.update(overrides)
     return Memory(store.items())
+
+
+class AdversaryStrategy:
+    """An external procedure: maps its own store `ext` and the call's
+    arguments to its new store and its answer. A trial passes its RNG
+    stream as `rng`; exact enumeration passes None, so a strategy used
+    there must not draw."""
+
+    def respond(self, ext: dict[str, Value], args: tuple[Value, ...],
+                rng: Optional[TrialRng]) -> tuple[dict[str, Value], Value]:
+        raise NotImplementedError
 
 
 class Commands:
@@ -69,8 +83,9 @@ class Commands:
 
     def _call(self, c: Call, path: SitePath, k: Step) -> Step:
         arg, write, name = compile_expr(c.arg), compile_write(c.target), c.proc
-        # compiled on first run, so a recursive procedure compiles only
-        # as deep as it runs
+        # compiled on first run: a call that never runs compiles nothing,
+        # and a recursive program that bypassed typecheck does not loop
+        # the compiler
         callee: list[tuple[str, Step]] = []
 
         def call(store, run):

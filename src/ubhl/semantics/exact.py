@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from ..dp.laplace import lap_masses_exact
 from ..lang.ast import Command, ExtCall, Program, Sample, While
-from .commands import Commands, SitePath, Step, StoreDict
+from .commands import AdversaryStrategy, Commands, SitePath, Step, StoreDict
 from .commands import initial_memory  # noqa: F401  re-exported beside denote_exact
 from .evalexpr import (
     UbhlRuntimeError, compile_expr, compile_write, dist_params, finite_support,
@@ -31,7 +31,6 @@ from .evalexpr import (
 from .values import Memory, Value
 
 ExtState = tuple[tuple[str, Value], ...]
-DetAdversary = Callable[[dict[str, Value], tuple[Value, ...]], tuple[dict[str, Value], Value]]
 # a path's external store and mass: what `run` carries during enumeration
 Run = tuple[ExtState, Fraction]
 
@@ -71,16 +70,17 @@ _ERROR = Memory.error_memory()
 
 
 class Enumeration(Commands):
-    """Exact enumeration of one program under a budget and deterministic
-    adversaries. A path that ends adds its mass to the current sink (the
-    frontier the running loop body feeds, or the final states), keyed by
-    its store's items, `None` for the error sentinel, and external
-    store. A runtime error moves the path's mass to the sentinel, caught
-    where the path began: at the start, a sample's value, a loop's
-    iteration or exit, or after an external call."""
+    """Exact enumeration of one program under a budget and adversaries
+    that do not draw (each is asked with rng=None). A path that ends
+    adds its mass to the current sink (the frontier the running loop
+    body feeds, or the final states), keyed by its store's items, `None`
+    for the error sentinel, and external store. A runtime error moves
+    the path's mass to the sentinel, caught where the path began: at the
+    start, a sample's value, a loop's iteration or exit, or after an
+    external call."""
 
     def __init__(self, program: Program, budget: Budget,
-                 adversaries: dict[str, DetAdversary]):
+                 adversaries: Mapping[str, AdversaryStrategy]):
         super().__init__(program)
         self.budget, self.adversaries = budget, adversaries
         self.residual = Fraction(0)
@@ -179,7 +179,7 @@ class Enumeration(Commands):
             strat = self.adversaries.get(name)
             if strat is None:
                 raise UbhlRuntimeError(f"no adversary bound for {name!r}")
-            new_ext, value = strat(dict(run[0]), tuple(f(store) for f in args))
+            new_ext, value = strat.respond(dict(run[0]), tuple(f(store) for f in args), None)
             write(store, value)
             self._branch(k, store, (tuple(sorted(new_ext.items())), run[1]))
         return ext_call
@@ -187,7 +187,7 @@ class Enumeration(Commands):
 
 def denote_exact(program: Program, command: Command, mem: Memory,
                  budget: Optional[Budget] = None,
-                 adversaries: Optional[dict[str, DetAdversary]] = None,
+                 adversaries: Optional[Mapping[str, AdversaryStrategy]] = None,
                  ext: Optional[dict[str, Value]] = None) -> SubDist:
     """Exact pushforward of `command` from `mem`, projected to internal
     memories."""

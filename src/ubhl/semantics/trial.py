@@ -24,7 +24,9 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
 from ..dp.laplace import lap_sample
 from ..lang.ast import Expr, ExtCall, Program, Sample, While
-from .commands import Commands, SitePath, Step, StoreDict, initial_memory
+from .commands import (
+    AdversaryStrategy, Commands, SitePath, Step, StoreDict, initial_memory,
+)
 from .evalexpr import (
     UbhlRuntimeError, compile_expr, compile_write, dist_params, eval_in_memory,
 )
@@ -34,19 +36,6 @@ from .values import Memory, Value
 
 class TrialAborted(Exception):
     """Loop-budget guard tripped; counted as a failure by estimators."""
-
-
-class AdversaryStrategy:
-    """External procedure implementation.
-
-    Operates only on its own store `ext`; may draw from `rng`. Exact
-    evaluation passes rng=None, so strategies used there must be
-    deterministic.
-    """
-
-    def respond(self, ext: dict[str, Value], args: tuple[Value, ...],
-                rng: Optional[TrialRng]) -> tuple[dict[str, Value], Value]:
-        raise NotImplementedError
 
 
 @dataclass(slots=True)

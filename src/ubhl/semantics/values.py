@@ -7,6 +7,7 @@ hashable so sub-distributions can key on them.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,7 +16,7 @@ from typing import Any, Iterable, Optional
 
 from ..dp.queries import Database, Query
 from ..lang.ast import (
-    ArrayT, BoolT, DbT, IntT, QueryT, RealT, SetIntT, Type, _keeps_hash,
+    INT, ArrayT, BoolT, DbT, IntT, QueryT, RealT, SetIntT, Type, _keeps_hash,
 )
 
 
@@ -63,6 +64,36 @@ def default_value(t: Type) -> Value:
     if isinstance(t, DbT):
         return Database(())
     raise TypeError(f"no default for type {t}")
+
+
+def parse_value(t: Type, text: str) -> Value:
+    """The value of sort `t` that `text` writes: a real as a decimal or
+    a fraction such as 1/3, any other sort as JSON: an int, `true` or
+    `false`, a set<int> or an array as a list of its elements, an
+    array's from index 0. A query or db has no written form. Raises
+    ValueError."""
+    try:
+        if isinstance(t, RealT):
+            return Fraction(text)
+        return _json_value(t, json.loads(text, parse_float=Fraction))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{text!r} is not a value of sort {t}") from None
+
+
+def _json_value(t: Type, v: Any) -> Value:
+    if isinstance(t, SetIntT) and isinstance(v, list):
+        return frozenset(_json_value(INT, x) for x in v)
+    if isinstance(t, ArrayT) and isinstance(v, list):
+        arr = ArrayVal(default_value(t.elem))
+        for i, x in enumerate(v):
+            arr = arr.set(i, _json_value(t.elem, x))
+        return arr
+    # JSON true and false are not numbers
+    if isinstance(t, BoolT) and isinstance(v, bool) or isinstance(t, IntT) and type(v) is int:
+        return v
+    if isinstance(t, RealT) and type(v) in (int, Fraction):
+        return Fraction(v)
+    raise ValueError(v)
 
 
 class Memory:

@@ -228,3 +228,48 @@ def test_bad_input_exits_one_without_traceback(cmd, fault, tmp_path):
     assert "Traceback" not in out.stderr
     if fault != "unknown entry":
         assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+
+
+def test_recursive_program_is_one_error_line(tmp_path):
+    """typecheck rejects recursion, so `check` reports it before the
+    kernel's write sets would walk the call cycle."""
+    from test_typecheck import RECURSIVE
+
+    program, proof = tmp_path / "rec.ubhl", tmp_path / "rec.json"
+    program.write_text(RECURSIVE)
+    skip = {"rule": "skip", "pre": "true", "post": "true", "index": "0"}
+    inner = {**skip, "rule": "call", "proc": "f", "children": [skip]}
+    outer = {**skip, "rule": "call", "proc": "main", "children": [inner]}
+    proof.write_text(json.dumps({"logicals": {}, "root": outer,
+                                 "entry": {"proc": "main", "arg": "0", "result": "res"}}))
+    out = run_cli("check", str(program), str(proof))
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr == "error: recursive procedure: f -> f\n"
+
+
+def test_set_reads_each_sort(tmp_path):
+    """`--set` values are read by the variable's declared sort."""
+    out = run_cli("exact", str(CASES / "rnm" / "program.ubhl"), "--set", "R=[0,1]",
+                  "--set", "eps=1", "--truncation-radius", "5")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("support: ")
+    prog = tmp_path / "p.ubhl"
+    prog.write_text("var Qn : int;\nvar r : real;\nvar b : bool;\nvar a : real[];\n"
+                    "proc main(w) { skip; } return Qn\n")
+    out = run_cli("run", str(prog), "--seed", "1", "--set", "Qn=3", "--set", "r=1/4",
+                  "--set", "b=true", "--set", "a=[0.5, 0, 2]")
+    assert out.returncode == 0, out.stderr
+    mem = json.loads(out.stdout)
+    assert (mem["Qn"], mem["res"], mem["r"], mem["b"]) == (3, 3, 0.25, True)
+    assert mem["a"] == {"0": 0.5, "2": 2.0}
+    assert '"Qn": 3,' in out.stdout
+
+
+@pytest.mark.parametrize("pair,message", [
+    ("nope=1", "error: --set nope: not a variable of the program\n"),
+    ("qq=1", "error: --set qq: '1' is not a value of sort query\n"),
+    ("Qn=1.5", "error: --set Qn: '1.5' is not a value of sort int\n"),
+])
+def test_set_rejects_unknown_names_and_unwritable_sorts(pair, message):
+    out = run_cli("run", str(CASES / "sv" / "program.ubhl"), "--seed", "1", "--set", pair)
+    assert (out.returncode, out.stderr) == (1, message)

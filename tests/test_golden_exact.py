@@ -19,6 +19,7 @@ from ubhl.cases import build_case
 from ubhl.lang.ast import Call, LValue, NumLit
 from ubhl.lang.parser import parse_program
 from ubhl.lang.typecheck import typecheck
+from ubhl.semantics.commands import AdversaryStrategy
 from ubhl.semantics.exact import Budget, denote_exact, initial_memory
 
 from test_cli import CASES
@@ -84,11 +85,13 @@ proc main(w) {
 }
 
 
-def running_total(ext, args):
+class RunningTotal(AdversaryStrategy):
     """A deterministic adversary: answers the running total of its
     arguments, kept in the external store."""
-    seen = ext.get("seen", 0) + args[0]
-    return dict(ext, seen=seen), seen
+
+    def respond(self, ext, args, rng):
+        seen = ext.get("seen", 0) + args[0]
+        return dict(ext, seen=seen), seen
 
 
 def enumerate_case(name):
@@ -104,7 +107,7 @@ def enumerate_case(name):
     typecheck(program)
     if name == "ext":
         return denote_exact(program, MAIN, initial_memory(program),
-                            adversaries={"adv": running_total}, ext={"seen": 0})
+                            adversaries={"adv": RunningTotal()}, ext={"seen": 0})
     if name == "overrun":
         return denote_exact(program, program.procs["main"].body, initial_memory(program),
                             Budget(max_loop_iters=4))

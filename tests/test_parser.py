@@ -1,5 +1,8 @@
-import pytest
+import dataclasses
+import typing
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -144,6 +147,46 @@ proc main(w) { x <- 1; y <$ lap(1, 0); } return x
     loop = rnm.procs["main"].body.second.second
     got = A.modified_vars(loop.body, rnm)
     assert got == {"r", "noisy", "flag", "rstar", "best", "R"}
+
+
+COMMAND_CLASSES = sorted((c for c in vars(A).values()
+                          if isinstance(c, type) and issubclass(c, A.Command) and c is not A.Command),
+                         key=lambda c: c.__name__)
+
+
+def _probe_field(name: str, t):
+    """A value of field type `t`, distinct for each field `name`."""
+    if t is A.LValue:
+        return A.LValue(f"w_{name}", A.Var(f"i_{name}"))
+    if t is A.Expr:
+        return A.Var(f"e_{name}")
+    if t is A.Command:
+        return A.Assign(A.LValue(f"c_{name}"), A.Var(f"e_{name}"))
+    if t == tuple[A.Expr, ...]:
+        return (A.Var(f"e_{name}0"), A.Var(f"e_{name}1"))
+    if t is A.DistExpr:
+        return A.DistExpr("lap", (A.Var(f"e_{name}0"), A.Var(f"e_{name}1")))
+    assert t is str, f"no probe for field {name} : {t}"
+    return f"s_{name}"
+
+
+@pytest.mark.parametrize("cls", COMMAND_CLASSES, ids=lambda c: c.__name__)
+def test_command_parts_covers_every_field(cls):
+    """Every lvalue, expression and command a command node holds is
+    among its parts, so `modified_vars` and typecheck, which read only
+    `command_parts`, see all of it."""
+    hints = typing.get_type_hints(cls)
+    values = {f.name: _probe_field(f.name, hints[f.name]) for f in dataclasses.fields(cls)}
+    writes, evaluated, subs = A.command_parts(cls(**values))
+    for v in values.values():
+        if isinstance(v, A.LValue):
+            assert v in writes and v.idx in evaluated
+        elif isinstance(v, A.Expr):
+            assert v in evaluated
+        elif isinstance(v, A.Command):
+            assert v in subs
+        elif isinstance(v, (tuple, A.DistExpr)):
+            assert set(getattr(v, "args", v)) <= set(evaluated)
 
 
 def test_havoc_and_assume_statements():

@@ -474,3 +474,23 @@ def test_array_pickle_leaves_out_the_kept_hash():
     b = pickle.loads(pickle.dumps(a))
     assert b == a and "_hash" not in vars(b)
     assert hash(b) == hash(a)
+
+
+def test_exact_sv_under_its_fixed_adversary():
+    """The trials' adversary objects drive exact enumeration too: sv at
+    Q = 1 under its fixed query sequence loses no mass, its bad event
+    holds on no enumerated memory, and the bound (the Laplace tails
+    beyond the radius) is below the theorem's index beta."""
+    from ubhl.cases import build_case
+
+    case = build_case("sv", {"Q": 1})
+    program = prog(case.source)
+    dist = denote_exact(program, Call(LValue("res"), "main", NumLit(Fraction(0))),
+                        initial_memory(program, case.overrides), Budget(laplace_radius=12),
+                        adversaries={"adv": case.adversary_menu["fixed"]})
+    assert dist.weight() + dist.residual == 1
+    assert not any(m.error or eval_in_memory(case.bad_event, m, case.logical_env)
+                   for m in dist.support)
+    bound = dist.prob_upper(lambda m: bool(eval_in_memory(case.bad_event, m, case.logical_env)))
+    assert bound == dist.residual
+    assert 0 < bound <= eval_expr(case.index, case.logical_env) == Fraction(1, 5)

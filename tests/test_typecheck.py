@@ -3,8 +3,8 @@ import pytest
 from ubhl.lang.ast import QUERY
 from ubhl.lang.parser import parse_expr, parse_program
 from ubhl.lang.typecheck import (
-    ExternalMemoryViolation, TypeMismatch, UnboundVariable, assertion_env,
-    check_assertion, expr_type, typecheck,
+    ExternalMemoryViolation, TypeMismatch, UbhlTypeError, UnboundVariable,
+    assertion_env, check_assertion, expr_type, typecheck,
 )
 from ubhl.cases.programs import MWSV_SOURCE, RNM_SOURCE, SV_SOURCE
 
@@ -94,3 +94,20 @@ def test_havoc_and_assume_typing():
         typecheck(parse_program("var x : real;\nproc main(w) { assume x + 1; } return 0"))
     with pytest.raises(ExternalMemoryViolation):
         typecheck(parse_program("extvar h : int;\nproc main(w) { havoc h; } return 0"))
+
+
+RECURSIVE = ("var y : int;\n"
+             "proc f(x) { if (x > 0) { y <- f(x - 1); } } return y\n"
+             "proc main(u) { y <- f(3); } return y\n")
+
+
+@pytest.mark.parametrize("source,cycle", [
+    (RECURSIVE, "f -> f"),
+    ("var y : int;\nvar v : int;\n"
+     "proc main(u) { y <- g(1); } return y\n"
+     "proc g(x) { y <- h(x); } return y\n"
+     "proc h(v) { y <- g(v); } return y\n", "g -> h -> g"),
+])
+def test_recursive_procedures_rejected(source, cycle):
+    with pytest.raises(UbhlTypeError, match=f"^recursive procedure: {cycle}$"):
+        typecheck(parse_program(source))
