@@ -1,8 +1,8 @@
 import dataclasses
 import typing
-from fractions import Fraction
 
 import pytest
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
