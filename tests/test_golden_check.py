@@ -18,7 +18,11 @@ case: the name and bytes of every file, the exit code and the output.
 consequent, the verdict and the node count of every
 `Prover.prove_implication` call made while checking the three cases and
 cross-checking rnm. A change to the prover that claims to keep its
-search must keep this digest.
+search must keep this digest. `CORPUS_PROVER_GOLDEN` pins the same
+record for every call `checker.check` makes on the 22 generated corpus
+scripts and on the 8 tampered scripts of the benchmark's check
+workload (`bench/inputs.py`, loaded without writing bytecode), each
+checked with the kernel's verdict cache emptied, as in a fresh process.
 """
 
 import hashlib
@@ -145,3 +149,61 @@ def test_prover_calls_are_byte_identical():
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split()[1] == PROVER_GOLDEN
+
+
+CORPUS_PROVER_GOLDEN = "97b480550ed070a96b545902fc727d898d5e1ba65e0d7d77f0bd7667f99f57e9"
+
+_CORPUS_PROVER_SCRIPT = """
+import hashlib, importlib.util, json, sys
+from pathlib import Path
+from ubhl.assertions.prover import Prover
+from ubhl.checker import ProofScript, check
+from ubhl.checker.kernel import _implies
+from ubhl.lang.ast import pretty_expr
+from ubhl.lang.parser import parse_program
+from ubhl.lang.typecheck import typecheck
+
+root, tests = Path(sys.argv[1]), sys.argv[2]
+sys.path.insert(0, tests)
+sys.dont_write_bytecode = True
+from corpus import generate_corpus
+
+spec = importlib.util.spec_from_file_location("bench_inputs", root / "bench" / "inputs.py")
+inputs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(inputs)
+
+calls = []
+prove = Prover.prove_implication
+
+
+def recorded(self, antecedent, consequent):
+    verdict = prove(self, antecedent, consequent)
+    calls.append(f"{pretty_expr(antecedent)}\\t{pretty_expr(consequent)}"
+                 f"\\t{verdict}\\t{self.nodes}\\n")
+    return verdict
+
+
+Prover.prove_implication = recorded
+for program, script, _ in generate_corpus():
+    _implies.cache_clear()
+    check(program, script)
+for case, mutate in inputs.MUTANTS.values():
+    _implies.cache_clear()
+    base = root / "cases" / case
+    program = parse_program((base / "program.ubhl").read_text())
+    typecheck(program)
+    doc = mutate(json.loads((base / "proof.json").read_text()))
+    check(program, ProofScript.from_json(json.dumps(doc)))
+print(len(calls), hashlib.sha256("".join(calls).encode()).hexdigest())
+"""
+
+
+def test_corpus_and_mutant_prover_calls_are_byte_identical():
+    src = str(Path(ubhl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _CORPUS_PROVER_SCRIPT,
+                           str(Path(src).parent), str(Path(__file__).parent)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[1] == CORPUS_PROVER_GOLDEN
