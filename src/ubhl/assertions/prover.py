@@ -6,6 +6,17 @@ equality hypotheses, select-of-store reduction, set-membership
 expansion, and Fourier-Motzkin elimination (with abs-splits, integer
 tightening and certified interval bounds for ground logs) over Laurent
 monomials. Anything it cannot close is Unknown, never refuted.
+
+Its caches, each keyed by structure, so none can change a verdict:
+- `nnf`, `_linearize`: a term's negation normal form, a comparison's
+  Fourier-Motzkin rows;
+- `_key_mask`: per term, one bit for the canon_struct key of it and of
+  each subterm, so `_apply_eqs` skips a subterm holding no left side;
+- `_sites`: per term, the subterms the site walks read (`_candidates`,
+  `_find_store_select`, `_size_remove_facts`);
+- `Prover._eq_rules`: per equality hypothesis, its rewrite rule (it
+  reads the prover's sorts); `Prover._fm_cache`: per node view's
+  order-free constraint key and extra rows, the FM verdict.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from typing import Optional
 from ..lang.ast import (
     ArrayT, BinOp, BoolLit, BoolT, DbT, Expr, FuncCall, Index, IntT, NumLit,
     Quant, QueryT, RangeDom, SetDom, SetIntT, SetLit, SortDom, Store, Type,
-    UnOp, Var, free_vars, map_children, subst_expr, subterms,
+    UnOp, Var, children, free_vars, map_children, subst_expr, subterms,
 )
 from ..lang.typecheck import UbhlTypeError, expr_type, result_sort
 from .normform import (
@@ -73,11 +84,9 @@ def nnf(e: Expr) -> Expr:
         if e.op == "in":
             return _expand_member(e.left, e.right)
         if e.op in ("==", "!=") and isinstance(e.right, BoolLit):
-            inner = nnf(e.left) if e.right.value == (e.op == "==") else _nnf_neg(e.left)
-            return inner
+            return nnf(e.left) if e.right.value == (e.op == "==") else _nnf_neg(e.left)
         if e.op in ("==", "!=") and isinstance(e.left, BoolLit):
-            inner = nnf(e.right) if e.left.value == (e.op == "==") else _nnf_neg(e.right)
-            return inner
+            return nnf(e.right) if e.left.value == (e.op == "==") else _nnf_neg(e.right)
         return e
     if isinstance(e, Quant):
         return Quant(e.kind, e.var, e.dom, nnf(e.body))
@@ -166,17 +175,13 @@ def _linearize(e: Expr) -> Optional[tuple[LinCon, ...]]:
     if form is None:
         return None
     items, const = form
-    if e.op == "<":
-        return (LinCon(items, const, True),)
-    if e.op == "<=":
-        return (LinCon(items, const, False),)
-    if e.op == ">":
-        return (LinCon(tuple((m, -c) for m, c in items), -const, True),)
-    if e.op == ">=":
-        return (LinCon(tuple((m, -c) for m, c in items), -const, False),)
+    flipped = tuple((m, -c) for m, c in items), -const
+    if e.op in ("<", "<="):
+        return (LinCon(items, const, e.op == "<"),)
+    if e.op in (">", ">="):
+        return (LinCon(*flipped, e.op == ">"),)
     if e.op == "==":
-        return (LinCon(items, const, False),
-                LinCon(tuple((m, -c) for m, c in items), -const, False))
+        return (LinCon(items, const, False), LinCon(*flipped, False))
     return None  # '!=' is handled by case splits, not FM
 
 
@@ -200,6 +205,27 @@ def _key(e: Expr):
         return canon_assertion(e)
     except (NonNumeric, ZeroDivisionError):
         return None
+
+
+@lru_cache(maxsize=200000)
+def _key_mask(e: Expr) -> int:
+    """Bit hash(k) & 63 for the canon_struct key k of e and of each
+    subterm: a term sharing no bit with a key set holds none of them."""
+    try:
+        mask = 1 << (hash(canon_struct(e)) & 63)
+    except (NonNumeric, ZeroDivisionError):
+        mask = 0
+    for x in children(e):
+        mask |= _key_mask(x)
+    return mask
+
+
+@lru_cache(maxsize=100000)
+def _sites(e: Expr) -> tuple[Expr, ...]:
+    """The variables, indexes, pick(...) and size(...) among e's
+    subterms, in `subterms` order: what the site walks look for."""
+    return tuple(x for x in subterms(e) if isinstance(x, (Var, Index))
+                 or (isinstance(x, FuncCall) and x.name in ("pick", "size")))
 
 
 class _Hyps:
@@ -241,6 +267,7 @@ class Prover:
         self.nodes = 0
         self._sk = 0
         self._fm_cache: dict = {}
+        self._eq_rules: dict = {}
 
     # ── public API ──
 
@@ -480,57 +507,69 @@ class Prover:
         return isinstance(self._sort(e), (SetIntT, ArrayT, QueryT, DbT, BoolT))
 
     def _equalities(self, hyps: list[Expr]) -> dict:
+        """Equation key -> (src, dst), from each equality's rule in order:
+        a structural rule overwrites, a numeric one keeps the first."""
         eqs: dict = {}
         for h in hyps:
             if not (isinstance(h, BinOp) and h.op == "=="):
                 continue
-            if self._is_structural_sort(h.left) or self._is_structural_sort(h.right):
-                try:
-                    k1, k2 = canon_struct(h.left), canon_struct(h.right)
-                except NonNumeric:
-                    continue
-                if k1 == k2:
-                    continue
-                # deterministic direction: larger key rewrites to smaller
-                if repr(k1) < repr(k2):
-                    eqs[k2] = (h.right, h.left)
-                else:
-                    eqs[k1] = (h.left, h.right)
-                continue
-            # numeric equality with a variable or function-atom side:
-            # substitute so that opaque atom positions (array indexes,
-            # abs args, product monomials) line up; FM keeps the
-            # equality as well
-            left, right = h.left, h.right
-            if isinstance(left, Var) and isinstance(right, Var):
-                src, dst = (left, right) if left.name > right.name else (right, left)
-            elif isinstance(left, Var) and left.name not in free_vars(right):
-                src, dst = left, right
-            elif isinstance(right, Var) and right.name not in free_vars(left):
-                src, dst = right, left
-            elif isinstance(left, (FuncCall, Index)):
-                src, dst = left, right
-            elif isinstance(right, (FuncCall, Index)):
-                src, dst = right, left
-            else:
-                continue
-            try:
-                skey = canon_struct(src)
-                if not isinstance(src, Var):
-                    # avoid divergent self-referential rewrites
-                    if repr(skey) in repr(canon_struct(dst)):
-                        continue
-                eqs.setdefault(skey, (src, dst))
-            except (NonNumeric, ZeroDivisionError):
-                continue
+            rule = self._eq_rules.get(h)
+            if rule is None:
+                rule = self._eq_rules[h] = self._eq_rule(h)
+            if rule and (rule[0] or rule[1] not in eqs):
+                eqs[rule[1]] = rule[2]
         return eqs
 
+    def _eq_rule(self, h: BinOp) -> tuple:
+        """(overwrite, key, (src, dst)) of the equality h; () if none."""
+        if self._is_structural_sort(h.left) or self._is_structural_sort(h.right):
+            try:
+                k1, k2 = canon_struct(h.left), canon_struct(h.right)
+            except NonNumeric:
+                return ()
+            if k1 == k2:
+                return ()
+            # deterministic direction: larger key rewrites to smaller
+            if repr(k1) < repr(k2):
+                return True, k2, (h.right, h.left)
+            return True, k1, (h.left, h.right)
+        # numeric equality with a variable or function-atom side:
+        # substitute so that opaque atom positions (array indexes,
+        # abs args, product monomials) line up; FM keeps the
+        # equality as well
+        left, right = h.left, h.right
+        if isinstance(left, Var) and isinstance(right, Var):
+            src, dst = (left, right) if left.name > right.name else (right, left)
+        elif isinstance(left, Var) and left.name not in free_vars(right):
+            src, dst = left, right
+        elif isinstance(right, Var) and right.name not in free_vars(left):
+            src, dst = right, left
+        elif isinstance(left, (FuncCall, Index)):
+            src, dst = left, right
+        elif isinstance(right, (FuncCall, Index)):
+            src, dst = right, left
+        else:
+            return ()
+        try:
+            skey = canon_struct(src)
+            # avoid divergent self-referential rewrites
+            if not isinstance(src, Var) and repr(skey) in repr(canon_struct(dst)):
+                return ()
+        except (NonNumeric, ZeroDivisionError):
+            return ()
+        return False, skey, (src, dst)
+
     def _apply_eqs(self, e: Expr, eqs: dict) -> Expr:
+        wanted = 0
+        for k in eqs:
+            wanted |= 1 << (hash(k) & 63)
         for _ in range(3):
             changed = False
 
             def walk(x: Expr) -> Expr:
                 nonlocal changed
+                if not _key_mask(x) & wanted:
+                    return x
                 try:
                     k = canon_struct(x)
                     if k in eqs:
@@ -646,7 +685,7 @@ class Prover:
                     found.append(e)
 
         def scan(e: Expr) -> None:
-            for x in subterms(e):
+            for x in _sites(e):
                 if isinstance(x, Var):
                     consider(x)
                 elif isinstance(x, Index):
@@ -719,7 +758,7 @@ class Prover:
 
     def _find_store_select(self, goal: Expr, view: _Hyps):
         for e in (goal, *view.items):
-            for x in subterms(e):
+            for x in _sites(e):
                 if not (isinstance(x, Index) and isinstance(x.arr, Store)):
                     continue
                 try:
@@ -736,7 +775,7 @@ class Prover:
         sites: list[tuple[Expr, Expr, Expr]] = []
         seen: set = set()
         for e in (goal, *hyps):
-            for x in subterms(e):
+            for x in _sites(e):
                 if isinstance(x, FuncCall) and x.name == "size" and x.args \
                         and isinstance(x.args[0], FuncCall) and x.args[0].name == "remove":
                     try:

@@ -31,6 +31,7 @@ from ..lang.ast import (
 from ..lang.parser import parse_expr
 from ..lang.typecheck import (
     TypeEnv, UbhlTypeError, assertion_env, dist_sig, expr_type,
+    procedure_uses, reject_recursion,
 )
 from .axioms import SchemaMismatch, finite_site_failure, instantiate_axiom
 from .index import index_equal, index_leq
@@ -516,6 +517,10 @@ def lvalue_sort(env: TypeEnv, lv: LValue) -> Type:
 def check(program: Program, script: ProofScript,
           prover_budget: int = 60000) -> CheckResult:
     """Check a proof script against a program."""
+    try:  # the rules assume, as typecheck does, that no procedure recurses
+        reject_recursion(procedure_uses(program)[1])
+    except UbhlTypeError as exc:
+        return CheckResult(False, str(exc))
     checker = Checker(program, script.logicals, prover_budget)
     entry = script.entry
     proc = program.procs.get(entry["proc"])

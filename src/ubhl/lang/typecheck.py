@@ -256,21 +256,7 @@ def typecheck(prog: Program) -> TypedProgram:
         _check_no_external(proc.ret, prog)
         ret_types[proc.name] = expr_type(proc.ret, env)
 
-    # one walk of each body: the names it mentions, the procedures it calls
-    used: dict[str, set[str]] = {}
-    calls: dict[str, set[str]] = {}  # callee names, unknown ones included
-    for proc in prog.procs.values():
-        names, called, todo = free_vars(proc.ret), set(), [proc.body]
-        while todo:
-            c = todo.pop()
-            writes, evaluated, subs = command_parts(c)
-            names.update(lv.base for lv in writes)
-            names.update(*map(free_vars, evaluated))
-            if isinstance(c, Call):
-                called.add(c.proc)
-            todo.extend(subs)
-        used[proc.name], calls[proc.name] = names, called
-
+    used, calls = procedure_uses(prog)
     # arg_f may appear only in the body (and return) of f
     for proc in prog.procs.values():
         if proc.arg in prog.vars:
@@ -282,11 +268,30 @@ def typecheck(prog: Program) -> TypedProgram:
 
     for proc in prog.procs.values():
         _check_command(proc.body, prog, env, ret_types)
-    _reject_recursion(calls)
+    reject_recursion(calls)
     return TypedProgram(prog, env, ret_types)
 
 
-def _reject_recursion(calls: dict[str, set[str]]) -> None:
+def procedure_uses(prog: Program) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+    """One walk of each body: the names each procedure mentions, and the
+    procedures it calls (unknown names included)."""
+    used: dict[str, set[str]] = {}
+    calls: dict[str, set[str]] = {}
+    for proc in prog.procs.values():
+        names, called, todo = free_vars(proc.ret), set(), [proc.body]
+        while todo:
+            c = todo.pop()
+            writes, evaluated, subs = command_parts(c)
+            names.update(lv.base for lv in writes)
+            names.update(*map(free_vars, evaluated))
+            if isinstance(c, Call):
+                called.add(c.proc)
+            todo.extend(subs)
+        used[proc.name], calls[proc.name] = names, called
+    return used, calls
+
+
+def reject_recursion(calls: dict[str, set[str]]) -> None:
     """Raise on the first cycle of the call graph, naming it."""
     done: set[str] = set()
 

@@ -291,3 +291,16 @@ def test_or_rule_rejects_cases_at_different_indices():
     assert not res.accepted
     assert res.rule == "or"
     assert "children must share the disjunction's index" in res.reason
+
+
+def test_check_rejects_a_recursive_program_without_typecheck():
+    """The kernel's write sets follow calls into callee bodies, so it
+    refuses a call cycle itself instead of walking it."""
+    from test_typecheck import RECURSIVE
+
+    skip = node("skip", "true", "true", "0")
+    root = node("call", "true", "true", "0", [node("call", "true", "true", "0", [skip],
+                                                   proc="f")], proc="main")
+    result = check(parse_program(RECURSIVE), script(root))
+    assert not result.accepted
+    assert result.summary() == "REJECTED [root]: recursive procedure: f -> f"
