@@ -14,10 +14,12 @@ from ..semantics.commands import AdversaryStrategy
 from ..semantics.values import Value
 
 GRAIN = 16  # weight granularity: multiples of 1/16 keep values exact
+_GRID = tuple(Fraction(k, GRAIN) for k in range(GRAIN + 1))
+_ZERO, _HALF, _ONE = _GRID[0], _GRID[GRAIN // 2], _GRID[GRAIN]
 
 
 def _unit_weights(rng: TrialRng, universe: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(rng.unif_int(0, GRAIN), GRAIN) for _ in range(universe))
+    return tuple([_GRID[rng.unif_int(0, GRAIN)] for _ in range(universe)])
 
 
 class FixedSequenceAdversary(AdversaryStrategy):
@@ -44,7 +46,7 @@ class RandomQueryAdversary(AdversaryStrategy):
     def respond(self, ext, args, rng):
         if rng is None:
             raise ValueError("random adversary needs a randomness stream")
-        return ext, Query(Fraction(0), _unit_weights(rng, self.universe))
+        return ext, Query(_ZERO, _unit_weights(rng, self.universe))
 
 
 class AdaptiveThresholdAdversary(AdversaryStrategy):
@@ -57,23 +59,26 @@ class AdaptiveThresholdAdversary(AdversaryStrategy):
 
     def respond(self, ext, args, rng):
         ext = dict(ext)
-        level = ext.get("level", Fraction(1, 2))
+        level = ext.get("level", _HALF)
         prev = args[0] if args else False
         # above threshold: back off; below: push up
         if isinstance(prev, bool):
             level = level - self.step if prev else level + self.step
-        level = min(Fraction(1), max(Fraction(0), level))
+        level = min(_ONE, max(_ZERO, level))
         ext["level"] = level
-        weights = tuple(level for _ in range(self.universe))
-        return ext, Query(Fraction(0), weights)
+        return ext, Query(_ZERO, (level,) * self.universe)
 
 
 class SyntheticGapAdversary(AdversaryStrategy):
     """Targets the bucket the synthetic database currently weights
-    heaviest, probing where the released model is most committed."""
+    heaviest, probing where the released model is most committed. The
+    probe for bucket i is built once; past the universe it is all zero."""
 
     def __init__(self, universe: int):
         self.universe = universe
+        self.probes = tuple(Query(_ZERO, tuple(_ONE if i == top else _ZERO
+                                               for i in range(universe)))
+                            for top in range(universe + 1))
 
     def respond(self, ext, args, rng):
         mwdb = args[1] if len(args) > 1 else None
@@ -81,9 +86,7 @@ class SyntheticGapAdversary(AdversaryStrategy):
             top = max(range(len(mwdb.counts)), key=lambda i: mwdb.counts[i])
         else:
             top = 0
-        weights = tuple(Fraction(1) if i == top else Fraction(0)
-                        for i in range(self.universe))
-        return ext, Query(Fraction(0), weights)
+        return ext, self.probes[min(top, self.universe)]
 
 
 def sv_menu(universe: int, db_counts: tuple[Fraction, ...]) -> dict[str, AdversaryStrategy]:

@@ -95,6 +95,9 @@ def build_case(name: str, params: Optional[dict] = None) -> CaseStudy:
         raise KeyError(f"unknown case {name!r}")
     p = dict(DEFAULT_PARAMS[name])
     p.update(params or {})
+    if name != "rnm" and int(p["universe"]) != len(p["counts"]):
+        raise PreconditionViolated(
+            f"{name}: universe {p['universe']} but {len(p['counts'])} database counts")
     if name == "rnm":
         return _build_rnm(p)
     if name == "sv":

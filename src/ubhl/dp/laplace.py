@@ -80,7 +80,7 @@ def lap_sample(eps: float, mean: Num, rng) -> Fraction:
     if eps <= 0:
         raise DomainError("eps must be positive")
     k = rng.laplace_offset(float(eps))
-    return Fraction(mean) + k
+    return (mean if type(mean) is Fraction else Fraction(mean)) + k
 
 
 def lap_masses_exact(eps: Fraction, radius: int) -> tuple[dict[int, Fraction], Fraction]:

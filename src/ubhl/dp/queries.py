@@ -4,12 +4,20 @@ The algebra satisfies, in exact rational arithmetic:
     evalQ(invQ(q), d)        = -evalQ(q, d)
     evalQ(negQ(q), d)        = size(d) - evalQ(q, d)      (q linear)
     evalQ(error(q, d1), d2)  = evalQ(q, d1) - evalQ(q, d2)
+
+Each query and database computes its integer form once, when first
+evaluated: the lcm D of its denominators and its entries times D. Then
+`eval_query` is one integer dot product and one division. The form is a
+cached attribute, not a field, and is left out of pickles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Sequence, Union
 
 Num = Union[int, Fraction]
@@ -23,6 +31,18 @@ class NotLinear(Exception):
     pass
 
 
+def _scaled(xs: tuple[Fraction, ...]) -> tuple[int, tuple[int, ...]]:
+    """(D, xs scaled by D to integers), D the lcm of the denominators."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    den = math.lcm(*[d for _, d in ratios])
+    return den, tuple([n * (den // d) for n, d in ratios])
+
+
+def _unscaled_state(obj) -> dict:
+    """Pickled state: the fields without the cached integer form."""
+    return {k: v for k, v in vars(obj).items() if k != "scaled"}
+
+
 @dataclass(frozen=True)
 class Query:
     """Affine query over a universe of size X: offset + <weights, counts>."""
@@ -31,6 +51,9 @@ class Query:
 
     def is_linear(self) -> bool:
         return self.offset == 0 and all(0 <= w <= 1 for w in self.weights)
+
+    scaled = cached_property(lambda self: _scaled(self.weights))
+    __getstate__ = _unscaled_state
 
 
 @dataclass(frozen=True)
@@ -41,6 +64,9 @@ class Database:
 
     def size(self) -> Fraction:
         return sum(self.counts, Fraction(0))
+
+    scaled = cached_property(lambda self: _scaled(self.counts))
+    __getstate__ = _unscaled_state
 
 
 def make_query(weights: Sequence[Num], offset: Num = 0) -> Query:
@@ -66,20 +92,16 @@ def db_size(d: Database) -> Fraction:
 
 
 def eval_query(q: Query, d: Database) -> Fraction:
-    """offset + <weights, counts>, equal to the plain Fraction fold: the
-    sum is kept as one integer numerator over one integer denominator
-    and divided once at the end."""
+    """offset + <weights, counts>, equal in value and type to the plain
+    Fraction fold: the integer forms' dot product over their common
+    denominator, plus the offset, divided once."""
     if len(q.weights) != len(d.counts):
         raise DimensionMismatch(
             f"query dimension {len(q.weights)} vs database {len(d.counts)}")
-    num, den = q.offset.numerator, q.offset.denominator
-    for w, c in zip(q.weights, d.counts):
-        pn, pd = w.numerator * c.numerator, w.denominator * c.denominator
-        if pd == den:
-            num += pn
-        else:
-            num, den = num * pd + pn * den, den * pd
-    return Fraction(num, den)
+    (qd, qn), (dd, dn) = q.scaled, d.scaled
+    on, od = q.offset.as_integer_ratio()
+    den = qd * dd
+    return Fraction(on * den + sum(map(mul, qn, dn)) * od, od * den)
 
 
 def inv_query(q: Query) -> Query:

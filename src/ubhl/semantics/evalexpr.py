@@ -34,6 +34,8 @@ Code = Callable[[Mapping[str, Value]], Value]
 Hoisting = Optional[tuple[str, dict, dict]]  # bound variable, `_mentions` memo, slots
 _SLOTS, _UNSET = object(), object()  # scope key of a quantifier's slots; empty slot
 _LEAVES = (Var, BoolLit, NumLit)
+_RATIONALS = (int, Fraction)  # exact types, compared by identity: bool is not int
+_DP_ERRORS = (dpq.DimensionMismatch, dpq.NotLinear, ValueError, ArithmeticError)
 
 
 class UbhlRuntimeError(Exception):
@@ -158,12 +160,15 @@ def _un_op(e: UnOp, h: Hoisting) -> Code:
 
 
 def _divide(l: Code, r: Code) -> Code:
+    """Exact division of int or Fraction operands as they are; any other
+    operand goes through `_num`, which raises for a bool or a non-number."""
     def div(s):
         lv, rv = l(s), r(s)
-        num, den = _num(lv), _num(rv)
-        if den == 0:
+        if type(lv) not in _RATIONALS or type(rv) not in _RATIONALS:
+            lv, rv = _num(lv), _num(rv)
+        if rv == 0:
             raise DivisionByZero("division by zero")
-        return num / den
+        return Fraction(lv, rv) if type(lv) is int and type(rv) is int else lv / rv
     return div
 
 
@@ -217,11 +222,28 @@ def _store(e: Store, h: Hoisting) -> Code:
 
 
 def _func_call(e: FuncCall, h: Hoisting) -> Code:
+    """A built-in call; one or two arguments are evaluated without a
+    loop. What a dp built-in raises on a bad argument (a dimension
+    mismatch, a non-linear query, an invalid MW parameter) is re-raised
+    as the program's runtime error, with the same message."""
     args = [_compile(a, h) for a in e.args]
     fn = _FUNCS.get(e.name)
     if fn is None:
         return _raises(UbhlRuntimeError, f"unknown function {e.name!r}", *args)
-    return lambda s: fn([f(s) for f in args])
+    n, (a0, a1, *_) = len(args), args + [None, None]
+
+    def call(s):
+        if n == 2:
+            a = [a0(s), a1(s)]
+        elif n == 1:
+            a = [a0(s)]
+        else:
+            a = [f(s) for f in args]
+        try:
+            return fn(a)
+        except _DP_ERRORS as exc:
+            raise UbhlRuntimeError(str(exc)) from exc
+    return call
 
 
 def _mentions(e: Expr, var: str, memo: dict) -> bool:
@@ -331,13 +353,17 @@ def compile_write(lv: LValue) -> Callable[[dict, Value], None]:
     return write_at
 
 
+def _fraction(v: Value) -> Fraction:
+    return v if type(v) is Fraction else Fraction(v)
+
+
 def dist_params(name: str, a: list) -> tuple:
     """Checked parameters of distribution `name` from its evaluated
     arguments: (p) for bern, (lo, hi) for unifint, (eps, mean) for lap.
     Sampled, ghost and exact runs all check here, so a bad parameter
     is the same runtime error on every path."""
     if name == "bern":
-        p = Fraction(a[0])
+        p = _fraction(a[0])
         if not 0 <= p <= 1:
             raise UbhlRuntimeError(f"bern parameter {p} outside [0,1]")
         return (p,)
@@ -347,10 +373,10 @@ def dist_params(name: str, a: list) -> tuple:
             raise UbhlRuntimeError("unifint with empty range")
         return lo, hi
     if name == "lap":
-        eps = Fraction(a[0])
+        eps = _fraction(a[0])
         if eps <= 0:
             raise UbhlRuntimeError("lap scale must be positive")
-        return eps, Fraction(a[1])
+        return eps, _fraction(a[1])
     raise UbhlRuntimeError(f"unknown distribution {name!r}")
 
 

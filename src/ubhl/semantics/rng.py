@@ -3,6 +3,10 @@
 Streams are keyed by (seed, trial index) and advance a block counter
 through blake2b, so trials are independent, reproducible and safe to
 run in parallel. No global state.
+
+Block i is the 8-byte blake2b digest of i (8 bytes, little-endian) keyed
+by seed and trial. A stream keys one hash and copies it per block: the
+same digest as a freshly keyed hash, without keying per draw.
 """
 
 from __future__ import annotations
@@ -14,12 +18,13 @@ from fractions import Fraction
 
 class TrialRng:
     def __init__(self, seed: int, trial: int = 0):
-        self._key = seed.to_bytes(8, "little", signed=False) + trial.to_bytes(8, "little")
+        key = seed.to_bytes(8, "little", signed=False) + trial.to_bytes(8, "little")
+        self._keyed = hashlib.blake2b(key=key, digest_size=8)
         self._counter = 0
 
     def _block(self) -> bytes:
-        h = hashlib.blake2b(self._counter.to_bytes(8, "little"), key=self._key,
-                            digest_size=8)
+        h = self._keyed.copy()
+        h.update(self._counter.to_bytes(8, "little"))
         self._counter += 1
         return h.digest()
 

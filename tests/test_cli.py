@@ -93,6 +93,19 @@ def test_run_failures_exit_one(failure, monkeypatch, capsys):
     assert capsys.readouterr().err == f"error: {failure}\n"
 
 
+@pytest.mark.parametrize("case", ["sv", "mwsv"])
+def test_validate_rejects_a_universe_unlike_the_counts(case, tmp_path, capsys):
+    """The adversaries ask queries over the universe, the program
+    evaluates them on the counts: a mismatch is refused up front."""
+    params = tmp_path / "p.json"
+    params.write_text('{"universe": 4}')
+    argv = ["validate", case, "--params", str(params), "--trials", "5", "--seed", "1",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {case}: universe 4 but 8 database counts\n"
+    assert not list(tmp_path.glob("validate-*.json"))
+
+
 def test_validate_writes_reports(tmp_path):
     out = run_cli("validate", "sv", "--Q", "5", "--trials", "40", "--seed", "7",
                   "--adversary", "fixed", "--out", str(tmp_path))

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -279,3 +280,43 @@ def test_eval_query_dimension_mismatch(nq, nd):
     else:
         with pytest.raises(DimensionMismatch):
             eval_query(q, d)
+
+
+# ── eval_query's integer form on derived queries ──
+
+_WEIGHTS01 = st.one_of(st.just(0), st.just(1), st.fractions(0, 1, max_denominator=16))
+
+
+def _derived(q, d1, steps):
+    """q after a chain of invQ, negQ (when q is linear) and error(., d1)."""
+    out = [q]
+    for step in steps:
+        if step == "inv":
+            q = inv_query(q)
+        elif step == "neg" and q.is_linear():
+            q = neg_query(q)
+        elif step == "error":
+            q = error_query(q, d1)
+        out.append(q)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 6),
+       st.lists(st.sampled_from(["inv", "neg", "error"]), max_size=5))
+def test_eval_query_on_derived_queries_matches_the_fold(data, dim, steps):
+    """Before the integer forms are cached, after, and after a pickle
+    round trip, which leaves the cached form out."""
+    weights = tuple(map(Fraction, data.draw(st.lists(_WEIGHTS01, min_size=dim, max_size=dim))))
+    d1, d2 = (Database(tuple(data.draw(st.lists(_rationals.map(Fraction),
+                                                 min_size=dim, max_size=dim))))
+              for _ in range(2))
+    for q in _derived(Query(Fraction(0), weights), d1, steps):
+        for d in (d1, d2, d1):
+            got, want = eval_query(q, d), _plain_fold(q, d)
+            assert got == want and type(got) is type(want)
+        assert pickle.dumps(q) == pickle.dumps(Query(q.offset, q.weights))
+        q2, d3 = pickle.loads(pickle.dumps(q)), pickle.loads(pickle.dumps(d1))
+        assert "scaled" not in vars(q2) and "scaled" not in vars(d3)
+        assert q2 == q and hash(q2) == hash(q) and repr(q2) == repr(q)
+        assert eval_query(q2, d3) == _plain_fold(q, d1)

@@ -13,13 +13,15 @@ from ubhl.lang.parser import parse_expr, parse_program
 from ubhl.lang.typecheck import typecheck
 from ubhl.semantics.evalexpr import (
     DivisionByZero, UbhlRuntimeError, UnboundVariableError,
-    UnboundedQuantifierAtRuntime, compile_expr, compiled_expr, eval_expr, eval_in_memory,
+    UnboundedQuantifierAtRuntime, _num, compile_expr, compiled_expr, dist_params, eval_expr,
+    eval_in_memory,
 )
 from ubhl.semantics.exact import Budget, denote_exact, initial_memory
 from ubhl.semantics.trial import (
     clopper_pearson_upper, estimate_failure, run_trial,
 )
 from ubhl.semantics.values import ArrayVal, Memory
+from ubhl.dp.mw import SynthDB, mw_step, potential
 from ubhl.dp.queries import Database, Query, eval_query
 
 
@@ -50,6 +52,112 @@ def test_eval_query_inversion_axiom():
     lhs = eval_expr(parse_expr("evalQ(invQ(q), d)"), store)
     rhs = -eval_query(q, d)
     assert lhs == rhs
+
+
+# ── the MW built-ins against dp.mw ──
+
+
+def _mw_store():
+    x = Database((Fraction(3), Fraction(1), Fraction(2)))
+    return {"x": x, "d": Database((Fraction(2), Fraction(0), Fraction(5, 2))),
+            "q": Query(Fraction(0), (Fraction(1), Fraction(1, 2), Fraction(0))),
+            "eta": Fraction(1, 3), "n": 3}
+
+
+def test_mw_step_builtin_matches_dp_mw():
+    store = _mw_store()
+    x = store["x"]
+    want = mw_step(SynthDB(tuple(c / x.size() for c in x.counts), 3), store["q"],
+                   Fraction(1, 3), 3).as_database()
+    got = eval_expr(parse_expr("mwStep(x, q, eta, n)"), store)
+    assert got == want and type(got) is Database
+
+
+def test_potential_builtin_matches_dp_mw():
+    store = _mw_store()
+    x = store["x"]
+    want = potential(SynthDB(tuple(c / x.size() for c in x.counts), 1), store["d"])
+    got = eval_expr(parse_expr("potential(x, d)"), store)
+    assert got == Fraction(want) and type(got) is Fraction
+
+
+def test_eval_query_on_a_stepped_database():
+    """The stepped counts have denominators that are not powers of two,
+    and the database is new: its integer form is its own, not that of
+    the database it was stepped from, whose form is computed first."""
+    store = _mw_store()
+    assert eval_expr(parse_expr("evalQ(q, x)"), store) == 3 + Fraction(1, 2)
+    stepped = eval_expr(parse_expr("mwStep(x, q, eta, n)"), store)
+    assert any(c.denominator & (c.denominator - 1) for c in stepped.counts)
+    got = eval_expr(parse_expr("evalQ(q, mwStep(x, q, eta, n))"), store)
+    want = sum((w * c for w, c in zip(store["q"].weights, stepped.counts)), Fraction(0))
+    assert got == want and type(got) is Fraction
+
+
+@pytest.mark.parametrize("text", ["potential(z, d)", "potential(x, z)"])
+def test_potential_of_an_empty_database_is_a_runtime_error(text):
+    store = dict(_mw_store(), z=Database((Fraction(0),) * 3))
+    with pytest.raises(UbhlRuntimeError):
+        eval_expr(parse_expr(text), store)
+
+
+# ── the fast paths agree with the general ones ──
+
+_OPERANDS = st.one_of(
+    st.integers(-5, 5), st.fractions(max_denominator=12), st.booleans(),
+    st.sampled_from([frozenset(), frozenset({1, 2})]))
+
+
+def _outcome_of(f, *args):
+    """(value, type) or (exception class, message) of f(*args)."""
+    try:
+        v = f(*args)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc), str(exc)
+    return v, type(v)
+
+
+def _reference_div(lv, rv):
+    num, den = _num(lv), _num(rv)
+    if den == 0:
+        raise DivisionByZero("division by zero")
+    return num / den
+
+
+@settings(max_examples=300, deadline=None)
+@given(_OPERANDS, _OPERANDS)
+def test_division_matches_the_num_reference(lv, rv):
+    div = compiled_expr(parse_expr("a / b"))
+    assert (_outcome_of(lambda: div({"a": lv, "b": rv}))
+            == _outcome_of(_reference_div, lv, rv))
+
+
+def _reference_dist_params(name, a):
+    """dist_params as it was written before it kept Fractions as they are."""
+    if name == "bern":
+        p = Fraction(a[0])
+        if not 0 <= p <= 1:
+            raise UbhlRuntimeError(f"bern parameter {p} outside [0,1]")
+        return (p,)
+    if name == "unifint":
+        lo, hi = int(a[0]), int(a[1])
+        if hi < lo:
+            raise UbhlRuntimeError("unifint with empty range")
+        return lo, hi
+    eps = Fraction(a[0])
+    if eps <= 0:
+        raise UbhlRuntimeError("lap scale must be positive")
+    return eps, Fraction(a[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["bern", "unifint", "lap"]), _OPERANDS, _OPERANDS)
+def test_dist_params_matches_the_reference(name, a0, a1):
+    got = _outcome_of(dist_params, name, [a0, a1])
+    want = _outcome_of(_reference_dist_params, name, [a0, a1])
+    assert got == want
+    if not isinstance(got[0], type):
+        assert [type(v) for v in got[0]] == [type(v) for v in want[0]]
 
 
 def test_eval_unbound():
@@ -297,6 +405,12 @@ FAULTY = {
     "division-by-zero": "var x : real;\nproc main(w) { x <- 1 / (w - w); } return x",
     "log-of-zero": "var x : real;\nproc main(w) { x <- log(w - w); } return x",
     "loop-cap": "var i : int;\nproc main(w) { while (true) { i <- i + 1; } } return i",
+    # dp built-ins that reject their arguments
+    "evalq-dimension": ("var q : query;\nvar x : real;\n"
+                        "proc main(w) { x <- evalQ(q, mwInit(1, 2, 1)); } return x"),
+    "mwinit-universe": "var d : db;\nproc main(w) { d <- mwInit(1, 1, 1); } return w",
+    "mwstep-dimension": ("var q : query;\nvar d : db;\n"
+                         "proc main(w) { d <- mwStep(mwInit(1, 2, 1), q, 1, 1); } return w"),
 }
 
 
