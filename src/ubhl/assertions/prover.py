@@ -15,8 +15,12 @@ Its caches, each keyed by structure, so none can change a verdict:
 - `_sites`: per term, the subterms the site walks read (`_candidates`,
   `_find_store_select`, `_size_remove_facts`);
 - `Prover._eq_rules`: per equality hypothesis, its rewrite rule (it
-  reads the prover's sorts); `Prover._fm_cache`: per node view's
-  order-free constraint key and extra rows, the FM verdict.
+  reads the prover's sorts); for one `prove_implication` call,
+  `Prover._eq_sets`: per ordered tuple of equality hypotheses, its
+  equation map (`_EqSet`), which keeps each term's rewrite under it, and
+  `Prover._fm_cache`: per node view's order-free constraint key and
+  extra rows, the FM verdict. `_saturate` keys each hypothesis once;
+  `_fm_core` eliminates over integer rows.
 """
 
 from __future__ import annotations
@@ -228,6 +232,19 @@ def _sites(e: Expr) -> tuple[Expr, ...]:
                  or (isinstance(x, FuncCall) and x.name in ("pick", "size")))
 
 
+class _EqSet(dict):
+    """Equation key -> (src, dst) for one ordered tuple of equality
+    hypotheses (`Prover._equalities`), with the `_key_mask` bits of its
+    keys and the rewrites `_apply_eqs` has made under it."""
+
+    def __init__(self, eqs: dict):
+        super().__init__(eqs)
+        self.wanted = 0
+        for k in eqs:
+            self.wanted |= 1 << (hash(k) & 63)
+        self.done: dict = {}
+
+
 class _Hyps:
     """One proof node's hypotheses and what the strategies read off
     them, each derived on first use and then shared."""
@@ -268,11 +285,16 @@ class Prover:
         self._sk = 0
         self._fm_cache: dict = {}
         self._eq_rules: dict = {}
+        self._eq_sets: dict = {}
 
     # ── public API ──
 
     def prove_implication(self, antecedent: Expr, consequent: Expr) -> bool:
+        # FM verdicts and rewrites are kept for one call: a kept verdict
+        # skips FM's node, so a prover that has run would count fewer
         self.nodes = 0
+        self._fm_cache.clear()
+        self._eq_sets.clear()
         try:
             hyps = [nnf(h) for h in conjuncts(antecedent)]
             return self._prove(hyps, nnf(consequent), depth=0, splits=0,
@@ -388,7 +410,9 @@ class Prover:
     # ── saturation ──
 
     def _saturate(self, hyps: list[Expr]) -> tuple[list[Expr], bool]:
-        out: list[Expr] = []
+        # each kept hypothesis is (term, its key, clause): a disjunction's
+        # clause lists its (part, key) pairs, a literal's clause is None
+        out: list[tuple] = []
         seen: set = set()
         queue = list(hyps)
         empties: set = set()
@@ -401,7 +425,7 @@ class Prover:
             h = nnf(queue.pop(0))
             if isinstance(h, BoolLit):
                 if not h.value:
-                    return out, True
+                    return [], True
                 continue
             if isinstance(h, BinOp) and h.op == "&&":
                 queue.extend(conjuncts(h))
@@ -421,8 +445,9 @@ class Prover:
                     w = self._fresh("w", IntT())
                     queue.append(BinOp("in", w, s))
                     queue.append(BinOp("in", FuncCall("pick", (s,)), s))
-                out.append(h)
-                seen.add(key_of(h))
+                k = key_of(h)
+                out.append((h, k, None))
+                seen.add(k)
                 continue
             if isinstance(h, FuncCall) and h.name == "isempty":
                 try:
@@ -433,92 +458,95 @@ class Prover:
             if k in seen:
                 continue
             seen.add(k)
-            out.append(h)
+            clause = None
+            if isinstance(h, BinOp) and h.op == "||":
+                clause = [(p, key_of(p)) for p in disjuncts(h)]
+            out.append((h, k, clause))
 
         # unit propagation over disjunctive hypotheses, to fixpoint
         for _ in range(6):
             changed = False
-            keys = {key_of(h) for h in out if not (isinstance(h, BinOp) and h.op == "||")}
-            new_out: list[Expr] = []
-            for h in out:
-                if not (isinstance(h, BinOp) and h.op == "||"):
-                    new_out.append(h)
+            keys = {k for _, k, clause in out if clause is None}
+            new_out: list[tuple] = []
+            for h, k, clause in out:
+                if clause is None:
+                    new_out.append((h, k, clause))
                     continue
-                parts = disjuncts(h)
-                part_keys = [key_of(p) for p in parts]
-                if any(pk in keys for pk in part_keys):
+                if any(pk in keys for _, pk in clause):
                     changed = True  # subsumed by an established literal
                     continue
-                kept = [p for p, pk in zip(parts, part_keys)
-                        if _negate_key(pk) not in keys]
-                if len(kept) == len(parts):
-                    new_out.append(h)
+                kept = [(p, pk) for p, pk in clause if _negate_key(pk) not in keys]
+                if len(kept) == len(clause):
+                    new_out.append((h, k, clause))
                     continue
                 changed = True
                 if not kept:
-                    return out, True
-                rebuilt: Expr = kept[0]
-                for p in kept[1:]:
+                    return [], True
+                rebuilt: Expr = kept[0][0]
+                for p, _ in kept[1:]:
                     rebuilt = BinOp("||", rebuilt, p)
-                new_out.append(rebuilt)
+                new_out.append((rebuilt, key_of(rebuilt), kept if len(kept) > 1 else None))
             out = new_out
             if not changed:
                 break
 
         # pairwise contradiction on canonical keys
-        all_keys = {key_of(h) for h in out}
-        for h in out:
-            if _negate_key(key_of(h)) in all_keys:
-                return out, True
+        all_keys = {k for _, k, _ in out}
+        if any(_negate_key(k) in all_keys for _, k, _ in out):
+            return [], True
 
         # equality propagation: rewrite every hypothesis, but keep the
         # original equalities so recursive passes can rebuild the map
         # and so goals rewritten the same way still find their match
-        eqs = self._equalities(out)
+        hyps = [h for h, _, _ in out]
+        eqs = self._equalities(hyps)
         if eqs:
-            originals = [h for h in out if isinstance(h, BinOp) and h.op == "=="]
             rewritten = []
             seen_rw: set = set()
-            for h in out:
+            for h, k, _ in out:
                 r = self._apply_eqs(h, eqs)
-                k = key_of(r)
-                if k in seen_rw:
-                    continue
-                seen_rw.add(k)
-                rewritten.append(r)
-            for h in originals:
-                k = key_of(h)
-                if k not in seen_rw:
+                rk = k if r is h else key_of(r)
+                if rk not in seen_rw:
+                    seen_rw.add(rk)
+                    rewritten.append(r)
+            for h, k, _ in out:
+                if isinstance(h, BinOp) and h.op == "==" and k not in seen_rw:
                     seen_rw.add(k)
                     rewritten.append(h)
-            out = rewritten
+            hyps = rewritten
         # membership in a known-empty set is absurd
         if empties:
-            for h in out:
+            for h in hyps:
                 if isinstance(h, BinOp) and h.op == "in":
                     try:
                         if canon_struct(h.right) in empties:
-                            return out, True
+                            return hyps, True
                     except NonNumeric:
                         pass
-        return out, False
+        return hyps, False
 
     def _is_structural_sort(self, e: Expr) -> bool:
         return isinstance(self._sort(e), (SetIntT, ArrayT, QueryT, DbT, BoolT))
 
-    def _equalities(self, hyps: list[Expr]) -> dict:
+    def _equalities(self, hyps: list[Expr]) -> "_EqSet":
         """Equation key -> (src, dst), from each equality's rule in order:
-        a structural rule overwrites, a numeric one keeps the first."""
+        a structural rule overwrites, a numeric one keeps the first. One
+        map per ordered tuple of equalities, so its rewrites are kept."""
+        key = tuple(h for h in hyps if isinstance(h, BinOp) and h.op == "==")
+        hit = self._eq_sets.get(key)
+        if hit is not None:
+            return hit
         eqs: dict = {}
-        for h in hyps:
-            if not (isinstance(h, BinOp) and h.op == "=="):
-                continue
+        for h in key:
             rule = self._eq_rules.get(h)
             if rule is None:
                 rule = self._eq_rules[h] = self._eq_rule(h)
             if rule and (rule[0] or rule[1] not in eqs):
                 eqs[rule[1]] = rule[2]
-        return eqs
+        hit = _EqSet(eqs)
+        if len(self._eq_sets) < 20000:
+            self._eq_sets[key] = hit
+        return hit
 
     def _eq_rule(self, h: BinOp) -> tuple:
         """(overwrite, key, (src, dst)) of the equality h; () if none."""
@@ -559,10 +587,11 @@ class Prover:
             return ()
         return False, skey, (src, dst)
 
-    def _apply_eqs(self, e: Expr, eqs: dict) -> Expr:
-        wanted = 0
-        for k in eqs:
-            wanted |= 1 << (hash(k) & 63)
+    def _apply_eqs(self, e: Expr, eqs: "_EqSet") -> Expr:
+        hit = eqs.done.get(e)
+        if hit is not None:
+            return hit
+        term, wanted = e, eqs.wanted
         for _ in range(3):
             changed = False
 
@@ -583,6 +612,8 @@ class Prover:
             e = walk(e)
             if not changed:
                 break
+        if len(eqs.done) < 20000:
+            eqs.done[term] = e
         return e
 
     def _skolemize(self, q: Quant) -> Expr:
@@ -980,49 +1011,50 @@ class Prover:
         return True
 
     def _fm_core(self, cons: list[LinCon]) -> bool:
+        """Eliminate monomials in repr order. A row (coeffs, const, den,
+        strict) is (sum(coeffs[m] * m) + const) / den (<|<=) 0 with int
+        coefficients, den > 0 and gcd 1 over all of them, so den is what
+        clearing denominators multiplies by: a strict row over integer
+        monomials tightens to (coeffs, const + 1, 1, non-strict)."""
         if not self._tick():
             return False
-        rows: list[tuple[dict, Fraction, bool]] = []
+        is_int = lru_cache(maxsize=None)(self._int_mono)
+
+        def row(coeffs: dict, const: int, den: int, strict: bool) -> tuple:
+            g = math.gcd(const, den, *coeffs.values())
+            if g > 1:
+                coeffs = {m: c // g for m, c in coeffs.items()}
+                const, den = const // g, den // g
+            if strict and coeffs and all(map(is_int, coeffs)):
+                return coeffs, const + 1, 1, False
+            return coeffs, const, den, strict
+
+        def absurd(r: tuple) -> bool:  # 0 < c or, strict, 0 <= c
+            return not r[0] and (r[1] > 0 or (r[3] and r[1] == 0))
+
+        rows = []
         for c in cons:
-            rows.append((dict(c.coeffs), c.const, c.strict))
-        rows = [self._tighten(r) for r in rows]
-        monos: set = set()
-        for coeffs, _, _ in rows:
-            monos.update(coeffs)
-        for mono in sorted(monos, key=repr):
+            den = math.lcm(c.const.denominator, *(q.denominator for _, q in c.coeffs))
+            rows.append(row({m: q.numerator * (den // q.denominator) for m, q in c.coeffs},
+                            c.const.numerator * (den // c.const.denominator), den, c.strict))
+        for mono in sorted(set().union(*(r[0] for r in rows)), key=repr):
             pos = [r for r in rows if r[0].get(mono, 0) > 0]
             negs = [r for r in rows if r[0].get(mono, 0) < 0]
-            keep = [r for r in rows if r[0].get(mono, 0) == 0]
-            new_rows = keep
+            new_rows = [r for r in rows if mono not in r[0]]
             if len(pos) * len(negs) <= 400:
                 for p in pos:
+                    cp = p[0][mono]
                     for n in negs:
-                        cp, cn = p[0][mono], -n[0][mono]
-                        coeffs: dict = {}
-                        for m, c in p[0].items():
-                            coeffs[m] = coeffs.get(m, Fraction(0)) + c * cn
+                        cn = -n[0][mono]
+                        coeffs = {m: c * cn for m, c in p[0].items()}
                         for m, c in n[0].items():
-                            coeffs[m] = coeffs.get(m, Fraction(0)) + c * cp
-                        coeffs = {m: c for m, c in coeffs.items() if c != 0 and m != mono}
-                        const = p[1] * cn + n[1] * cp
-                        new_rows.append(self._tighten((coeffs, const, p[2] or n[2])))
-            rows = new_rows
-            for coeffs, const, strict in rows:
-                if not coeffs:
-                    if const > 0 or (strict and const == 0):
-                        return True
-            rows = [r for r in rows if r[0]]
+                            coeffs[m] = coeffs.get(m, 0) + c * cp
+                        coeffs = {m: c for m, c in coeffs.items() if c and m != mono}
+                        new_rows.append(row(coeffs, p[1] * cn + n[1] * cp, p[2] * n[2],
+                                            p[3] or n[3]))
+            if any(map(absurd, new_rows)):
+                return True
+            rows = [r for r in new_rows if r[0]]
             if len(rows) > 2500:
                 return False
-        for coeffs, const, strict in rows:
-            if not coeffs and (const > 0 or (strict and const == 0)):
-                return True
-        return False
-
-    def _tighten(self, row: tuple[dict, Fraction, bool]):
-        coeffs, const, strict = row
-        if not strict or not coeffs or not all(self._int_mono(m) for m in coeffs):
-            return row
-        # integer rows: a < 0 becomes a + 1 <= 0 after clearing denominators
-        denom = math.lcm(const.denominator, *(c.denominator for c in coeffs.values()))
-        return ({m: c * denom for m, c in coeffs.items()}, const * denom + 1, False)
+        return any(map(absurd, rows))

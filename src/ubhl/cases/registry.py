@@ -139,6 +139,8 @@ def _build_rnm(p: dict) -> CaseStudy:
     size = int(p["size"])
     candidates = frozenset(range(size))
     qscore = p.get("qscore", list(range(size)))
+    if len(qscore) != size:
+        raise PreconditionViolated(f"rnm: size {size} but {len(qscore)} query scores")
     table = ArrayVal(Fraction(0), tuple((i, _frac(v)) for i, v in enumerate(qscore)))
     overrides = {"R": candidates, "eps": _frac(p["eps"]), "qscore": table}
     logical_env = {"beta": _frac(p["beta"]), "R0": candidates}

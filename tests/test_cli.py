@@ -106,6 +106,18 @@ def test_validate_rejects_a_universe_unlike_the_counts(case, tmp_path, capsys):
     assert not list(tmp_path.glob("validate-*.json"))
 
 
+def test_validate_rejects_query_scores_unlike_the_size(tmp_path, capsys):
+    """Every candidate reads its score from qscore: a list of another
+    length would leave some at the array default."""
+    params = tmp_path / "p.json"
+    params.write_text('{"qscore": [1, 2]}')
+    argv = ["validate", "rnm", "--params", str(params), "--trials", "5", "--seed", "1",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: rnm: size 10 but 2 query scores\n"
+    assert not list(tmp_path.glob("validate-*.json"))
+
+
 def test_validate_writes_reports(tmp_path):
     out = run_cli("validate", "sv", "--Q", "5", "--trials", "40", "--seed", "7",
                   "--adversary", "fixed", "--out", str(tmp_path))

@@ -18,11 +18,12 @@ case: the name and bytes of every file, the exit code and the output.
 consequent, the verdict and the node count of every
 `Prover.prove_implication` call made while checking the three cases and
 cross-checking rnm. A change to the prover that claims to keep its
-search must keep this digest. `CORPUS_PROVER_GOLDEN` pins the same
-record for every call `checker.check` makes on the 22 generated corpus
-scripts and on the 8 tampered scripts of the benchmark's check
-workload (`bench/inputs.py`, loaded without writing bytecode), each
-checked with the kernel's verdict cache emptied, as in a fresh process.
+search must keep this digest, at hash seed 0 and at hash seed 1.
+`CORPUS_PROVER_GOLDEN` pins the same record for every call
+`checker.check` makes on the 22 generated corpus scripts and on the 8
+tampered scripts of the benchmark's check workload (`bench/inputs.py`,
+loaded without writing bytecode), each checked with the kernel's
+verdict cache emptied, as in a fresh process.
 """
 
 import hashlib
@@ -141,14 +142,24 @@ print(len(calls), hashlib.sha256("".join(calls).encode()).hexdigest())
 """
 
 
-def test_prover_calls_are_byte_identical():
+def _prover_digest(hash_seed: str) -> str:
     src = str(Path(ubhl.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONHASHSEED="0",
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", _PROVER_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split()[1] == PROVER_GOLDEN
+    return done.stdout.split()[1]
+
+
+def test_prover_calls_are_byte_identical():
+    assert _prover_digest("0") == PROVER_GOLDEN
+
+
+def test_prover_calls_do_not_depend_on_the_hash_seed():
+    """The prover's caches are keyed by structure and iterated in
+    insertion order, so string-hash order must not reach its search."""
+    assert _prover_digest("1") == PROVER_GOLDEN
 
 
 CORPUS_PROVER_GOLDEN = "97b480550ed070a96b545902fc727d898d5e1ba65e0d7d77f0bd7667f99f57e9"

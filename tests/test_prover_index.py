@@ -5,11 +5,16 @@ equations' keys, and the site walks read a per-term site list instead
 of walking `subterms`. Both are checked against the walks they replace
 on generated terms: quantifiers with range and set domains, stores and
 indexes, subterms with no numeric form (NonNumeric) or a zero divisor,
-and equation maps built by `_equalities`. A last check runs the rnm
-cross-check twice in one process, around an sv check, and wants the same
-verdict and node count from every prover call both times.
+and equation maps built by `_equalities`. `_equalities` keeps one
+equation map per ordered tuple of equalities, and `_apply_eqs` keeps
+each term's rewrite under it: the memo must answer as the walk does,
+and give each equation map its own rewrite. Two last checks run the rnm
+cross-check: its calls made in turn on one prover answer as on fresh
+ones, and the cross-check run twice in one process, around an sv check,
+gets the same verdict and node count from every prover call both times.
 """
 
+import copy
 import json
 import os
 import subprocess
@@ -23,10 +28,15 @@ from hypothesis import given, settings, strategies as st
 import ubhl
 from ubhl.assertions import prover as P
 from ubhl.assertions.normform import NonNumeric, canon_struct
+from ubhl.cases.registry import case_proof, case_source
+from ubhl.checker.kernel import _implies
+from ubhl.embed.crosscheck import crosscheck
 from ubhl.lang.ast import (
     INT, REAL, SETINT, ArrayT, BinOp, BoolLit, FuncCall, Index, NumLit, Quant,
     RangeDom, SetDom, SetLit, Store, Var, map_children, subterms,
 )
+from ubhl.lang.parser import parse_program
+from ubhl.lang.typecheck import typecheck
 
 SORTS = {"i": INT, "j": INT, "k": INT, "x": REAL, "S": SETINT, "R": SETINT,
          "arr": ArrayT(INT)}
@@ -133,6 +143,75 @@ def test_site_readers_equal_a_filter_over_subterms(goal, hyps):
     indexed = readers()
     with mock.patch.object(P, "_sites", lambda e: tuple(subterms(e))):
         assert readers() == indexed
+
+
+@settings(max_examples=300, deadline=None)
+@given(_term_and_equations())
+def test_memoized_rewrite_equals_the_plain_walk(case):
+    e, hyps = case
+    prover = P.Prover(SORTS)
+    eqs = _outcome(prover._equalities, hyps)
+    if not isinstance(eqs, dict):
+        return
+    assert prover._equalities(list(hyps)) is eqs  # one map per equality tuple
+    want = _outcome(_reference_apply_eqs, e, eqs)
+    assert _outcome(prover._apply_eqs, e, eqs) == want
+    # answered from the memo, for the same term and for an equal copy
+    assert _outcome(prover._apply_eqs, e, eqs) == want
+    assert _outcome(prover._apply_eqs, copy.deepcopy(e), eqs) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_term_and_equations(), st.lists(TERMS, min_size=1, max_size=3))
+def test_each_equality_set_keeps_its_own_rewrites(case, others):
+    e, hyps = case
+    second = [BinOp("==", x, NumLit(Fraction(7))) for x in others] + hyps[:1]
+    def rewrite(prover, h):
+        eqs = _outcome(prover._equalities, h)
+        return _outcome(prover._apply_eqs, e, eqs) if isinstance(eqs, dict) else eqs
+
+    prover = P.Prover(SORTS)
+    got = [rewrite(prover, h) for h in (hyps, second, hyps)]
+    assert got == [rewrite(P.Prover(SORTS), h) for h in (hyps, second, hyps)]
+
+
+def test_one_term_under_two_equality_sets():
+    prover = P.Prover(SORTS)
+    e = BinOp("<=", BinOp("+", Var("j"), NumLit(Fraction(1))), Var("k"))
+    three, four = ([BinOp("==", Var("j"), NumLit(Fraction(n)))] for n in (3, 4))
+    for _ in range(2):
+        assert prover._apply_eqs(e, prover._equalities(three)) == BinOp(
+            "<=", BinOp("+", NumLit(Fraction(3)), NumLit(Fraction(1))), Var("k"))
+        assert prover._apply_eqs(e, prover._equalities(four)) == BinOp(
+            "<=", BinOp("+", NumLit(Fraction(4)), NumLit(Fraction(1))), Var("k"))
+
+
+def test_a_prover_that_has_run_answers_like_a_fresh_one():
+    """Every prove_implication call of the rnm cross-check, made in turn
+    on one prover, gets the verdict and node count a fresh prover gets.
+    The fresh one starts at the same Skolem counter, so both name their
+    fresh constants alike."""
+    calls = []
+    prove = P.Prover.prove_implication
+
+    def recorded(self, antecedent, consequent):
+        calls.append((dict(self.sorts), self.budget, antecedent, consequent))
+        return prove(self, antecedent, consequent)
+
+    program = parse_program(case_source("rnm"))
+    typecheck(program)
+    _implies.cache_clear()
+    with mock.patch.object(P.Prover, "prove_implication", recorded):
+        crosscheck(program, case_proof("rnm"))
+    assert len(calls) > 3
+    shared = P.Prover(calls[0][0])
+    for sorts, budget, antecedent, consequent in calls:
+        shared.sorts.update(sorts)
+        shared.budget = budget
+        fresh = P.Prover(shared.sorts, budget)
+        fresh._sk = shared._sk
+        assert ((shared.prove_implication(antecedent, consequent), shared.nodes)
+                == (fresh.prove_implication(antecedent, consequent), fresh.nodes))
 
 
 _WARM_SCRIPT = """
