@@ -166,6 +166,7 @@ def test_memoized_rewrite_equals_the_plain_walk(case):
 def test_each_equality_set_keeps_its_own_rewrites(case, others):
     e, hyps = case
     second = [BinOp("==", x, NumLit(Fraction(7))) for x in others] + hyps[:1]
+
     def rewrite(prover, h):
         eqs = _outcome(prover._equalities, h)
         return _outcome(prover._apply_eqs, e, eqs) if isinstance(eqs, dict) else eqs
