@@ -6,7 +6,9 @@ order is part of the output: `ubhl exact` sorts rows by mass with a
 stable sort, so ties keep the order in which memories were first
 reached. The digests were recorded from the tree-walking exact
 evaluator; a new enumeration core must reach the same memories in the
-same order with the same masses and residual.
+same order with the same masses and residual. The bad events' masses
+are pinned the same way, as the digest of the exact `Fraction` that
+`SubDist.prob_upper` returns.
 """
 
 import hashlib
@@ -17,9 +19,10 @@ import pytest
 from ubhl import cli
 from ubhl.cases import build_case
 from ubhl.lang.ast import Call, LValue, NumLit
-from ubhl.lang.parser import parse_program
+from ubhl.lang.parser import parse_expr, parse_program
 from ubhl.lang.typecheck import typecheck
 from ubhl.semantics.commands import AdversaryStrategy
+from ubhl.semantics.evalexpr import eval_in_memory
 from ubhl.semantics.exact import Budget, denote_exact, initial_memory
 
 from test_cli import CASES
@@ -172,3 +175,56 @@ def test_exact_cli_ties_keep_insertion_order(name, flags, tmp_path, capsys):
     assert cli.main(["exact", str(program), "--limit", "100", *flags]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_GOLDEN[name]
+
+
+
+# `SubDist.prob_upper` of the bad event, its mass plus the residual, on
+# the rnm case (its own bad event and logical environment) and on the
+# bench's single-site events: the SHA-256 of `str(Fraction)`.
+BAD_EVENTS = {"lap": "abs(x - (2)) > 3", "bern": "b == true", "unifint": "u < 9"}
+UPPER_GOLDEN = {
+    "bern":
+        "f331957a62292c73355411dfc69ba9518d25d6b986d2013b277dc725a0ddf748",
+    "lap":
+        "492b127981468bd64d4b90026414c48fc8af481da80bfafec36aba95eb24ebcb",
+    "rnm-2":
+        "415df0b00ea0259d55892e38a08160a89bdff8172f341222b0ec1511a1606c97",
+    "rnm-3":
+        "d106ee5f3aa8886db9fcbc5c83c8fbb0ae47cdd7259679a295c635b37c6813da",
+    "unifint":
+        "f70b94aeb67de2a5eb4bd8c2ea85128f13776cb545a661abe422b378a6cf3099",
+}
+
+
+def bad_event_upper(name):
+    dist = enumerate_case(name)
+    if name.startswith("rnm-"):
+        size = int(name[4:])
+        qscore = {2: [1, 3], 3: [0, 2, 3]}[size]
+        case = build_case("rnm", {"size": size, "eps": 1.0, "beta": 0.2, "qscore": qscore})
+        bad, env = case.bad_event, case.logical_env
+    else:
+        bad, env = parse_expr(BAD_EVENTS[name]), {}
+    return dist, dist.prob_upper(lambda m: bool(eval_in_memory(bad, m, env)))
+
+
+@pytest.mark.parametrize("name", sorted(UPPER_GOLDEN))
+def test_bad_event_mass_is_exact(name):
+    dist, upper = bad_event_upper(name)
+    assert hashlib.sha256(str(upper).encode()).hexdigest() == UPPER_GOLDEN[name]
+    if name.startswith("rnm-"):
+        # the theorem's bad event holds on no enumerated memory
+        assert upper == dist.residual
+
+
+def test_one_event_over_two_distributions():
+    """One event object asked in turn over two distributions on which
+    it has different masses: nothing one answer leaves behind changes
+    the other."""
+    bad = parse_expr("u < 9")
+    program = parse_program("var u : int;\nproc main(w) {\n  u <$ unifint(0, 15);\n} return 0")
+    typecheck(program)
+    wide, narrow = enumerate_case("unifint"), denote_exact(program, MAIN, initial_memory(program))
+    for _ in range(2):
+        assert wide.prob_upper(lambda m: bool(eval_in_memory(bad, m))) == Fraction(1, 4)
+        assert narrow.prob_upper(lambda m: bool(eval_in_memory(bad, m))) == Fraction(9, 16)
