@@ -8,6 +8,10 @@ non-leaf subterm of a quantifier's body not mentioning the bound variable
 runs at most once per evaluation of the quantifier, when first reached,
 so short-circuiting, empty domains and the first runtime error stay.
 `eval_expr` and `eval_in_memory` compile through one bounded cache.
+`eval_in_memory` given an expression, not a closure, evaluates it once
+per key of a second one: the expression and (name, kind, value) of each
+name it reads, from the memory before `env`; a kind is the value's class,
+an array's with its elements'. An unbound or unhashable read uses the whole store.
 
 The store is any mapping from names to values; assertion callers chain
 a memory with a logical environment. Arithmetic is exact on rationals;
@@ -26,7 +30,7 @@ from ..dp import mw as dpmw
 from ..dp import queries as dpq
 from ..lang.ast import (
     BinOp, BoolLit, Expr, FuncCall, Index, IntT, LValue, NumLit, Quant,
-    SetDom, SetLit, SortDom, Store, UnOp, Var, children,
+    SetDom, SetLit, SortDom, Store, UnOp, Var, children, free_vars,
 )
 from .values import ArrayVal, Memory, Value
 
@@ -398,6 +402,22 @@ def eval_expr(e: Expr, store: Mapping[str, Value]) -> Value:
     return compiled_expr(e)(store)
 
 
+_reads = lru_cache(maxsize=1024)(lambda e: tuple(sorted(free_vars(e))))
+
+
+def _kind(v: Value) -> Any:
+    """The class of `v`, an array's with its elements' kinds: equal values
+    of two kinds (3 and Fraction(3)) can evaluate to two types."""
+    c = v.__class__
+    return c if c is not ArrayVal else (_kind(v.default), *[_kind(x) for _, x in v.items])
+
+
+@lru_cache(maxsize=4096)
+def _eval_read(e: Expr, key: tuple) -> Value:
+    """`e` on a store of only the (name, kind, value)s in `key`."""
+    return compiled_expr(e)({name: v for name, _, v in key})
+
+
 def eval_in_memory(e: Union[Expr, Code], mem: Memory,
                    env: Mapping[str, Value] | None = None) -> Value:
     """Evaluate an expression, or its compiled closure, against a
@@ -407,7 +427,16 @@ def eval_in_memory(e: Union[Expr, Code], mem: Memory,
     satisfies every assertion's negation by convention, handled by
     callers that count failures.
     """
-    code = e if callable(e) else compiled_expr(e)
+    if callable(e):
+        code = e
+    else:
+        store, logical = mem.to_dict(), env or {}
+        try:
+            return _eval_read(e, tuple([(n, _kind(v), v) for n in _reads(e)
+                                        for v in (store[n] if n in store else logical[n],)]))
+        except (KeyError, TypeError):  # an unbound name or an unhashable value;
+            pass  # an evaluation's own error of either class is raised again below
+        code = compiled_expr(e)
     store = dict(env) if env else {}
     store.update(mem.to_dict())
     return code(store)

@@ -57,11 +57,17 @@ class SubDist:
         support[m] = support[m] + mass if m in support else mass
 
     def prob_upper(self, pred: Callable[[Memory], bool]) -> Fraction:
-        """Upper bound on Pr[pred]: matching mass plus residual; error
-        memories count as satisfying every predicate."""
+        """Upper bound on Pr[pred]: matching mass plus residual. The
+        error memory, and a memory on which `pred` raises a runtime
+        error, count as satisfying every predicate, as a trial that
+        fails at runtime counts as a failure."""
         acc = self.residual
         for m, mass in self.support.items():
-            if m.error or pred(m):
+            try:
+                hit = m.error or pred(m)
+            except UbhlRuntimeError:
+                hit = True
+            if hit:
                 acc += mass
         return acc
 

@@ -608,3 +608,75 @@ def test_exact_sv_under_its_fixed_adversary():
     bound = dist.prob_upper(lambda m: bool(eval_in_memory(case.bad_event, m, case.logical_env)))
     assert bound == dist.residual
     assert 0 < bound <= eval_expr(case.index, case.logical_env) == Fraction(1, 5)
+
+
+# ── eval_in_memory evaluates each distinct read once ──
+
+_MEMO_EXPRS = ("a", "a + b", "a / b", "1 / a", "a[0] + b", "a[1]", "a < b",
+               "exists j in 0 .. 2 . j + a == b", "forall j in 0 .. b . a[j] <= j")
+_MEMO_VALUES = st.sampled_from([
+    0, 3, Fraction(0), Fraction(3), Fraction(1, 2), True, False, frozenset({1}),
+    ArrayVal(0), ArrayVal(Fraction(0)), ArrayVal(0, ((0, 3),)),
+    ArrayVal(0, ((0, Fraction(3)),)), ArrayVal(False)])
+_MEMO_ENV = st.one_of(_MEMO_VALUES, st.sampled_from([[1, 2], {"k": 1}]))
+
+
+def _reference_outcome(e, mem, env):
+    """(value, type) or (error class, message) of the plain evaluation
+    on the whole store, memory bindings over logical ones."""
+    return _outcome_of(lambda: compile_expr(e)({**env, **mem.to_dict()}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_MEMO_EXPRS),
+                          st.dictionaries(st.sampled_from("ab"), _MEMO_VALUES),
+                          st.dictionaries(st.sampled_from("ab"), _MEMO_ENV)),
+                min_size=1, max_size=6))
+def test_eval_in_memory_matches_the_whole_store(asks):
+    """Asked in turn, each answer is the whole store's: the same value
+    and type, or the same error class and message, whatever was asked
+    before it."""
+    for text, mem, env in asks:
+        e, m = parse_expr(text), Memory(mem.items())
+        assert _outcome_of(eval_in_memory, e, m, env) == _reference_outcome(e, m, env)
+
+
+@pytest.mark.parametrize("text, asks", [
+    # equal values of two kinds under one name, in both orders
+    ("a + 1", [{"a": 3}, {"a": Fraction(3)}, {"a": 3}]),
+    ("a[0]", [{"a": ArrayVal(0)}, {"a": ArrayVal(Fraction(0))}, {"a": ArrayVal(False)}]),
+    # a division by zero raises each time it is asked
+    ("1 / a", [{"a": 0}, {"a": 0}, {"a": 2}, {"a": 0}]),
+    ("exists j in 0 .. 2 . j / a == 1", [{"a": 0}, {"a": 0}]),
+    # so does an evaluation's own TypeError
+    ("a < 1", [{"a": frozenset({1})}, {"a": frozenset({1})}]),
+])
+def test_eval_in_memory_repeats_keep_their_type(text, asks):
+    e = parse_expr(text)
+    for mem in asks:
+        m = Memory(mem.items())
+        assert _outcome_of(eval_in_memory, e, m, {}) == _reference_outcome(e, m, {})
+
+
+def test_eval_in_memory_bindings_and_fallbacks():
+    e = parse_expr("a + b")
+    # the memory's binding shadows the logical one
+    assert eval_in_memory(e, Memory({"a": 1, "b": 2}.items()), {"a": 10}) == 3
+    assert eval_in_memory(e, Memory({"b": 2}.items()), {"a": 10}) == 12
+    # bound in neither: the whole store's error, with its message
+    with pytest.raises(UnboundVariableError, match="unbound variable 'b'"):
+        eval_in_memory(e, Memory({"a": 1}.items()))
+    # an unhashable logical value is read from the whole store
+    assert eval_in_memory(parse_expr("b"), Memory(), {"b": [1, 2]}) == [1, 2]
+    assert eval_in_memory(parse_expr("a"), Memory({"a": 1}.items()), {"b": [1, 2]}) == 1
+
+
+def test_prob_upper_counts_a_raising_predicate_as_matching():
+    """A memory on which the bad event raises a runtime error counts
+    against the bound, as the failing trial counts as a failure."""
+    p = prog("var x : int;\nproc main(w) {\n  x <$ unifint(0, 3);\n} return 0")
+    bad = parse_expr("1 / x > 1/2")
+    d = denote_exact(p, Call(LValue("res"), "main", NumLit(Fraction(0))), initial_memory(p))
+    assert d.prob_upper(lambda m: bool(eval_in_memory(bad, m))) == Fraction(1, 2)
+    report = estimate_failure(p, "main", 0, {}, bad, trials=200, seed=1)
+    assert report.failures == 98
