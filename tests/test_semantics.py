@@ -1,5 +1,7 @@
+import hashlib
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -99,6 +101,49 @@ def test_potential_of_an_empty_database_is_a_runtime_error(text):
     store = dict(_mw_store(), z=Database((Fraction(0),) * 3))
     with pytest.raises(UbhlRuntimeError):
         eval_expr(parse_expr(text), store)
+
+
+_MW_TEXTS = ("mwInit(eta, X, n)", "mwStep(x, q, eta, n)", "potential(x, d)",
+             "potential(mwInit(eta, X, n), d)", "evalQ(q, mwStep(x, q, eta, n))")
+_MW_DIGEST = "3201eb43a693dabed82815dfae5111ff78fea9b2f3b923e293eb4f292ecea1ea"
+
+
+def _mw_random_store(rng: random.Random) -> dict:
+    """A store for the MW built-ins: counts that are zero, fractional or
+    negative, empty databases, universes that disagree, and a query that
+    is sometimes not linear."""
+    def counts(x):
+        if rng.random() < 0.15:
+            return (Fraction(0),) * x
+        return tuple(rng.choice([Fraction(0), Fraction(0), Fraction(1), Fraction(3, 2),
+                                 Fraction(rng.randint(1, 9), rng.randint(1, 7)),
+                                 Fraction(-1, 2)]) for _ in range(x))
+    x = rng.randint(2, 4)
+    other = x if rng.random() < 0.85 else x + 1
+    weights = tuple(Fraction(rng.randint(0, 4), 4) for _ in range(other if rng.random() < 0.1 else x))
+    return {"x": Database(counts(x)), "d": Database(counts(other)),
+            "q": Query(Fraction(rng.choice([0, 0, 0, 1])), weights),
+            "eta": Fraction(rng.randint(0, 6), rng.randint(1, 4)),
+            "X": rng.choice([x, x, 1, Fraction(5, 2)]), "n": rng.choice([1, 2, 3, 0, Fraction(7, 2)])}
+
+
+def test_mw_builtins_digest():
+    """The MW built-ins' values and runtime errors over seeded stores,
+    pinned by digest: each result is its value and type, or its error
+    class and message."""
+    rng = random.Random(2510)
+    results = []
+    for _ in range(300):
+        store = _mw_random_store(rng)
+        for text in _MW_TEXTS:
+            try:
+                v = eval_expr(parse_expr(text), store)
+            except Exception as exc:  # noqa: BLE001 - the error is the outcome
+                results.append((type(exc).__name__, str(exc)))
+            else:
+                results.append((type(v).__name__, repr(v)))
+    assert {k for k, _ in results} == {"Database", "Fraction", "UbhlRuntimeError"}
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == _MW_DIGEST
 
 
 # ── the fast paths agree with the general ones ──
