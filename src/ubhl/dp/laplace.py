@@ -32,20 +32,17 @@ def lap_tail(eps: float, t: float) -> float:
     """Exact Pr[|sample - mean| > t] for t >= 0.
 
     The event |k| > t coincides with |k| >= floor(t)+1 on the integer
-    support, giving 2*q^m/(1+q) with m = floor(t)+1. At integer t the
-    companion closed ball Pr[|k| >= t] is 2*q^t/(1+q) (t >= 1).
+    support, so this is `lap_tail_closed` at m = floor(t)+1.
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
     if t < 0:
         return 1.0
-    m = math.floor(t) + 1
-    q = math.exp(-eps)
-    return 2 * q ** m / (1 + q)
+    return lap_tail_closed(eps, math.floor(t) + 1)
 
 
 def lap_tail_closed(eps: float, m: int) -> float:
-    """Pr[|k| >= m] for integer m >= 1 (companion formula)."""
+    """Pr[|k| >= m] = 2*q^m/(1+q) for integer m >= 1."""
     if eps <= 0:
         raise DomainError("eps must be positive")
     if m <= 0:

@@ -1,17 +1,17 @@
 """Multiplicative-weights synthetic database and its potential.
 
-The potential is the KL divergence between the normalized true
-database and the synthetic distribution, which is nonnegative, at most
-ln(X) from the uniform start, and drops by at least
-eta*(evalQ(up,x)-evalQ(up,d))/n - eta^2 per update. The exact
-definition is a reconstruction; the three properties above are the
-contract.
+The synthetic database is a `Database` of fractional counts at scale n,
+the same type the program and its queries use. The potential is the KL
+divergence between the normalized true database and the normalized
+synthetic one, which is nonnegative, at most ln(X) from the uniform
+start, and drops by at least eta*(evalQ(up,x)-evalQ(up,d))/n - eta^2
+per update. The exact definition is a reconstruction; the three
+properties above are the contract.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -20,58 +20,54 @@ from .queries import Database, NotLinear, Query, eval_query
 Num = Union[int, float, Fraction]
 
 
-@dataclass(frozen=True)
-class SynthDB:
-    """Normalized weight vector over {1..X} at scale n."""
-    weights: tuple[Fraction, ...]   # positive, sums to 1 exactly
-    n: int
-
-    def as_database(self) -> Database:
-        return Database(tuple(self.n * w for w in self.weights))
-
-
-def mw_init(eta: Num, universe: int, n: int) -> SynthDB:
+def mw_init(eta: Num, universe: int, n: int) -> Database:
+    """The uniform start: n/X of every element."""
     if universe < 2:
         raise ValueError("universe must have at least 2 elements")
     if n < 1:
         raise ValueError("database size must be at least 1")
     del eta  # the learning rate does not affect the uniform start
-    w = Fraction(1, universe)
-    return SynthDB((w,) * universe, n)
+    return Database((n * Fraction(1, universe),) * universe)
 
 
-def mw_step(x: SynthDB, up: Query, eta: Num, n: int) -> SynthDB:
+def mw_step(x: Database, up: Query, eta: Num, n: int) -> Database:
     """Multiplicatively shrink weight on elements the update query
-    over-weights, then renormalize."""
+    over-weights, then renormalize to n."""
+    size = x.size()
+    weights = [c / size for c in x.counts]
     if not up.is_linear():
         raise NotLinear("MW update requires a linear query")
-    if len(up.weights) != len(x.weights):
+    if len(up.weights) != len(weights):
         raise ValueError("query dimension does not match synthetic database")
     eta_f = float(eta)
-    scaled = [w * Fraction(math.exp(-eta_f * float(u))) for w, u in zip(x.weights, up.weights)]
+    scaled = [w * Fraction(math.exp(-eta_f * float(u))) for w, u in zip(weights, up.weights)]
     total = sum(scaled, Fraction(0))
-    return SynthDB(tuple(s / total for s in scaled), n)
+    return Database(tuple(n * (s / total) for s in scaled))
 
 
-def potential(x: SynthDB, d: Database) -> float:
-    """KL(normalized d || x); terms with zero true mass contribute 0."""
+def potential(x: Database, d: Database) -> float:
+    """KL(normalized d || normalized x); terms with zero true mass
+    contribute 0."""
+    x_size = x.size()
+    if x_size <= 0:
+        raise ValueError("potential of an empty synthetic database")
     size = d.size()
     if size <= 0:
         raise ValueError("potential needs a nonempty true database")
-    if len(d.counts) != len(x.weights):
+    if len(d.counts) != len(x.counts):
         raise ValueError("dimension mismatch")
     acc = 0.0
-    for c, w in zip(d.counts, x.weights):
+    for c, xc in zip(d.counts, x.counts):
         if c == 0:
             continue
         dh = float(c / size)
-        acc += dh * math.log(dh / float(w))
+        acc += dh * math.log(dh / float(xc / x_size))
     return acc
 
 
-def step_decrease_bound(x: SynthDB, up: Query, d: Database, eta: Num, n: int) -> float:
+def step_decrease_bound(x: Database, up: Query, d: Database, eta: Num, n: int) -> float:
     """Lower bound the per-step potential drop is required to meet."""
-    gap = float(eval_query(up, x.as_database()) - eval_query(up, d))
+    gap = float(eval_query(up, x) - eval_query(up, d))
     eta_f = float(eta)
     return eta_f * gap / n - eta_f * eta_f
 

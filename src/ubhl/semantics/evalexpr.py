@@ -82,26 +82,6 @@ def _log(a: list) -> Fraction:
     return Fraction(math.log(x))
 
 
-def _mw_init(a: list) -> Value:
-    eta, x, n = a
-    return dpmw.mw_init(eta, int(x), int(n)).as_database()
-
-
-def _mw_step(a: list) -> Value:
-    db, up, eta, n = a
-    sdb = dpmw.SynthDB(tuple(c / db.size() for c in db.counts), int(n))
-    return dpmw.mw_step(sdb, up, eta, int(n)).as_database()
-
-
-def _potential(a: list) -> Fraction:
-    x_db, d_db = a
-    size = x_db.size()
-    if size <= 0:
-        raise UbhlRuntimeError("potential of an empty synthetic database")
-    sdb = dpmw.SynthDB(tuple(c / size for c in x_db.counts), 1)
-    return Fraction(dpmw.potential(sdb, d_db))
-
-
 # built-in functions over their evaluated argument list; the dp layer is
 # looked up at call time, so a wrapped dp function is seen
 _FUNCS: dict[str, Callable[[list], Value]] = {
@@ -118,9 +98,9 @@ _FUNCS: dict[str, Callable[[list], Value]] = {
     "log": _log,
     "min": lambda a: min(a[0], a[1]),
     "max": lambda a: max(a[0], a[1]),
-    "mwInit": _mw_init,
-    "mwStep": _mw_step,
-    "potential": _potential,
+    "mwInit": lambda a: dpmw.mw_init(a[0], int(a[1]), int(a[2])),
+    "mwStep": lambda a: dpmw.mw_step(a[0], a[1], a[2], int(a[3])),
+    "potential": lambda a: Fraction(dpmw.potential(a[0], a[1])),
 }
 
 

@@ -239,8 +239,11 @@ def run_chunked(make_classifier: Callable[[Any], Classifier], spec: Any,
     `make_classifier(spec)` gives the classifier and `classify(i)` the
     keys that count for trial i. Each chunk of trials makes its
     classifier (and so compiles) once. With jobs > 1 the chunks run in
-    a process pool, so `make_classifier` and `spec` must pickle."""
-    if jobs <= 1 or trials < 1:
+    a process pool, so `make_classifier` and `spec` must pickle. A
+    count below 1 is refused before any trial runs: no rate exists."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    if jobs <= 1:
         return _tally(make_classifier, spec, 0, trials)
     size = (trials + jobs - 1) // jobs
     starts = range(0, trials, size)

@@ -23,9 +23,10 @@ from ubhl.assertions.prover import neg
 from ubhl.checker.index import index_eval
 from ubhl.checker.kernel import check
 from ubhl.dp.laplace import lap_acc_threshold, lap_masses_exact, lap_tail
-from ubhl.dp.mw import SynthDB, mw_init, mw_step, potential, step_decrease_bound
+from ubhl.dp.mw import mw_init, mw_step, potential, step_decrease_bound
 from ubhl.dp.queries import (
-    db_size, error_query, eval_query, inv_query, make_db, make_query, neg_query,
+    Database, db_size, error_query, eval_query, inv_query, make_db, make_query,
+    neg_query,
 )
 from ubhl.lang.ast import Call, LValue, NumLit
 from ubhl.lang.parser import parse_expr
@@ -194,7 +195,7 @@ def test_criterion_7_mw_property_suite():
         d = make_db(counts)
         raw = [Fraction(rng.randint(1, 16), 16) for _ in range(universe)]
         total = sum(raw)
-        x = SynthDB(tuple(w / total for w in raw), n)
+        x = Database(tuple(n * (w / total) for w in raw))
         eta = rng.random() * 0.5
         up = make_query([Fraction(rng.randint(0, 8), 8) for _ in range(universe)])
         pot = potential(x, d)

@@ -92,6 +92,12 @@ def test_validation_smoke_all_cases():
     assert r.extras["update_budget_violations"] == 0
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_validation_refuses_a_count_below_one(trials):
+    with pytest.raises(ValueError, match="^trials must be positive$"):
+        validate_case("rnm", trials=trials, seed=1)
+
+
 def test_validation_jobs_parity():
     a = validate_case("sv", trials=48, seed=11, adversary="fixed", jobs=1)
     b = validate_case("sv", trials=48, seed=11, adversary="fixed", jobs=3)

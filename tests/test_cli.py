@@ -118,6 +118,14 @@ def test_validate_rejects_query_scores_unlike_the_size(tmp_path, capsys):
     assert not list(tmp_path.glob("validate-*.json"))
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_validate_rejects_a_trial_count_below_one(trials, tmp_path, capsys):
+    argv = ["validate", "rnm", "--trials", trials, "--seed", "1", "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: trials must be positive\n"
+    assert not list(tmp_path.glob("validate-*.json"))
+
+
 def test_validate_writes_reports(tmp_path):
     out = run_cli("validate", "sv", "--Q", "5", "--trials", "40", "--seed", "7",
                   "--adversary", "fixed", "--out", str(tmp_path))

@@ -10,12 +10,12 @@ from ubhl.dp.laplace import (
     lap_tail,
 )
 from ubhl.dp.mw import (
-    SynthDB, mw_alpha_formulas, mw_init, mw_step, potential,
+    mw_alpha_formulas, mw_init, mw_step, potential,
     solve_feasible_alpha, step_decrease_bound,
 )
 from ubhl.dp.queries import (
-    NotLinear, db_add, db_size, db_zero, error_query, eval_query, inv_query,
-    make_db, make_query, neg_query,
+    Database, NotLinear, db_add, db_size, db_zero, error_query, eval_query,
+    inv_query, make_db, make_query, neg_query,
 )
 from ubhl.semantics.rng import TrialRng
 
@@ -166,7 +166,7 @@ def test_linear_query_additivity():
 
 def test_mw_init_uniform_and_bounds():
     x = mw_init(0.5, 4, 6)
-    assert x.weights == (Fraction(1, 4),) * 4
+    assert x.counts == (Fraction(6, 4),) * 4
     uniform_d = make_db([1, 1, 1, 1])
     assert abs(potential(x, uniform_d)) < 1e-12
     point = make_db([4, 0, 0, 0])
@@ -176,23 +176,23 @@ def test_mw_init_uniform_and_bounds():
 
 
 def test_mw_step_example():
-    x = SynthDB((Fraction(1, 2), Fraction(1, 2)), 2)
+    x = Database((Fraction(1), Fraction(1)))
     up = make_query([1, 0])
     x2 = mw_step(x, up, 0.1, 2)
-    w = [float(v) for v in x2.weights]
+    w = [float(c / 2) for c in x2.counts]
     assert abs(w[0] - 0.475021) < 1e-6
     assert abs(w[1] - 0.524979) < 1e-6
-    assert sum(x2.weights) == 1
+    assert sum(x2.counts) == 2
 
 
 def test_mw_step_noop_at_zero_rate():
-    x = SynthDB((Fraction(1, 4), Fraction(3, 4)), 2)
+    x = Database((Fraction(1, 2), Fraction(3, 2)))
     x2 = mw_step(x, make_query([1, 0]), 0.0, 2)
-    assert x2.weights == x.weights
+    assert x2.counts == x.counts
 
 
 def test_potential_example():
-    x = SynthDB((Fraction(1, 4), Fraction(3, 4)), 2)
+    x = Database((Fraction(1, 2), Fraction(3, 2)))
     d = make_db([2, 0])
     assert abs(potential(x, d) - math.log(4)) < 1e-12
 
@@ -210,7 +210,7 @@ def test_mw_property_suite():
         d = make_db(counts)
         raw = [Fraction(rng.randint(1, 16), 16) for _ in range(universe)]
         total = sum(raw)
-        x = SynthDB(tuple(w / total for w in raw), n)
+        x = Database(tuple(n * (w / total) for w in raw))
         eta = rng.random() * 0.5
         up = make_query([Fraction(rng.randint(0, 8), 8) for _ in range(universe)])
         pot = potential(x, d)
@@ -239,7 +239,7 @@ def test_feasible_alpha_fixpoint():
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ubhl.dp.queries import Database, DimensionMismatch, Query  # noqa: E402
+from ubhl.dp.queries import DimensionMismatch, Query  # noqa: E402
 
 
 def _plain_fold(q, d):

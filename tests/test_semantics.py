@@ -23,7 +23,7 @@ from ubhl.semantics.trial import (
     clopper_pearson_upper, estimate_failure, run_trial,
 )
 from ubhl.semantics.values import ArrayVal, Memory
-from ubhl.dp.mw import SynthDB, mw_step, potential
+from ubhl.dp.mw import mw_step, potential
 from ubhl.dp.queries import Database, Query, eval_query
 
 
@@ -68,17 +68,14 @@ def _mw_store():
 
 def test_mw_step_builtin_matches_dp_mw():
     store = _mw_store()
-    x = store["x"]
-    want = mw_step(SynthDB(tuple(c / x.size() for c in x.counts), 3), store["q"],
-                   Fraction(1, 3), 3).as_database()
+    want = mw_step(store["x"], store["q"], Fraction(1, 3), 3)
     got = eval_expr(parse_expr("mwStep(x, q, eta, n)"), store)
     assert got == want and type(got) is Database
 
 
 def test_potential_builtin_matches_dp_mw():
     store = _mw_store()
-    x = store["x"]
-    want = potential(SynthDB(tuple(c / x.size() for c in x.counts), 1), store["d"])
+    want = potential(store["x"], store["d"])
     got = eval_expr(parse_expr("potential(x, d)"), store)
     assert got == Fraction(want) and type(got) is Fraction
 
@@ -380,6 +377,13 @@ def test_estimate_failure_boundaries():
                                trials=4000, seed=1)
     assert 0.46 < report2.failure_rate < 0.54
     assert report2.clopper_pearson_upper_95 > report2.failure_rate
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_estimate_failure_refuses_a_count_below_one(trials):
+    with pytest.raises(ValueError, match="^trials must be positive$"):
+        estimate_failure(TWO_COINS, "main", 0, {}, parse_expr("false"),
+                         trials=trials, seed=1)
 
 
 def test_monte_carlo_matches_exact():
