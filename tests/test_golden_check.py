@@ -31,6 +31,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,18 @@ print(json.dumps({
 """
 
 
+def _readable(summary: str, rules) -> str:
+    """What a digest stands for, in words: the summary line and the
+    number of obligations each rule made."""
+    counts = ", ".join(f"{rule} {n}" for rule, n in sorted(Counter(rules).items()))
+    return f"{summary}; obligations per rule: {counts}"
+
+
+def _explained(out: str) -> str:
+    record = json.loads(out)
+    return _readable(record["summary"], (rule for rule, _, _ in record["obligations"]))
+
+
 def _outcome(name: str, *earlier: str) -> str:
     src = str(Path(ubhl.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONHASHSEED="0",
@@ -80,17 +93,17 @@ def _outcome(name: str, *earlier: str) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_check_outcome_is_byte_identical(name):
     out = _outcome(name)
-    json.loads(out)  # one well-formed record
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[name]
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[name], _explained(out)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_check_outcome_does_not_depend_on_earlier_checks(name):
     out = _outcome(name, *sorted(set(GOLDEN) - {name}))
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[name]
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[name], _explained(out)
 
 
-def _export_digest(name: str, where: Path) -> str:
+def _export_digest(name: str, where: Path) -> tuple[str, str]:
+    """The digest of one export and the check's stdout."""
     src = str(Path(ubhl.__file__).resolve().parents[1])
     case = Path(src).parent / "cases" / name
     env = dict(os.environ, PYTHONHASHSEED="0",
@@ -102,12 +115,17 @@ def _export_digest(name: str, where: Path) -> str:
     h = hashlib.sha256(f"{done.returncode}\n{done.stdout}\0{done.stderr}\0".encode())
     for f in sorted((where / "out").iterdir()):
         h.update(f.name.encode() + b"\0" + f.read_bytes() + b"\0")
-    return h.hexdigest()
+    return h.hexdigest(), done.stdout
 
 
 @pytest.mark.parametrize("name", sorted(EXPORT_GOLDEN))
 def test_check_export_is_byte_identical(name, tmp_path):
-    assert _export_digest(name, tmp_path) == EXPORT_GOLDEN[name]
+    digest, stdout = _export_digest(name, tmp_path)
+    lines = stdout.splitlines() or ["(no output)"]
+    # each obligation prints as "  [mark] rule@path note"
+    rules = [line.split("] ", 1)[1].split("@", 1)[0]
+             for line in lines if line.startswith("  [")]
+    assert digest == EXPORT_GOLDEN[name], _readable(lines[0], rules)
 
 
 PROVER_GOLDEN = "24b4e5eaa6d0647f00b4fb10ec4ce3b29f0c23e0d557e8fd01bc176e428b5d31"
