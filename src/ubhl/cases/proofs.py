@@ -103,34 +103,25 @@ def rnm_proof() -> ProofScript:
         [node("skip", inv_removed, inv_removed, "0")])
     if_node = node("if", p2, inv_removed, "0", [then_child, else_child])
 
-    preserve_body = seq_chain([
+    preserve = seq_chain([
         node("assn", inv, inv, "0"),                             # r <- pick(R)
         node("rand", inv, conj(psi_site, frame), iter_index,
              schema="lap_acc", site_index=iter_index, frame=frame),
         if_node,
         node("assn", inv_removed, inv, "0"),                     # R <- remove(R, r)
     ])
-    preserve = node("weak", inv, inv, iter_index, [
-        node("weak", inv, inv, preserve_body.index, [preserve_body])])
 
-    # variant decrease: size(R) drops because the picked element leaves
+    # variant decrease: size(R) drops because the picked element leaves;
+    # the sample and the conditional write none of R, r and eta
     dvar = "size(remove(R, r)) < eta"
     dec_pre = conj(inv, "!isempty(R)", "size(R) == eta")
-    dec_nodes = [
+    decrease = seq_chain([
         node("weak", dec_pre, dvar, "0",
              [node("assn", subst(dvar, "r", "pick(R)"), dvar, "0")]),
-        node("rand", dvar, conj("true", dvar), "0",
-             schema="true_post", site_index="0", frame=dvar),
-        node("if", conj("true", dvar), dvar, "0", [
-            node("weak", conj(conj("true", dvar), guard), dvar, "0",
-                 [node("frame", dvar, dvar, "0")]),
-            node("weak", conj(conj("true", dvar), f"!({guard})"), dvar, "0",
-                 [node("frame", dvar, dvar, "0")]),
-        ]),
+        node("frame", dvar, dvar, "0"),
+        node("frame", dvar, dvar, "0"),
         node("assn", dvar, "size(R) < eta", "0"),                # R <- remove(R, r)
-    ]
-    decrease = seq_chain(dec_nodes)
-    decrease = node("weak", dec_pre, "size(R) < eta", "0", [decrease])
+    ])
 
     loop = node(
         "while",
@@ -165,6 +156,18 @@ def forall_sort(var: str, sort: str, body: str) -> str:
     return f"forall {var} : {sort} . ({body})"
 
 
+def _counter_decrease(counter: str, dec_pre: str, eta: str) -> ProofNode:
+    """The variant decrease of a loop whose body first increments
+    `counter` and then writes none of `Qn`, the counter and the snapshot
+    `eta`: the increment, then one frame over the rest of the round."""
+    dvar = f"Qn - {counter} < {eta}"
+    return seq_chain([
+        node("weak", dec_pre, dvar, "0",
+             [node("assn", subst(dvar, counter, f"{counter} + 1"), dvar, "0")]),
+        node("frame", dvar, dvar, "0"),
+    ])
+
+
 # ── the threshold procedures svinit and svstep, shared by sv and mwsv ─
 # Both programs sample the noisy threshold `tin` around their threshold
 # variable at scale `scale` and answer each query by comparing a noisy
@@ -174,8 +177,7 @@ def forall_sort(var: str, sort: str, body: str) -> str:
 
 def _svinit_body(scale: str, iota: str, phi_t: str) -> ProofNode:
     return seq_chain([
-        node("weak", "true", f"{scale} == epsin", "0",
-             [node("assn", "epsin == epsin", f"{scale} == epsin", "0")]),
+        node("assn", "epsin == epsin", f"{scale} == epsin", "0"),
         node("rand", f"{scale} == epsin", phi_t, iota,
              schema="lap_acc", site_index=iota, frame=f"{scale} == epsin"),
     ])
@@ -198,19 +200,6 @@ def _svstep_body(scale: str, threshold: str, iota: str, phi_t: str,
              schema="lap_acc", site_index=iota, frame=phi_t),
         if_node,
     ])
-
-
-def _svstep_trivial(threshold: str) -> ProofNode:
-    """svstep body at index 0 with a trivial contract (used where only
-    the frame matters)."""
-    rand = node("rand", "true", "true", "0", schema="true_post", site_index="0")
-    if_node = node("if", "true", "true", "0", [
-        node("weak", conj("true", f"a < {threshold}"), "true", "0",
-             [node("assn", "true", "true", "0")]),
-        node("weak", conj("true", f"!(a < {threshold})"), "true", "0",
-             [node("assn", "true", "true", "0")]),
-    ])
-    return seq_chain([rand, if_node])
 
 
 # ── interactive above-threshold (sparse vector) ─────────────────────
@@ -262,18 +251,7 @@ def sv_proof() -> ProofScript:
     ])
     preserve = seq_chain([s1, s2, s3])
 
-    # variant decrease
-    dvar = "Qn - u < eta"
-    dec_pre = conj(inv, "u < Qn", "Qn - u == eta")
-    dec = seq_chain([
-        node("weak", dec_pre, dvar, "0",
-             [node("assn", subst(dvar, "u", "u + 1"), dvar, "0")]),
-        node("ext", dvar, dvar, "0"),
-        node("call", dvar, dvar, "0",
-             [_svstep_trivial("T")],
-             proc="svstep", callee_pre="true", callee_post="true", frame=dvar),
-    ])
-    decrease = node("weak", dec_pre, dvar, "0", [dec])
+    decrease = _counter_decrease("u", conj(inv, "u < Qn", "Qn - u == eta"), "eta")
 
     loop = node("while", conj(inv, "Qn - u <= Q"), conj(inv, "u >= Qn"),
                 "Q * (beta/(Q+1))", [preserve, decrease],
@@ -422,8 +400,7 @@ def mwsv_proof() -> ProofScript:
     mid_a = conj(phi_t, defs, mw_pot("u - 1"), mw_acc("k - 1"),
                  "exact == evalQ(q[k], d)", "approx == evalQ(q[k], mwdb)", svfacts)
     r3 = conj(mid_a, upfact)
-    u1 = node("weak", conj(p5, "at == true || bt == true"), mid_a, "0",
-              [node("assn", subst(f"({mid_a})", "u", "u + 1"), mid_a, "0")])
+    u1 = node("assn", subst(f"({mid_a})", "u", "u + 1"), mid_a, "0")
     iif = node("if", mid_a, r3, "0", [
         node("weak", conj(mid_a, "at == true"), r3, "0",
              [node("assn", subst_lv(r3, "up", "q[k]"), r3, "0")]),
@@ -453,53 +430,7 @@ def mwsv_proof() -> ProofScript:
     outer_if = node("if", p3, inv, beta_iter, [then_branch, else_branch])
     preserve = seq_chain([s1, s2, s3, s4, outer_if])
 
-    # variant decrease child
-    dvar = "Qn - k < eta2"
-    dec_pre = conj(inv, "k < Qn", "Qn - k == eta2")
-    dec_if_inner = node("if", dvar, dvar, "0", [
-        node("weak", conj(dvar, "at == true || bt == true"), dvar, "0", [
-            seq_chain([
-                node("assn", dvar, dvar, "0"),
-                node("if", dvar, dvar, "0", [
-                    node("weak", conj(dvar, "at == true"), dvar, "0",
-                         [node("assn", dvar, dvar, "0")]),
-                    node("weak", conj(dvar, "!(at == true)"), dvar, "0",
-                         [node("assn", dvar, dvar, "0")]),
-                ]),
-                node("assn", dvar, dvar, "0"),
-                node("rand", dvar, conj("true", dvar), "0",
-                     schema="true_post", site_index="0", frame=dvar),
-            ]),
-        ]),
-        node("weak", conj(dvar, "!(at == true || bt == true)"), conj("true", dvar), "0",
-             [node("assn", conj("true", dvar), conj("true", dvar), "0")]),
-    ])
-    dec_nodes = [
-        node("weak", dec_pre, dvar, "0",
-             [node("assn", subst(dvar, "k", "k + 1"), dvar, "0")]),
-        node("ext", dvar, dvar, "0"),
-        node("assn", dvar, dvar, "0"),
-        node("assn", dvar, dvar, "0"),
-        node("if", dvar, dvar, "0", [
-            node("weak", conj(dvar, "k >= c"), dvar, "0",
-                 [node("assn", dvar, dvar, "0")]),
-            node("weak", conj(dvar, "!(k >= c)"), dvar, "0", [
-                seq_chain([
-                    node("assn", dvar, dvar, "0"),
-                    node("call", dvar, dvar, "0", [_svstep_trivial("Tsv")],
-                         proc="svstep", callee_pre="true", callee_post="true",
-                         frame=dvar),
-                    node("assn", dvar, dvar, "0"),
-                    node("call", dvar, dvar, "0", [_svstep_trivial("Tsv")],
-                         proc="svstep", callee_pre="true", callee_post="true",
-                         frame=dvar),
-                    dec_if_inner,
-                ]),
-            ]),
-        ]),
-    ]
-    decrease = node("weak", dec_pre, "Qn - k < eta2", "0",
-                    [seq_chain(dec_nodes)])
+    decrease = _counter_decrease("k", conj(inv, "k < Qn", "Qn - k == eta2"), "eta2")
 
     loop = node("while", conj(inv, "Qn - k <= Q"), conj(inv, "k >= Qn"),
                 f"Q * ({beta_iter})", [preserve, decrease],
@@ -518,8 +449,6 @@ def mwsv_proof() -> ProofScript:
                   ("ans[k]", "0"), ("mwdb", "mwInit(eta, X, n)"),
                   ("epsin", "eps/(4*c)"), ("tin", "T")]
     pre0, init_nodes = assign_chain(init_stmts, svinit_call.pre)
-    post_init = node("weak", svinit_call.post, loop.post, loop.index, [
-        node("weak", conj(phi_t, frame_init), loop.post, loop.index, [
-            node("weak", loop.pre, loop.post, loop.index, [loop])])])
+    post_init = node("weak", svinit_call.post, loop.post, loop.index, [loop])
     chain = seq_chain(init_nodes + [svinit_call, post_init])
     return _script(MWSV_LOGICALS, mwsv_theorem(), "ans", chain, export=["pre"])

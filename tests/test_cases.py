@@ -5,13 +5,17 @@ from pathlib import Path
 
 import pytest
 
+from ubhl.assertions.normform import assertions_equal
 from ubhl.assertions.prover import neg
 from ubhl.cases.export import export_cases
 from ubhl.cases.registry import (
     CASE_NAMES, DEFAULT_PARAMS, PreconditionViolated, build_case, case_proof,
     case_source, check_case, rnm_analytic_bound, validate_case,
 )
+from ubhl.checker.index import index_equal
+from ubhl.checker.kernel import ZERO, Checker, check
 from ubhl.checker.proof import ProofScript
+from ubhl.lang.ast import free_vars, modified_vars
 from ubhl.lang.parser import parse_expr, parse_program
 from ubhl.lang.typecheck import typecheck
 
@@ -141,6 +145,51 @@ def test_shipped_files_in_sync(tmp_path):
             (fresh / "proof.json").read_bytes()
         assert json.loads((shipped / "params" / "default.json").read_text()) == \
             DEFAULT_PARAMS[name]
+
+
+def _size(node) -> int:
+    return 1 + sum(_size(c) for c in node.children)
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_shipped_derivations_state_no_derivable_steps(name, monkeypatch):
+    """A shipped derivation restates nothing the rules give in one step:
+    no `weak` node has its child's pre, post and index, and no subtree
+    of more than one node, nor a `rand` node, proves {P} c {P} at index
+    0 for a c that writes no variable of P, which one `frame` node
+    proves."""
+    visited = []
+    check_tree = Checker.check_tree
+
+    def recording(self, node, command, path=()):
+        visited.append((node, command, path))
+        return check_tree(self, node, command, path)
+
+    monkeypatch.setattr(Checker, "check_tree", recording)
+    program = parse_program((REPO / "cases" / name / "program.ubhl").read_text())
+    typecheck(program)
+    script = ProofScript.from_json((REPO / "cases" / name / "proof.json").read_text())
+    assert check(program, script).accepted
+
+    def judgment(node):
+        return parse_expr(node.pre), parse_expr(node.post), parse_expr(node.index)
+
+    findings, framable = [], []
+    for node, command, path in visited:
+        where = ".".join(path) or "root"
+        pre, post, index = judgment(node)
+        if node.rule == "weak":
+            cpre, cpost, cindex = judgment(node.children[0])
+            if (assertions_equal(pre, cpre) and assertions_equal(post, cpost)
+                    and index_equal(index, cindex)):
+                findings.append(f"weak@{where} restates its child")
+        if (node.rule != "frame" and (_size(node) > 1 or node.rule == "rand")
+                and not any(path[:len(p)] == p for p in framable)
+                and assertions_equal(pre, post) and index_equal(index, ZERO)
+                and not modified_vars(command, program) & free_vars(pre)):
+            framable.append(path)
+            findings.append(f"{node.rule}@{where} ({_size(node)} nodes) is one frame node")
+    assert not findings, "\n".join(findings)
 
 
 def test_proof_files_round_trip():

@@ -39,15 +39,15 @@ import pytest
 import ubhl
 
 GOLDEN = {
-    "rnm": "412ee12ff593b8a64a23ee04044136e6d6599bd364e49e2f028981a89c9a95e6",
-    "sv": "0bc80bea9030aa83ae7809a16a7d997a0867f2da1f1846be36d4587fb49da21e",
-    "mwsv": "a3538c584a4799e70954e139f181863b2f81e092a45cdcef262ff4088a10a762",
+    "rnm": "4ce1312a587729f556bc1e4d89ebfedf0cbd53ac8a35db0f2a05e6d8a6a90a93",
+    "sv": "284ff3277ec0f9afe43b23261e43e9223572d0753ec162532d252f1323ad68dc",
+    "mwsv": "497571fa85800437340f42fa8e602ad5164f616ef27eecebfd4f531f5da64949",
 }
 
 EXPORT_GOLDEN = {
-    "rnm": "0701bdc0f378306bcf833dc0182804f38de808fd84f6f4fa2a2e40c43eae6494",
-    "sv": "d67bd375bd2423d082a5801faa8a5f9f2050c2d83fb539261be9374ccf877a6f",
-    "mwsv": "9a6c5df06a01b619f7557e07193ec98c62e47b98f4cfe015583703e0ca599d45",
+    "rnm": "4d8f69bb69bd30ba11b0a745bcdea46b9b8c9b8d0e6530bd057459ca6abc1691",
+    "sv": "24d3b9b40aab41d4e5fe39c2951f374f9177c3fb0293a2765728fc4858f3e71e",
+    "mwsv": "14f5d1e82c6df62508d627777ef15fa21cb9ade87b013d548e01aeef51504de1",
 }
 
 _SCRIPT = """

@@ -209,7 +209,7 @@ def test_verdict_does_not_depend_on_an_earlier_budget():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ACCEPTED (42 obligation(s) proved, fully discharged)"
+    assert out.stdout.strip() == "ACCEPTED (28 obligation(s) proved, fully discharged)"
 
 
 def test_verdict_does_not_depend_on_an_earlier_check():
