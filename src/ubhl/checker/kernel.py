@@ -316,7 +316,7 @@ class Checker:
                                           command.dist, site_index, site_post)
             note = (self._decide_finite_site(command, psi, iota, path)
                     if schema_id == "finite_exact"
-                    else "registered axiom schema; validated numerically")
+                    else f"axiom schema {schema_id} (trusted)")
         except SchemaMismatch as exc:
             raise Rejected(path, "rand", str(exc))
         self.obligations.append(AxiomPremise(

@@ -45,9 +45,9 @@ GOLDEN = {
 }
 
 EXPORT_GOLDEN = {
-    "rnm": "4d8f69bb69bd30ba11b0a745bcdea46b9b8c9b8d0e6530bd057459ca6abc1691",
-    "sv": "24d3b9b40aab41d4e5fe39c2951f374f9177c3fb0293a2765728fc4858f3e71e",
-    "mwsv": "14f5d1e82c6df62508d627777ef15fa21cb9ade87b013d548e01aeef51504de1",
+    "rnm": "b9897bdbf24040ad6a30935080247c6d401c23e66e2f509cb7c4f9d5d3fc0ec4",
+    "sv": "1a6145b6e3efd76508be4630f11af54d55f2dee2bd01b3d87280451c3d9b41bf",
+    "mwsv": "2a5d819d78ae46b3da07032e0a2466cc1a46f64f3b3ef820791c89d86f49e946",
 }
 
 _SCRIPT = """

@@ -75,6 +75,15 @@ def test_coin_proof_accepted():
     assert res.accepted and res.fully_proved
 
 
+def test_rand_premise_notes_say_how_each_schema_holds():
+    """A finite_exact premise is decided by enumeration; every other
+    schema is trusted, and its note names it as such."""
+    from ubhl.assertions.obligations import AxiomPremise
+    res = check(COINS, coin_proof())
+    assert [ob.note for ob in res.obligations if isinstance(ob, AxiomPremise)] == [
+        "enumerated failure mass 1/2 <= 1/2", "axiom schema true_post (trusted)"]
+
+
 def test_seq_index_mismatch_rejected():
     """Children at beta/2 each cannot justify a beta/3 conclusion."""
     body = node("seq", "true", "true", "1/3", [
