@@ -34,6 +34,8 @@ def mw_step(x: Database, up: Query, eta: Num, n: int) -> Database:
     """Multiplicatively shrink weight on elements the update query
     over-weights, then renormalize to n."""
     size = x.size()
+    if size == 0:
+        raise ValueError("MW update of a synthetic database whose counts sum to 0")
     weights = [c / size for c in x.counts]
     if not up.is_linear():
         raise NotLinear("MW update requires a linear query")
@@ -47,7 +49,8 @@ def mw_step(x: Database, up: Query, eta: Num, n: int) -> Database:
 
 def potential(x: Database, d: Database) -> float:
     """KL(normalized d || normalized x); terms with zero true mass
-    contribute 0."""
+    contribute 0, and every other term needs a synthetic count of its
+    true count's sign, so that its log is defined."""
     x_size = x.size()
     if x_size <= 0:
         raise ValueError("potential of an empty synthetic database")
@@ -60,6 +63,9 @@ def potential(x: Database, d: Database) -> float:
     for c, xc in zip(d.counts, x.counts):
         if c == 0:
             continue
+        if c * xc <= 0:
+            raise ValueError("potential needs every synthetic count to have"
+                             " the sign of its nonzero true count")
         dh = float(c / size)
         acc += dh * math.log(dh / float(xc / x_size))
     return acc

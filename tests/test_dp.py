@@ -197,6 +197,19 @@ def test_potential_example():
     assert abs(potential(x, d) - math.log(4)) < 1e-12
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: mw_step(Database((Fraction(1), Fraction(-1))), make_query([1, 0]), 0.1, 2),
+     "MW update of a synthetic database whose counts sum to 0"),
+    (lambda: potential(Database((Fraction(2), Fraction(0))), make_db([1, 1])),
+     "potential needs every synthetic count to have the sign of its nonzero true count"),
+    (lambda: potential(Database((Fraction(3), Fraction(-1))), make_db([1, 1])),
+     "potential needs every synthetic count to have the sign of its nonzero true count"),
+], ids=["step-zero-sum", "potential-zero-count", "potential-negative-count"])
+def test_mw_domain_errors_name_their_condition(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_mw_property_suite():
     """Nonnegativity, initial bound, per-step decrease on random data."""
     rng = random.Random(99)

@@ -102,7 +102,7 @@ def test_potential_of_an_empty_database_is_a_runtime_error(text):
 
 _MW_TEXTS = ("mwInit(eta, X, n)", "mwStep(x, q, eta, n)", "potential(x, d)",
              "potential(mwInit(eta, X, n), d)", "evalQ(q, mwStep(x, q, eta, n))")
-_MW_DIGEST = "3201eb43a693dabed82815dfae5111ff78fea9b2f3b923e293eb4f292ecea1ea"
+_MW_DIGEST = "ad4187a29940411e9aec81a9b32d274911b6772b811a4093c2d0c06430c9873f"
 
 
 def _mw_random_store(rng: random.Random) -> dict:
