@@ -345,6 +345,11 @@ def test_run_trial_assignment():
     p = prog("var x : int;\nproc main(u) { x <- 1; } return x")
     mem = run_trial(p, "main", 0, {}, seed=3)
     assert mem.get("x") == 1 and mem.get("res") == 1
+    # a set literal, on the trial path and the exact one
+    p = prog("var R : set<int>;\nproc main(u) { R <- {1, 2, 1}; } return 0")
+    assert run_trial(p, "main", 0, {}, seed=3).get("R") == frozenset({1, 2})
+    d = denote_exact(p, p.procs["main"].body, initial_memory(p))
+    assert [m.get("R") for m in d.support] == [frozenset({1, 2})]
 
 
 def test_trial_determinism():
@@ -708,6 +713,12 @@ def test_eval_in_memory_repeats_keep_their_type(text, asks):
 
 
 def test_eval_in_memory_bindings_and_fallbacks():
+    # a store term read at the written index and at another one
+    a = ArrayVal(0, ((0, 10), (1, 20)))
+    for j, want in ((1, 7), (0, 10)):
+        e = parse_expr(f"store(a, 1, 7)[{j}]")
+        assert eval_expr(e, {"a": a}) == want
+        assert eval_in_memory(e, Memory({"a": a}.items())) == want
     e = parse_expr("a + b")
     # the memory's binding shadows the logical one
     assert eval_in_memory(e, Memory({"a": 1, "b": 2}.items()), {"a": 10}) == 3
