@@ -183,7 +183,7 @@ def test_shipped_derivations_state_no_derivable_steps(name, monkeypatch):
             if (assertions_equal(pre, cpre) and assertions_equal(post, cpost)
                     and index_equal(index, cindex)):
                 findings.append(f"weak@{where} restates its child")
-        if (node.rule != "frame" and (_size(node) > 1 or node.rule == "rand")
+        if ((_size(node) > 1 or node.rule == "rand")
                 and not any(path[:len(p)] == p for p in framable)
                 and assertions_equal(pre, post) and index_equal(index, ZERO)
                 and not modified_vars(command, program) & free_vars(pre)):

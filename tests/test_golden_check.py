@@ -93,6 +93,7 @@ def _outcome(name: str, *earlier: str) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_check_outcome_is_byte_identical(name):
     out = _outcome(name)
+    json.loads(out)  # one well-formed record
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[name], _explained(out)
 
 
