@@ -2,15 +2,13 @@
 built-in prover, and SMT-LIB export."""
 
 from .normform import assertions_equal, canon_assertion, terms_equal
-from .obligations import (
-    AxiomPremise, Implication, IndexInequality, Obligation, ObStatus,
-)
+from .obligations import AxiomPremise, Implication, Obligation, ObStatus
 from .prover import Prover
 from .smtlib import Inexpressible, emit_smtlib
 
 
 __all__ = [
-    "AxiomPremise", "Implication", "Inexpressible", "IndexInequality",
-    "Obligation", "ObStatus", "Prover", "assertions_equal",
-    "canon_assertion", "emit_smtlib", "terms_equal",
+    "AxiomPremise", "Implication", "Inexpressible", "Obligation", "ObStatus",
+    "Prover", "assertions_equal", "canon_assertion", "emit_smtlib",
+    "terms_equal",
 ]

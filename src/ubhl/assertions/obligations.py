@@ -34,12 +34,6 @@ class Implication(Obligation):
 
 
 @dataclass
-class IndexInequality(Obligation):
-    smaller: Optional[Expr] = None
-    larger: Optional[Expr] = None
-
-
-@dataclass
 class AxiomPremise(Obligation):
     schema: str = ""
     dist: Optional[DistExpr] = None

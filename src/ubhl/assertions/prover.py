@@ -40,7 +40,8 @@ from ..lang.ast import (
 from ..lang.typecheck import UbhlTypeError, expr_type, result_sort
 from .normform import (
     NonNumeric, _negate_key, canon_assertion, canon_struct, canon_term,
-    rf_const_value, rf_equal, rf_from_key, rf_linear, rf_sub,
+    p_const, p_is_const, p_mul, rf_const_value, rf_equal, rf_from_key,
+    rf_linear, rf_sub,
 )
 
 _CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
@@ -163,11 +164,17 @@ def _linear_form(rf) -> Optional[tuple[tuple, Fraction]]:
 
 
 def _linear_diff(e: BinOp) -> Optional[tuple[tuple, Fraction]]:
-    """_linear_form of left - right."""
+    """_linear_form of left - right. A difference num/den whose den is
+    not constant is linearized as num*den: the normal form already
+    assumes every denominator nonzero, and then num*den has the sign of
+    num/den, so each comparison with 0 keeps its truth."""
     try:
-        return _linear_form(rf_sub(canon_term(e.left), canon_term(e.right)))
+        num, den = rf_sub(canon_term(e.left), canon_term(e.right))
     except (NonNumeric, ZeroDivisionError):
         return None
+    if p_is_const(den) is None:
+        num, den = p_mul(num, den), p_const(Fraction(1))
+    return _linear_form((num, den))
 
 
 @lru_cache(maxsize=200000)

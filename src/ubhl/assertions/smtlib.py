@@ -21,7 +21,7 @@ from ..lang.ast import (
 )
 from ..lang.typecheck import FUNC_SIGS, TypeEnv, UbhlTypeError, expr_type, func_sig
 from .normform import NonNumeric, canon_term, rf_const_value
-from .obligations import AxiomPremise, Implication, IndexInequality, Obligation
+from .obligations import AxiomPremise, Implication, Obligation
 from .prover import _ln_bounds
 
 
@@ -231,8 +231,6 @@ def emit_smtlib(ob: Obligation, env: TypeEnv) -> str:
     """Deterministic SMT-LIB v2 script; `unsat` certifies the claim."""
     if isinstance(ob, Implication):
         claim: Expr = BinOp("==>", ob.antecedent, ob.consequent)
-    elif isinstance(ob, IndexInequality):
-        claim = BinOp("<=", ob.smaller, ob.larger)
     elif isinstance(ob, AxiomPremise):
         claim = ob.post if ob.post is not None else BoolLit(True)
     else:

@@ -1,11 +1,11 @@
 """Judgment indices: symbolic equality, ordering and evaluation.
 
-Indices are nonnegative real expressions over logical variables (plus
-log terms and set sizes). Equality is decided by the shared
-rational-function normal form; ordering falls back to a coefficient
-heuristic under the convention that logical index variables are
-positive, and otherwise becomes an obligation. Only `index_eval` runs
-the evaluator, and it imports it itself, so the kernel does not load it.
+Indices are real expressions over logical variables (plus log terms and
+set sizes). Equality is decided by the shared rational-function normal
+form. `index_leq` decides an order only when the two indices differ by
+a constant; any other order is the kernel's to prove under the weak
+node's pre. Only `index_eval` runs the evaluator, and it imports it
+itself, so the kernel does not load it.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from ..assertions.normform import (
-    NonNumeric, canon_term, rf_const_value, rf_equal, rf_from_key, rf_linear,
-    rf_sub,
+    NonNumeric, canon_term, rf_const_value, rf_equal, rf_sub,
 )
 from ..lang.ast import Expr
 
@@ -32,42 +31,12 @@ def index_equal(a: Expr, b: Expr) -> bool:
 
 
 def index_leq(a: Expr, b: Expr) -> Optional[bool]:
-    """True when b - a is provably nonnegative under the positivity
-    convention; None when undecided (becomes an obligation)."""
+    """Whether a <= b when b - a is a constant; None otherwise."""
     try:
-        diff = rf_sub(canon_term(b), canon_term(a))
+        diff = rf_const_value(rf_sub(canon_term(b), canon_term(a)))
     except (NonNumeric, ZeroDivisionError):
         return None
-    cv = rf_const_value(diff)
-    if cv is not None:
-        return cv >= 0
-    lin = rf_linear(diff)
-    if lin is not None and all(c >= 0 for c in lin.values()) \
-            and all(_positive_mono(m) for m in lin):
-        return True
-    # ratio form: nonneg numerator over positive denominator
-    num, den = diff
-    if all(c >= 0 for c in num.values()) and all(_positive_mono(m) for m in num) \
-            and all(c > 0 for c in den.values()) and all(_positive_mono(m) for m in den):
-        return True
-    return None
-
-
-def _positive_mono(mono) -> bool:
-    """Positive under the convention that index variables and set sizes
-    are positive; log atoms are sign-unknown unless ground."""
-    for key, _exp in mono:
-        if key[0] == "var":
-            continue
-        if key[0] == "func" and key[1] == "size":
-            continue
-        if key[0] == "log":
-            cv = rf_const_value(rf_from_key(key[1]))
-            if cv is not None and cv >= 1:
-                continue
-            return False
-        return False
-    return True
+    return None if diff is None else diff >= 0
 
 
 def index_eval(e: Expr, env: Mapping) -> float:

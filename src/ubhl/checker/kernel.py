@@ -19,7 +19,7 @@ from typing import Optional
 
 from ..assertions.normform import NonNumeric, assertions_equal
 from ..assertions.obligations import (
-    AxiomPremise, Implication, IndexInequality, Obligation, ObStatus,
+    AxiomPremise, Implication, Obligation, ObStatus,
 )
 from ..assertions.prover import Prover, neg
 from ..lang.ast import (
@@ -158,15 +158,15 @@ class Checker:
             out.append(g)
         return out
 
-    def add_index_leq(self, rule: str, path: tuple[str, ...],
+    def add_index_leq(self, rule: str, path: tuple[str, ...], pre: Expr,
                       small: Expr, large: Expr) -> None:
-        ob = IndexInequality(rule=rule, path=path, smaller=small, larger=large)
-        verdict = index_leq(small, large)
-        if verdict is True:
-            ob.status = ObStatus.BUILTIN_PROVED
-        elif verdict is False:
+        """`small <= large` in every state of `pre`. A constant decrease
+        rejects; a constant increase normalizes to `true`, which
+        `add_implication` marks proved without the prover."""
+        if index_leq(small, large) is False:
             raise Rejected(path, rule, "index strictly decreases across Weak")
-        self.obligations.append(ob)
+        self.add_implication(rule, path, pre, BinOp("<=", small, large),
+                             note="index order")
 
     # ── judgment plumbing ──
 
@@ -452,7 +452,7 @@ class Checker:
                 antecedent=cpost, consequent=post))
         else:
             self.add_implication("weak", path, cpost, post, note="postcondition weakening")
-        self.add_index_leq("weak", path, cindex, index)
+        self.add_index_leq("weak", path, pre, cindex, index)
         self.check_tree(child, command, path + ("w",))
 
     def _rule_and(self, node, command, pre, post, index, path) -> None:

@@ -115,6 +115,18 @@ def test_prover_refuses(ante, cons):
     assert not P().prove_implication(E(ante), E(cons))
 
 
+@pytest.mark.parametrize("ante,cons,proved", [
+    ("0 < beta && 1 <= Q", "0 <= beta/(2*Q+1)", True),
+    ("true", "0 <= beta/(2*Q+1)", False),
+    ("0 < beta && Q <= -1", "0 <= beta/(2*Q+1)", False),
+    ("0 < beta && 1 <= Q", "beta <= beta/(2*Q+1)", False),
+])
+def test_prover_compares_over_a_non_constant_denominator(ante, cons, proved):
+    """A difference num/den with a non-constant den is compared with 0
+    as num*den, which has its sign wherever den is nonzero."""
+    assert P().prove_implication(E(ante), E(cons)) == proved
+
+
 def test_prover_fm_chain_threshold_split():
     ante = ("abs(a - z) <= (4/eps)*log((Q+1)/beta)"
             " && abs(y - x) <= (2/eps)*log((Q+1)/beta) && a < x")

@@ -45,9 +45,9 @@ GOLDEN = {
 }
 
 EXPORT_GOLDEN = {
-    "rnm": "b9897bdbf24040ad6a30935080247c6d401c23e66e2f509cb7c4f9d5d3fc0ec4",
-    "sv": "1a6145b6e3efd76508be4630f11af54d55f2dee2bd01b3d87280451c3d9b41bf",
-    "mwsv": "2a5d819d78ae46b3da07032e0a2466cc1a46f64f3b3ef820791c89d86f49e946",
+    "rnm": "b9793fb00c740cb3471a4077647bca33c091ab11b7b63a57cb3bc9b455edcfd2",
+    "sv": "7ab9044864f3e6f5f073a4ad96f394bcd440e62204d09a597515f9b29604a6c7",
+    "mwsv": "131510a1c2c1a353fe1c6d8e96e8192748310acb7a7c8b118595702abc2f5584",
 }
 
 _SCRIPT = """
@@ -129,7 +129,7 @@ def test_check_export_is_byte_identical(name, tmp_path):
     assert digest == EXPORT_GOLDEN[name], _readable(lines[0], rules)
 
 
-PROVER_GOLDEN = "24b4e5eaa6d0647f00b4fb10ec4ce3b29f0c23e0d557e8fd01bc176e428b5d31"
+PROVER_GOLDEN = "fe296ff385edf6f00a3dde396d78ca9e60a087588f27169c04ae335f128cc136"
 
 _PROVER_SCRIPT = """
 import hashlib
@@ -181,7 +181,7 @@ def test_prover_calls_do_not_depend_on_the_hash_seed():
     assert _prover_digest("1") == PROVER_GOLDEN
 
 
-CORPUS_PROVER_GOLDEN = "97b480550ed070a96b545902fc727d898d5e1ba65e0d7d77f0bd7667f99f57e9"
+CORPUS_PROVER_GOLDEN = "f15acbadf8c504ba0da0796be1bb5aa2ce7897e2fcc7d6abbb9d723f06c0a73c"
 
 _CORPUS_PROVER_SCRIPT = """
 import hashlib, importlib.util, json, sys

@@ -15,7 +15,7 @@ from ubhl.checker.index import NegativeIndex, index_equal, index_eval
 from ubhl.checker.kernel import check
 from ubhl.checker.proof import ProofNode, ProofScript
 from ubhl.dp.laplace import lap_acc_threshold
-from ubhl.lang.ast import TRUE, Call, DistExpr, LValue, NumLit, Var
+from ubhl.lang.ast import REAL, TRUE, Call, DistExpr, LValue, NumLit, Var
 from ubhl.lang.parser import parse_expr, parse_program
 from ubhl.lang.typecheck import typecheck
 from ubhl.semantics.evalexpr import eval_in_memory
@@ -42,16 +42,17 @@ for p in (SKIP_PROG, COINS):
     typecheck(p)
 
 
-def coin_proof(root_index="1/2", weak_index=None):
+def coin_proof(root_index="1/2", weak_index=None, pre="true", logicals=None):
     body = node("seq", "true", "true && (x == false)", "1/2", [
         node("rand", "true", "x == false", "1/2",
              schema="finite_exact", site_post="x == false", site_index="1/2"),
         node("rand", "x == false", "true && (x == false)", "0",
              schema="true_post", site_index="0", frame="x == false"),
     ])
-    inner = node("weak", "true", "!(x && y)", weak_index or root_index, [body])
-    return script(node("call", "true", "!(res && y)", root_index, [inner],
-                       proc="main", callee_pre="true", callee_post="!(res && y)"))
+    inner = node("weak", pre, "!(x && y)", weak_index or root_index, [body])
+    return script(node("call", pre, "!(res && y)", root_index, [inner],
+                       proc="main", callee_pre=pre, callee_post="!(res && y)"),
+                  logicals)
 
 
 def test_skip_rule():
@@ -99,6 +100,23 @@ def test_weak_cannot_lower_index():
     res = check(COINS, coin_proof(root_index="1/5", weak_index="1/5"))
     assert not res.accepted
     assert "index" in res.reason.lower()
+
+
+@pytest.mark.parametrize("index", ["1/2 + e", "1/2 + 1/e"])
+def test_weak_index_order_is_proved_under_the_pre(index):
+    """At e = -1/2 the raised index claims a failure probability of at
+    most 0, yet the coin fails with probability 1/2: under pre `true`
+    the order 1/2 <= index must stay open."""
+    res = check(COINS, coin_proof(root_index=index, pre="true", logicals={"e": REAL}))
+    assert res.accepted and not res.fully_proved, res.summary()
+    assert [(ob.rule, ob.note) for ob in res.undischarged()] == [("weak", "index order")]
+
+
+def test_weak_index_order_holds_where_the_pre_bounds_it():
+    res = check(COINS, coin_proof(root_index="1/2 + e", pre="0 <= e",
+                                  logicals={"e": REAL}))
+    assert res.fully_proved, res.summary()
+    assert "index order" in [ob.note for ob in res.obligations]
 
 
 def test_finite_exact_premise_is_decided():
@@ -309,3 +327,4 @@ def test_check_rejects_a_recursive_program_without_typecheck():
     result = check(parse_program(RECURSIVE), script(root))
     assert not result.accepted
     assert result.summary() == "REJECTED [root]: recursive procedure: f -> f"
+

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from ubhl.assertions.obligations import Implication, IndexInequality
+from ubhl.assertions.obligations import Implication
 from ubhl.assertions.smtlib import emit_smtlib
 from ubhl.cases.registry import CASE_NAMES, check_case
 from ubhl.lang.ast import (
@@ -40,11 +40,11 @@ def test_determinism_byte_identical():
 
 
 def test_index_inequality_script():
-    ob = IndexInequality(rule="weak", path=(), smaller=parse_expr("(beta/(Q+1))*(Q+1)"),
-                         larger=parse_expr("beta"))
-    text = emit_smtlib(ob, ENV)
+    """A weak node's index order exports as an implication from its pre."""
+    text = emit_smtlib(imp("1 <= Q", "(beta/(Q+1))*(Q+1) <= beta"), ENV)
     assert "(declare-const v_beta Real)" in text
     assert "(to_real v_Q)" in text
+    assert "(assert (not (=> (<= 1 v_Q)" in text
 
 
 def test_uninterpreted_query_symbols():
