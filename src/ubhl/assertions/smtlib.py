@@ -255,8 +255,6 @@ def emit_smtlib(ob: Obligation, env: TypeEnv) -> str:
 
     for name in sorted(emitter.used_funcs):
         declare(name)
-    if "uInvQ" in emitter.used_funcs and "uEvalQ" not in emitter.used_funcs:
-        lines.append(_PRELUDE_FUNCS["uEvalQ"])
     for name in sorted(free_vars(claim)):
         t = env.get(name)
         if t is None:

@@ -116,7 +116,6 @@ BUILTIN_SCRIPTS = {
 """,
     "invQ(q) == q": """
 (declare-fun uInvQ (UQuery) UQuery)
-(declare-fun uEvalQ (UQuery UDb) Real)
 (declare-const v_q UQuery)
 (assert (not (=> true (= (uInvQ v_q) v_q))))
 """,
