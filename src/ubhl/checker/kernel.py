@@ -541,7 +541,4 @@ def check(program: Program, script: ProofScript,
     except Rejected as exc:
         return CheckResult(False, exc.reason, exc.path, exc.rule,
                            obligations=checker.obligations, sorts=checker.env)
-    except (NonNumeric, ZeroDivisionError) as exc:
-        return CheckResult(False, f"malformed assertion or index: {exc}",
-                           sorts=checker.env)
     return CheckResult(True, obligations=checker.obligations, sorts=checker.env)

@@ -328,3 +328,61 @@ def test_check_rejects_a_recursive_program_without_typecheck():
     assert not result.accepted
     assert result.summary() == "REJECTED [root]: recursive procedure: f -> f"
 
+
+# ── rejections no shipped derivation reaches ──
+
+LOOP = parse_program("var i : int;\nproc main(u) { while (i > 0) { i <- i - 1; } } return i")
+typecheck(LOOP)
+
+
+def loop_proof(variant):
+    """{i <= 5} while (i > 0) { i <- i - 1; } {res <= 0} over `variant`."""
+    keep = node("assn", "true", "true", "0")
+    down = node("weak", "(true && i > 0) && i == eta", "i < eta", "0",
+                [node("assn", "i - 1 < eta", "i < eta", "0")])
+    loop = node("while", "true && i <= 5", "true && !(i > 0)", "0", [keep, down],
+                invariant="true", variant=variant, bound="5")
+    return script(node("call", "i <= 5", "res <= 0", "0", [loop], proc="main",
+                       callee_pre="i <= 5", callee_post="res <= 0"))
+
+
+def test_loop_proof_is_accepted():
+    res = check(LOOP, loop_proof("i"))
+    assert res.fully_proved, res.summary()
+
+
+@pytest.mark.parametrize("program, proof, reason", [
+    (SKIP_PROG, script(node("induction", "true", "true", "0")), "unknown rule"),
+    (SKIP_PROG, script(node("call", "true", "true", "0", [node("skip", "true", "true", "0")] * 2,
+                            proc="main")), "rule takes 1 children, got 2"),
+    (SKIP_PROG, script(node("call", "x >", "true", "0", [node("skip", "true", "true", "0")],
+                            proc="main")), "cannot parse pre"),
+    (LOOP, loop_proof("i && true"), "variant does not typecheck"),
+], ids=["unknown-rule", "arity", "unparsable-pre", "variant-type"])
+def test_kernel_rejects(program, proof, reason):
+    res = check(program, proof)
+    assert not res.accepted
+    assert reason in res.reason, res.summary()
+
+
+@pytest.mark.parametrize("entry, reason", [
+    ({"proc": "start", "arg": "0", "result": "res"}, "entry procedure 'start' not in program"),
+    ({"proc": "main", "arg": "0 +", "result": "res"}, "bad entry argument"),
+], ids=["missing-entry", "bad-argument"])
+def test_kernel_rejects_a_bad_entry(entry, reason):
+    proof = script(node("call", "true", "true", "0", [node("skip", "true", "true", "0")],
+                        proc="main"))
+    proof.entry = entry
+    res = check(SKIP_PROG, proof)
+    assert not res.accepted
+    assert res.reason.startswith(reason), res.reason
+
+
+@pytest.mark.parametrize("index", ["true", "x && y", "forall i in 1 .. 2 . i > 0"])
+def test_non_numeric_index_is_rejected_where_it_is_compared(index):
+    """No numeric normal form exists for such an index, so it equals no
+    index, itself included: the first rule that compares it rejects."""
+    res = check(COINS, coin_proof(root_index=index))
+    assert not res.accepted
+    assert (res.rule, res.reason) == ("call", "callee body: index does not match"
+                                              " the rule's requirement")
