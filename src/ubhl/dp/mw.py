@@ -58,7 +58,8 @@ def potential(x: Database, d: Database) -> float:
     if size <= 0:
         raise ValueError("potential needs a nonempty true database")
     if len(d.counts) != len(x.counts):
-        raise ValueError("dimension mismatch")
+        raise ValueError(f"potential of a synthetic database over {len(x.counts)}"
+                         f" elements against a true one over {len(d.counts)}")
     acc = 0.0
     for c, xc in zip(d.counts, x.counts):
         if c == 0:

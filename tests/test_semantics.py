@@ -102,7 +102,7 @@ def test_potential_of_an_empty_database_is_a_runtime_error(text):
 
 _MW_TEXTS = ("mwInit(eta, X, n)", "mwStep(x, q, eta, n)", "potential(x, d)",
              "potential(mwInit(eta, X, n), d)", "evalQ(q, mwStep(x, q, eta, n))")
-_MW_DIGEST = "ad4187a29940411e9aec81a9b32d274911b6772b811a4093c2d0c06430c9873f"
+_MW_DIGEST = "93efbd7d5ba4f2bacf264a9baed8a005425ef657063baa001d62dba5fdd6d653"
 
 
 def _mw_random_store(rng: random.Random) -> dict:
