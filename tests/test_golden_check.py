@@ -17,13 +17,14 @@ case: the name and bytes of every file, the exit code and the output.
 `PROVER_GOLDEN` pins the prover's search: the printed antecedent and
 consequent, the verdict and the node count of every
 `Prover.prove_implication` call made while checking the three cases and
-cross-checking rnm. A change to the prover that claims to keep its
-search must keep this digest, at hash seed 0 and at hash seed 1.
-`CORPUS_PROVER_GOLDEN` pins the same record for every call
-`checker.check` makes on the 22 generated corpus scripts and on the 8
-tampered scripts of the benchmark's check workload (`bench/inputs.py`,
-loaded without writing bytecode), each checked with the kernel's
-verdict cache emptied, as in a fresh process.
+cross-checking rnm. Its "verdicts" digest leaves the node counts out,
+so a change that reorders the search but keeps every verdict moves only
+the "nodes" digest and the node total. Both must hold at hash seed 0
+and at hash seed 1. `CORPUS_PROVER_GOLDEN` pins the same record for
+every call `checker.check` makes on the 22 generated corpus scripts and
+on the 8 tampered scripts of the benchmark's check workload
+(`bench/inputs.py`, loaded without writing bytecode), each checked with
+the kernel's verdict cache emptied, as in a fresh process.
 """
 
 import hashlib
@@ -32,6 +33,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -129,16 +131,25 @@ def test_check_export_is_byte_identical(name, tmp_path):
     assert digest == EXPORT_GOLDEN[name], _readable(lines[0], rules)
 
 
-PROVER_GOLDEN = "fe296ff385edf6f00a3dde396d78ca9e60a087588f27169c04ae335f128cc136"
+# Each record holds two digests over the calls in order: "nodes" hashes
+# (antecedent, consequent, verdict, nodes) and "verdicts" the same
+# without nodes, with the readable totals beside them.
+PROVER_GOLDEN = {
+    "nodes": "fe296ff385edf6f00a3dde396d78ca9e60a087588f27169c04ae335f128cc136",
+    "verdicts": "2f97958d94b645137554578a7588305e5b0b2ec5644e2458d9b8be9d86e0920f",
+    "calls": 38, "proved": 38, "total_nodes": 1448,
+}
 
-_PROVER_SCRIPT = """
-import hashlib
+CORPUS_PROVER_GOLDEN = {
+    "nodes": "f15acbadf8c504ba0da0796be1bb5aa2ce7897e2fcc7d6abbb9d723f06c0a73c",
+    "verdicts": "0ecdecea5c833f8402ef05fbb31fc09ba3a1b03cb9c1e576f2972c81f21f76cc",
+    "calls": 53, "proved": 51, "total_nodes": 761,
+}
+
+_RECORDER = """
+import hashlib, json
 from ubhl.assertions.prover import Prover
-from ubhl.cases.registry import case_proof, case_source, check_case
-from ubhl.embed.crosscheck import crosscheck
 from ubhl.lang.ast import pretty_expr
-from ubhl.lang.parser import parse_program
-from ubhl.lang.typecheck import typecheck
 
 calls = []
 prove = Prover.prove_implication
@@ -146,50 +157,45 @@ prove = Prover.prove_implication
 
 def recorded(self, antecedent, consequent):
     verdict = prove(self, antecedent, consequent)
-    calls.append(f"{pretty_expr(antecedent)}\\t{pretty_expr(consequent)}"
-                 f"\\t{verdict}\\t{self.nodes}\\n")
+    calls.append((f"{pretty_expr(antecedent)}\\t{pretty_expr(consequent)}\\t{verdict}",
+                  verdict, self.nodes))
     return verdict
 
 
+def report():
+    def digest(lines):
+        return hashlib.sha256("".join(lines).encode()).hexdigest()
+    print(json.dumps({
+        "nodes": digest(f"{text}\\t{nodes}\\n" for text, _, nodes in calls),
+        "verdicts": digest(f"{text}\\n" for text, _, _ in calls),
+        "calls": len(calls),
+        "proved": sum(verdict for _, verdict, _ in calls),
+        "total_nodes": sum(nodes for _, _, nodes in calls),
+    }))
+
+
 Prover.prove_implication = recorded
+"""
+
+_PROVER_SCRIPT = _RECORDER + """
+from ubhl.cases.registry import case_proof, case_source, check_case
+from ubhl.embed.crosscheck import crosscheck
+from ubhl.lang.parser import parse_program
+from ubhl.lang.typecheck import typecheck
+
 for name in ("rnm", "sv", "mwsv"):
     check_case(name)
 program = parse_program(case_source("rnm"))
 typecheck(program)
 crosscheck(program, case_proof("rnm"))
-print(len(calls), hashlib.sha256("".join(calls).encode()).hexdigest())
+report()
 """
 
-
-def _prover_digest(hash_seed: str) -> str:
-    src = str(Path(ubhl.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", _PROVER_SCRIPT], env=env,
-                          capture_output=True, text=True, timeout=600)
-    assert done.returncode == 0, done.stderr
-    return done.stdout.split()[1]
-
-
-def test_prover_calls_are_byte_identical():
-    assert _prover_digest("0") == PROVER_GOLDEN
-
-
-def test_prover_calls_do_not_depend_on_the_hash_seed():
-    """The prover's caches are keyed by structure and iterated in
-    insertion order, so string-hash order must not reach its search."""
-    assert _prover_digest("1") == PROVER_GOLDEN
-
-
-CORPUS_PROVER_GOLDEN = "f15acbadf8c504ba0da0796be1bb5aa2ce7897e2fcc7d6abbb9d723f06c0a73c"
-
-_CORPUS_PROVER_SCRIPT = """
-import hashlib, importlib.util, json, sys
+_CORPUS_PROVER_SCRIPT = _RECORDER + """
+import importlib.util, sys
 from pathlib import Path
-from ubhl.assertions.prover import Prover
 from ubhl.checker import ProofScript, check
 from ubhl.checker.kernel import _implies
-from ubhl.lang.ast import pretty_expr
 from ubhl.lang.parser import parse_program
 from ubhl.lang.typecheck import typecheck
 
@@ -202,18 +208,6 @@ spec = importlib.util.spec_from_file_location("bench_inputs", root / "bench" / "
 inputs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(inputs)
 
-calls = []
-prove = Prover.prove_implication
-
-
-def recorded(self, antecedent, consequent):
-    verdict = prove(self, antecedent, consequent)
-    calls.append(f"{pretty_expr(antecedent)}\\t{pretty_expr(consequent)}"
-                 f"\\t{verdict}\\t{self.nodes}\\n")
-    return verdict
-
-
-Prover.prove_implication = recorded
 for program, script, _ in generate_corpus():
     _implies.cache_clear()
     check(program, script)
@@ -224,16 +218,62 @@ for case, mutate in inputs.MUTANTS.values():
     typecheck(program)
     doc = mutate(json.loads((base / "proof.json").read_text()))
     check(program, ProofScript.from_json(json.dumps(doc)))
-print(len(calls), hashlib.sha256("".join(calls).encode()).hexdigest())
+report()
 """
 
 
-def test_corpus_and_mutant_prover_calls_are_byte_identical():
+@lru_cache(maxsize=None)
+def _prover_record(script: str, hash_seed: str) -> dict:
     src = str(Path(ubhl.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONHASHSEED="0",
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", _CORPUS_PROVER_SCRIPT,
+    done = subprocess.run([sys.executable, "-c", script,
                            str(Path(src).parent), str(Path(__file__).parent)],
                           env=env, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split()[1] == CORPUS_PROVER_GOLDEN
+    return json.loads(done.stdout)
+
+
+def _totals(record: dict) -> str:
+    return (f"{record['calls']} calls, {record['proved']} proved, "
+            f"{record['total_nodes']} nodes")
+
+
+def _assert_pinned(record: dict, golden: dict, keys: tuple[str, ...]) -> None:
+    got = {k: record[k] for k in keys}
+    assert got == {k: golden[k] for k in keys}, \
+        f"{_totals(record)}; pinned {_totals(golden)}"
+
+
+_VERDICTS = ("verdicts", "calls", "proved")
+_NODES = ("nodes", "total_nodes")
+
+
+def test_prover_verdicts_are_byte_identical():
+    _assert_pinned(_prover_record(_PROVER_SCRIPT, "0"), PROVER_GOLDEN, _VERDICTS)
+
+
+def test_prover_calls_are_byte_identical():
+    _assert_pinned(_prover_record(_PROVER_SCRIPT, "0"), PROVER_GOLDEN, _NODES)
+
+
+def test_prover_calls_do_not_depend_on_the_hash_seed():
+    """The prover's caches are keyed by structure and iterated in
+    insertion order, so string-hash order must not reach its search."""
+    _assert_pinned(_prover_record(_PROVER_SCRIPT, "1"), PROVER_GOLDEN,
+                   _VERDICTS + _NODES)
+
+
+def test_corpus_and_mutant_prover_verdicts_are_byte_identical():
+    _assert_pinned(_prover_record(_CORPUS_PROVER_SCRIPT, "0"), CORPUS_PROVER_GOLDEN,
+                   _VERDICTS)
+
+
+def test_corpus_and_mutant_prover_calls_are_byte_identical():
+    _assert_pinned(_prover_record(_CORPUS_PROVER_SCRIPT, "0"), CORPUS_PROVER_GOLDEN,
+                   _NODES)
+
+
+def test_corpus_and_mutant_prover_calls_do_not_depend_on_the_hash_seed():
+    _assert_pinned(_prover_record(_CORPUS_PROVER_SCRIPT, "1"), CORPUS_PROVER_GOLDEN,
+                   _VERDICTS + _NODES)
