@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext, ROUND_CEILING, ROUND_FLOOR
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Optional
@@ -197,17 +197,17 @@ def _linearize(e: Expr) -> Optional[tuple[LinCon, ...]]:
 
 
 def _ln_bounds(c: Fraction) -> Optional[tuple[Fraction, Fraction]]:
+    """An interval around ln(c). `Decimal.ln` rounds half-even under any
+    context rounding, so its one result is padded by ten units in its
+    last place at 45 digits, never by less than 1e-40; the pad also
+    covers the rounded quotient it is taken of."""
     if c <= 0:
         return None
     with localcontext() as ctx:
         ctx.prec = 45
-        d = Decimal(c.numerator) / Decimal(c.denominator)
-        ctx.rounding = ROUND_FLOOR
-        lo = d.ln()
-        ctx.rounding = ROUND_CEILING
-        hi = d.ln()
-    pad = Fraction(1, 10 ** 40)
-    return Fraction(lo) - pad, Fraction(hi) + pad
+        r = (Decimal(c.numerator) / Decimal(c.denominator)).ln()
+    pad = max(Fraction(1, 10 ** 40), Fraction(10) ** (r.adjusted() - 43))
+    return Fraction(r) - pad, Fraction(r) + pad
 
 
 def _key(e: Expr):

@@ -1,10 +1,12 @@
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ubhl.assertions.normform import assertions_equal, canon_assertion, terms_equal
-from ubhl.assertions.prover import Prover, neg, nnf
+from ubhl.assertions.prover import Prover, _ln_bounds, neg, nnf
 from ubhl.lang.ast import BOOL, INT, REAL, SETINT, ArrayT, subst_expr
 from ubhl.lang.parser import parse_expr as E
 from ubhl.semantics.evalexpr import eval_expr
@@ -134,10 +136,26 @@ def test_prover_fm_chain_threshold_split():
     assert P().prove_implication(E(ante), E(cons))
 
 
+def test_ln_bounds_enclose_ln_at_every_magnitude():
+    """Each interval contains ln(c) by a 200-digit reference, over
+    random rationals with |ln c| from 1e-3 up to 1e6."""
+    rng = random.Random(15)
+    slack = Fraction(1, 10 ** 150)  # far above the reference's own error
+    for _ in range(40):
+        bits = int(10 ** rng.uniform(-3, 6) / 0.6931)
+        den_bits = rng.randint(1, 200)
+        num = rng.getrandbits(den_bits + bits) | 1
+        den = rng.getrandbits(den_bits) | 1
+        c = Fraction(num, den) if rng.random() < 0.5 else Fraction(den, num)
+        with localcontext() as ctx:
+            ctx.prec = 200
+            ref = Fraction((Decimal(c.numerator) / Decimal(c.denominator)).ln())
+        lo, hi = _ln_bounds(c)
+        assert lo <= ref - slack and ref + slack <= hi, float(ref)
+
+
 def test_prover_soundness_random_memories():
     """Everything the prover accepts must hold on sampled assignments."""
-    import random
-
     rng = random.Random(7)
     implications = [
         ("x > 2 && y > 0", "x + y > 2"),
