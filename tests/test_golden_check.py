@@ -7,7 +7,8 @@ the kernel, the normal form or the prover that claims to keep verdicts
 must keep these digests.
 
 The check runs in a fresh interpreter at PYTHONHASHSEED=0, so no cache
-filled by an earlier test and no string-hash order can reach it. A
+filled by an earlier test can reach it, and again at PYTHONHASHSEED=1,
+so no string-hash order can reach it either. A
 second run checks the other two cases first in that interpreter: a
 verdict must not depend on what the process checked before.
 
@@ -82,9 +83,9 @@ def _explained(out: str) -> str:
     return _readable(record["summary"], (rule for rule, _, _ in record["obligations"]))
 
 
-def _outcome(name: str, *earlier: str) -> str:
+def _outcome(name: str, *earlier: str, hash_seed: str = "0") -> str:
     src = str(Path(ubhl.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONHASHSEED="0",
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", _SCRIPT, name, *earlier], env=env,
                           capture_output=True, text=True, timeout=600)
@@ -102,6 +103,14 @@ def test_check_outcome_is_byte_identical(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_check_outcome_does_not_depend_on_earlier_checks(name):
     out = _outcome(name, *sorted(set(GOLDEN) - {name}))
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[name], _explained(out)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_check_outcome_does_not_depend_on_the_hash_seed(name):
+    """Fresh names and caches must not let string-hash order reach a
+    verdict."""
+    out = _outcome(name, hash_seed="1")
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[name], _explained(out)
 
 
