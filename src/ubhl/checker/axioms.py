@@ -73,7 +73,9 @@ def lap_acc_covers(eps: float, beta: float) -> bool:
 def finite_site_failure(dist: DistExpr, target_name: str, post: Expr,
                         store: dict) -> Fraction:
     """Exact Pr[not post] for a closed finite-support site; the `post`
-    may only constrain the sampled variable."""
+    may only constrain the sampled variable. A value at which the post
+    raises a runtime error counts as failing, as in
+    `SubDist.prob_upper`."""
     from ..semantics.evalexpr import UbhlRuntimeError, dist_params, eval_expr, finite_support
 
     if dist.name not in ("bern", "unifint"):
@@ -86,6 +88,10 @@ def finite_site_failure(dist: DistExpr, target_name: str, post: Expr,
     for value, mass in finite_support(dist.name, params):
         local = dict(store)
         local[target_name] = value
-        if not bool(eval_expr(post, local)):
+        try:
+            holds = bool(eval_expr(post, local))
+        except UbhlRuntimeError:
+            holds = False
+        if not holds:
             fail += mass
     return fail

@@ -30,7 +30,7 @@ from ..lang.ast import (
 )
 from ..lang.parser import parse_expr
 from ..lang.typecheck import (
-    TypeEnv, UbhlTypeError, assertion_env, dist_sig, expr_type,
+    TypeEnv, UbhlTypeError, assertion_env, check_assertion, dist_sig, expr_type,
     procedure_uses, reject_recursion,
 )
 from .axioms import SchemaMismatch, finite_site_failure, instantiate_axiom
@@ -354,6 +354,10 @@ class Checker:
         extra = free_vars(site_post) - {target.base}
         self.require(not extra, path, "rand",
                      f"finite_exact post may only mention the target, not {sorted(extra)}")
+        try:
+            check_assertion(site_post, self.env)
+        except UbhlTypeError as exc:
+            raise Rejected(path, "rand", f"finite_exact post is not a bool assertion: {exc}")
         from .index import index_ground_value
         iota_val = index_ground_value(site_index)
         self.require(iota_val is not None, path, "rand",

@@ -252,6 +252,45 @@ def test_verdict_does_not_depend_on_an_earlier_check():
     assert [ob.note for ob in second.undischarged()] == ["postcondition weakening"]
 
 
+ONE_COIN = parse_program("var x : bool;\nproc main(u) { x <$ bern(1/2); } return x")
+typecheck(ONE_COIN)
+
+
+def one_site(post, index):
+    """One finite_exact site under a weakening to `true`, so only the
+    site's own premise reads `post`."""
+    return script(node("call", "true", "true", index, [
+        node("weak", "true", "true", index, [
+            node("rand", "true", post, index, schema="finite_exact",
+                 site_post=post, site_index=index)])],
+        proc="main", callee_pre="true", callee_post="true"))
+
+
+def test_finite_exact_post_that_divides_by_zero_fails_there():
+    """The post is undefined at both values, so both count as failing."""
+    res = check(ONE_COIN, one_site("x == false && 1/0 > 0", "1/2"))
+    assert not res.accepted
+    assert res.rule == "rand" and "probability 1," in res.reason
+
+
+@pytest.mark.parametrize("index,accepted", [("1/2", True), ("1/4", False)])
+def test_finite_exact_post_that_takes_log_of_zero_fails_there(index, accepted):
+    """`x == false` holds without reaching log(0); at x == true the post
+    raises, so the failure mass is 1/2."""
+    res = check(ONE_COIN, one_site("x == false || log(0) < 1", index))
+    assert res.accepted == accepted, res.reason
+    if accepted:
+        assert "enumerated failure mass 1/2 <= 1/2" in [ob.note for ob in res.obligations]
+    else:
+        assert "probability 1/2" in res.reason
+
+
+def test_finite_exact_post_must_be_a_bool_assertion():
+    res = check(ONE_COIN, one_site("size(x)", "1/2"))
+    assert not res.accepted
+    assert res.rule == "rand" and "not a bool assertion" in res.reason
+
+
 # ── the union bound: `and` adds indices, `or` shares one ──
 
 DIGIT = parse_program("var x : int;\nvar y : int;\nproc main(u) { x <$ unifint(0, 9); } return x")
