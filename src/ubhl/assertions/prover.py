@@ -7,6 +7,15 @@ expansion, and Fourier-Motzkin elimination (with abs-splits, integer
 tightening and certified interval bounds for ground logs) over Laurent
 monomials. Anything it cannot close is Unknown, never refuted.
 
+A disjunction is proved by proving one disjunct with the negations of
+the others as hypotheses. A cheap pass (no quantifier instantiation, no
+case splits) tries the disjuncts in order; the full pass tries them
+from the last to the first. `nnf` writes `A ==> C` as `!A || C`, so the
+full pass first assumes `A` and proves the consequent `C`. Refuting
+`A` from `!C`, tried first before, spent most of the nodes of the
+largest shipped obligations. Right-implication is invertible, so this
+order loses no proof, and every disjunct is still tried.
+
 Its caches, each keyed by structure, so none can change a verdict:
 - `nnf`, `_linearize`: a term's negation normal form, a comparison's
   Fourier-Motzkin rows;
@@ -374,11 +383,12 @@ class Prover:
         if isinstance(goal, BinOp) and goal.op == "||":
             parts = disjuncts(goal)
             negated = [nnf(neg(p)) for p in parts]
-            # cheap pass first: no instantiation or case splits
+            # cheap pass first, in order; the full pass from the last
+            # disjunct (see the module docstring)
             for cheap in (True,) if quick else (True, False):
-                for i, gi in enumerate(parts):
+                for i in range(len(parts)) if cheap else reversed(range(len(parts))):
                     extra = negated[:i] + negated[i + 1:]
-                    if self._prove(view.items + extra, gi, depth + 1, splits,
+                    if self._prove(view.items + extra, parts[i], depth + 1, splits,
                                    cheap, memo):
                         return True
             return not quick and self._stuck_splits(view, goal, depth, splits, memo)

@@ -211,6 +211,30 @@ def test_rnm_cross_check_consistent():
     assert report.consistent
 
 
+def test_rnm_invariant_preservation_is_proved_in_few_nodes(monkeypatch):
+    """rnm's WP obligation `forall v . A ==> ((B ==> C) && (!B ==> D))`
+    took 732 nodes when the prover tried to refute each antecedent
+    before it proved the consequent."""
+    from ubhl.cases.programs import RNM_SOURCE
+    from ubhl.cases.proofs import rnm_proof
+
+    calls = []
+    prove = Prover.prove_implication
+
+    def recorded(self, antecedent, consequent):
+        verdict = prove(self, antecedent, consequent)
+        calls.append((antecedent, verdict, self.nodes))
+        return verdict
+
+    monkeypatch.setattr(Prover, "prove_implication", recorded)
+    program = parse_program(RNM_SOURCE)
+    typecheck(program)
+    report = crosscheck(program, rnm_proof())
+    [ob] = [ob for ob in report.obligations if ob.note == "invariant preservation"]
+    [(verdict, nodes)] = [(v, n) for a, v, n in calls if a is ob.antecedent]
+    assert verdict and nodes <= 250, nodes
+
+
 def test_lowered_index_breaks_both_pipelines():
     bad = lap_script(ONE_LAP, [("x", "1/10")], [SINGLE_SITE_POST], "1/20")
     res = check(ONE_LAP, bad)

@@ -144,15 +144,15 @@ def test_check_export_is_byte_identical(name, tmp_path):
 # (antecedent, consequent, verdict, nodes) and "verdicts" the same
 # without nodes, with the readable totals beside them.
 PROVER_GOLDEN = {
-    "nodes": "fe296ff385edf6f00a3dde396d78ca9e60a087588f27169c04ae335f128cc136",
+    "nodes": "3e2888367fcb3f4529995d4997e1568a2c8481765bb1141efa8b49bf8769f01a",
     "verdicts": "2f97958d94b645137554578a7588305e5b0b2ec5644e2458d9b8be9d86e0920f",
-    "calls": 38, "proved": 38, "total_nodes": 1448,
+    "calls": 38, "proved": 38, "total_nodes": 745,
 }
 
 CORPUS_PROVER_GOLDEN = {
-    "nodes": "f15acbadf8c504ba0da0796be1bb5aa2ce7897e2fcc7d6abbb9d723f06c0a73c",
+    "nodes": "a1000c4d150da6d15f7ab995329f3cbce400e12b4fdc0ebae955a60643bcc5fe",
     "verdicts": "0ecdecea5c833f8402ef05fbb31fc09ba3a1b03cb9c1e576f2972c81f21f76cc",
-    "calls": 53, "proved": 51, "total_nodes": 761,
+    "calls": 53, "proved": 51, "total_nodes": 584,
 }
 
 _RECORDER = """
