@@ -11,10 +11,11 @@ A disjunction is proved by proving one disjunct with the negations of
 the others as hypotheses. A cheap pass (no quantifier instantiation, no
 case splits) tries the disjuncts in order; the full pass tries them
 from the last to the first. `nnf` writes `A ==> C` as `!A || C`, so the
-full pass first assumes `A` and proves the consequent `C`. Refuting
-`A` from `!C`, tried first before, spent most of the nodes of the
-largest shipped obligations. Right-implication is invertible, so this
-order loses no proof, and every disjunct is still tried.
+full pass first assumes `A` and proves the consequent `C`; trying to
+refute `A` from `!C` first spends most of the nodes of the largest
+shipped obligations (732 against 206 for rnm's invariant preservation
+under WP). Right-implication is invertible, so this order loses no
+proof, and every disjunct is still tried.
 
 Its caches, each keyed by structure, so none can change a verdict:
 - `nnf`, `_linearize`: a term's negation normal form, a comparison's

@@ -138,8 +138,8 @@ def test_prover_fm_chain_threshold_split():
 
 def test_prover_proves_a_guarded_conjunction_before_refuting_its_guard():
     """`forall s . P(s) ==> Q(s) && R(s)`: the full pass assumes the
-    guard and proves the conjunction. Refuting the guard first, as the
-    prover once did, took 24 nodes here."""
+    guard and proves the conjunction. Refuting the guard first takes
+    24 nodes here."""
     prover = P()
     ante = "0 < eps && (forall s in R . s in S ==> abs(arr[s]) <= 1/eps)"
     cons = "forall s in R . s in S ==> arr[s] <= 1/eps && -1/eps <= arr[s]"

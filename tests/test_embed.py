@@ -213,8 +213,8 @@ def test_rnm_cross_check_consistent():
 
 def test_rnm_invariant_preservation_is_proved_in_few_nodes(monkeypatch):
     """rnm's WP obligation `forall v . A ==> ((B ==> C) && (!B ==> D))`
-    took 732 nodes when the prover tried to refute each antecedent
-    before it proved the consequent."""
+    takes 732 nodes when each antecedent is refuted before its
+    consequent is proved."""
     from ubhl.cases.programs import RNM_SOURCE
     from ubhl.cases.proofs import rnm_proof
 
