@@ -1,3 +1,4 @@
+import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -153,7 +154,7 @@ def test_ln_bounds_enclose_ln_at_every_magnitude():
     rng = random.Random(15)
     slack = Fraction(1, 10 ** 150)  # far above the reference's own error
     for _ in range(40):
-        bits = int(10 ** rng.uniform(-3, 6) / 0.6931)
+        bits = int(10 ** rng.uniform(-3, 6) / math.log(2))
         den_bits = rng.randint(1, 200)
         num = rng.getrandbits(den_bits + bits) | 1
         den = rng.getrandbits(den_bits) | 1
