@@ -196,6 +196,15 @@ def rf_const_value(a: RF) -> Optional[Fraction]:
     return nc / dc
 
 
+def ground_value(e: Expr) -> Optional[Fraction]:
+    """The rational value of a term; None when it is not a defined
+    numeric constant."""
+    try:
+        return rf_const_value(canon_term(e))
+    except (NonNumeric, ZeroDivisionError):
+        return None
+
+
 def rf_linear(a: RF) -> Optional[dict]:
     """Monomial->coeff map when the denominator is constant; the ()
     monomial carries the constant term."""
@@ -553,6 +562,11 @@ def _mentions_bvar(key, depth: int) -> bool:
 
 
 def assertions_equal(a: Expr, b: Expr) -> bool:
+    """Equal up to the normal form. Structurally equal assertions are
+    equal even where they have no normal form, as under a division by a
+    literal zero."""
+    if a == b:
+        return True
     try:
         return canon_assertion(a) == canon_assertion(b)
     except (NonNumeric, ZeroDivisionError):

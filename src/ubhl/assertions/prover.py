@@ -20,8 +20,6 @@ proof, and every disjunct is still tried.
 Its caches, each keyed by structure, so none can change a verdict:
 - `nnf`, `_linearize`: a term's negation normal form, a comparison's
   Fourier-Motzkin rows;
-- `_key_mask`: per term, one bit for the canon_struct key of it and of
-  each subterm, so `_apply_eqs` skips a subterm holding no left side;
 - `_sites`: per term, the subterms the site walks read (`_candidates`,
   `_find_store_select`, `_size_remove_facts`);
 - `Prover._eq_rules`: per equality hypothesis, its rewrite rule (it
@@ -45,7 +43,7 @@ from typing import Optional
 from ..lang.ast import (
     ArrayT, BinOp, BoolLit, BoolT, DbT, Expr, FuncCall, Index, IntT, NumLit,
     Quant, QueryT, RangeDom, SetDom, SetIntT, SetLit, SortDom, Store, Type,
-    UnOp, Var, children, free_vars, map_children, subst_expr, subterms,
+    UnOp, Var, free_vars, map_children, subst_expr, subterms,
 )
 from ..lang.typecheck import UbhlTypeError, expr_type, result_sort
 from .normform import (
@@ -228,19 +226,6 @@ def _key(e: Expr):
         return None
 
 
-@lru_cache(maxsize=200000)
-def _key_mask(e: Expr) -> int:
-    """Bit hash(k) & 63 for the canon_struct key k of e and of each
-    subterm: a term sharing no bit with a key set holds none of them."""
-    try:
-        mask = 1 << (hash(canon_struct(e)) & 63)
-    except (NonNumeric, ZeroDivisionError):
-        mask = 0
-    for x in children(e):
-        mask |= _key_mask(x)
-    return mask
-
-
 @lru_cache(maxsize=100000)
 def _sites(e: Expr) -> tuple[Expr, ...]:
     """The variables, indexes, pick(...) and size(...) among e's
@@ -251,14 +236,11 @@ def _sites(e: Expr) -> tuple[Expr, ...]:
 
 class _EqSet(dict):
     """Equation key -> (src, dst) for one ordered tuple of equality
-    hypotheses (`Prover._equalities`), with the `_key_mask` bits of its
-    keys and the rewrites `_apply_eqs` has made under it."""
+    hypotheses (`Prover._equalities`), with the rewrites `_apply_eqs`
+    has made under it."""
 
     def __init__(self, eqs: dict):
         super().__init__(eqs)
-        self.wanted = 0
-        for k in eqs:
-            self.wanted |= 1 << (hash(k) & 63)
         self.done: dict = {}
 
 
@@ -609,14 +591,12 @@ class Prover:
         hit = eqs.done.get(e)
         if hit is not None:
             return hit
-        term, wanted = e, eqs.wanted
+        term = e
         for _ in range(3):
             changed = False
 
             def walk(x: Expr) -> Expr:
                 nonlocal changed
-                if not _key_mask(x) & wanted:
-                    return x
                 try:
                     k = canon_struct(x)
                     if k in eqs:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 from ..lang.ast import (
     ArrayT, BinOp, BoolLit, BoolT, DbT, Expr, FuncCall, Index, IntT, NumLit,
@@ -20,7 +19,7 @@ from ..lang.ast import (
     UnOp, Var, free_vars, subterms,
 )
 from ..lang.typecheck import FUNC_SIGS, TypeEnv, UbhlTypeError, expr_type, func_sig
-from .normform import NonNumeric, canon_term, rf_const_value
+from .normform import ground_value
 from .obligations import AxiomPremise, Implication, Obligation
 from .prover import _ln_bounds
 
@@ -274,7 +273,7 @@ def _ground_log_bounds(claim: Expr, env: TypeEnv) -> list[str]:
 
     for e in subterms(claim):
         if isinstance(e, FuncCall) and e.name == "log" and len(e.args) == 1:
-            v = _const_value(e.args[0])
+            v = ground_value(e.args[0])
             if v is not None and v > 0 and v not in seen:
                 seen.add(v)
                 bounds = _ln_bounds(v)
@@ -291,10 +290,3 @@ def _num_approx(v: Fraction, down: bool) -> str:
     scaled = v * 10 ** 12
     n = math.floor(scaled) if down else math.ceil(scaled)
     return _num(Fraction(n, 10 ** 12), True)
-
-
-def _const_value(e: Expr) -> Optional[Fraction]:
-    try:
-        return rf_const_value(canon_term(e))
-    except (NonNumeric, ZeroDivisionError):
-        return None

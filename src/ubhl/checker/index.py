@@ -10,7 +10,6 @@ itself, so the kernel does not load it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Optional
 
 from ..assertions.normform import (
@@ -24,10 +23,15 @@ class NegativeIndex(Exception):
 
 
 def index_equal(a: Expr, b: Expr) -> bool:
+    """Equal up to the normal form. An index with no numeric form equals
+    none, itself included; one that divides by a literal zero equals
+    itself."""
     try:
         return rf_equal(canon_term(a), canon_term(b))
-    except (NonNumeric, ZeroDivisionError):
+    except NonNumeric:
         return False
+    except ZeroDivisionError:
+        return a == b
 
 
 def index_leq(a: Expr, b: Expr) -> Optional[bool]:
@@ -51,10 +55,3 @@ def index_eval(e: Expr, env: Mapping) -> float:
     if out < 0:
         raise NegativeIndex(f"index evaluates to {out}")
     return out
-
-
-def index_ground_value(e: Expr) -> Optional[Fraction]:
-    try:
-        return rf_const_value(canon_term(e))
-    except (NonNumeric, ZeroDivisionError):
-        return None

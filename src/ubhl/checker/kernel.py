@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
-from ..assertions.normform import NonNumeric, assertions_equal
+from ..assertions.normform import NonNumeric, assertions_equal, ground_value
 from ..assertions.obligations import (
     AxiomPremise, Implication, Obligation, ObStatus,
 )
@@ -82,15 +81,6 @@ class CheckResult:
         return f"ACCEPTED ({proved} obligation(s) proved, {tag})"
 
 
-@lru_cache(maxsize=200000)
-def _implies(sorts: tuple, budget: int, ante: Expr, goal: Expr) -> bool:
-    """The prover's verdict on ante ==> goal, remembered under its whole
-    input: the sorts of every variable at the time of the call, the
-    budget and both terms. A verdict reached in one check therefore
-    answers only the identical question in another."""
-    return Prover(dict(sorts), budget=budget).prove_implication(ante, goal)
-
-
 class Checker:
     def __init__(self, program: Program,
                  logicals: Optional[dict[str, Type]] = None,
@@ -131,10 +121,11 @@ class Checker:
             ob.status = ObStatus.BUILTIN_PROVED
             self.obligations.append(ob)
             return
-        # the sorts as they stand now: `check` and the while rule add
-        # `res` and the variant snapshot after construction
-        sorts = tuple(sorted(self.env.items()))
-        if all(_implies(sorts, self.prover_budget, ante, goal) for goal in residual):
+        # a fresh prover per goal, over the sorts as they stand now:
+        # `check` and the while rule add `res` and the variant snapshot
+        # after construction
+        if all(Prover(dict(self.env), budget=self.prover_budget)
+               .prove_implication(ante, goal) for goal in residual):
             ob.status = ObStatus.BUILTIN_PROVED
         self.obligations.append(ob)
 
@@ -358,8 +349,7 @@ class Checker:
             check_assertion(site_post, self.env)
         except UbhlTypeError as exc:
             raise Rejected(path, "rand", f"finite_exact post is not a bool assertion: {exc}")
-        from .index import index_ground_value
-        iota_val = index_ground_value(site_index)
+        iota_val = ground_value(site_index)
         self.require(iota_val is not None, path, "rand",
                      "finite_exact needs a ground site index")
         fail = finite_site_failure(command.dist, target.base, site_post, {})

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from ubhl import cli
 from ubhl.assertions.normform import assertions_equal
 from ubhl.assertions.prover import neg
-from ubhl.cases.export import export_cases
 from ubhl.cases.registry import (
     CASE_NAMES, DEFAULT_PARAMS, PreconditionViolated, build_case, case_proof,
     case_source, check_case, rnm_analytic_bound, validate_case,
@@ -135,7 +135,7 @@ def test_unknown_adversary_rejected():
 
 
 def test_shipped_files_in_sync(tmp_path):
-    export_cases(tmp_path)
+    assert cli.main(["cases", "--dir", str(tmp_path)]) == 0
     for name in ("rnm", "sv", "mwsv"):
         shipped = REPO / "cases" / name
         fresh = tmp_path / name

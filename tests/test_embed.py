@@ -6,6 +6,7 @@ import pytest
 
 from ubhl.assertions.normform import assertions_equal
 from ubhl.assertions.prover import Prover
+from ubhl.cases.registry import case_proof, case_source
 from ubhl.checker.index import index_eval
 from ubhl.checker.kernel import check
 from ubhl.checker.proof import ProofNode, ProofScript
@@ -13,7 +14,10 @@ from ubhl.embed.crosscheck import collect_sites, crosscheck
 from ubhl.embed.instrument import MissingAxiomAssignment, SiteSpec, embed
 from ubhl.embed.runtime import run_ghost_trial
 from ubhl.embed.wp import MissingInvariant, wp
-from ubhl.lang.ast import Assume, GhostAdd, Havoc, REAL, Seq, Skip
+from ubhl.lang.ast import (
+    Assign, Assume, Call, ExtCall, GhostAdd, Havoc, If, LValue, Quant, QueryT,
+    REAL, Sample, Seq, Skip, SortDom, While, free_vars, subterms,
+)
 from ubhl.lang.parser import parse_expr, parse_program
 from ubhl.lang.typecheck import assertion_env, typecheck
 from ubhl.semantics.rng import TrialRng
@@ -119,6 +123,49 @@ proc main(w) { while (i < 3) { i <- i + 1; } } return i
     typecheck(p)
     with pytest.raises(MissingInvariant):
         wp(p.procs["main"].body, parse_expr("i >= 3"), assertion_env(p))
+
+
+def _commands(c):
+    yield c
+    for sub in {Seq: ("first", "second"), If: ("then", "els"), While: ("body",)}.get(
+            type(c), ()):
+        yield from _commands(getattr(c, sub))
+
+
+def test_sv_embedding_inlines_calls_and_quantifies_the_adversary():
+    """sv samples inside the procedures it calls and asks the adversary
+    through an external call; the embedding and WP steps of
+    `crosscheck`, run without the prover."""
+    program = parse_program(case_source("sv"))
+    typecheck(program)
+    script = case_proof("sv")
+    body = program.procs["main"].body
+    sites, invariants = collect_sites(script, program, body, "x_beta")
+    # one site in svinit (T) and one in svstep (a)
+    assert sorted(sorted(free_vars(s.post) & {"T", "a"}) for s in sites.values()) \
+        == [["T"], ["a"]]
+
+    instrumented, triple = embed(body, sites, parse_expr(script.root.pre),
+                                 parse_expr("true"), parse_expr(script.root.index),
+                                 program, ghost="x_beta")
+    inlined = list(_commands(instrumented))
+    assert not [c for c in inlined if isinstance(c, (Sample, Call))]
+    calls = [c for c in _commands(body) if isinstance(c, Call)]
+    assert [c.proc for c in calls] == ["svinit", "svstep"]
+    for call in calls:
+        callee = program.procs[call.proc]
+        # argument assignment, the instrumented body, the return
+        [site] = [c for c in inlined if isinstance(c, Seq)
+                  and c.first == Assign(LValue(callee.arg), call.arg)]
+        assert site.second.second == Assign(call.target, callee.ret)
+        assert [c for c in _commands(site.second.first) if isinstance(c, Havoc)]
+
+    env = dict(assertion_env(program, script.logicals), x_beta=REAL)
+    res = wp(instrumented, triple.post_full(), env, invariants)
+    [keep] = [ob for ob in res.obligations if ob.note == "invariant preservation"]
+    assert [c for c in inlined if isinstance(c, ExtCall)]
+    assert any(isinstance(x, Quant) and x.dom == SortDom(QueryT())
+               for x in subterms(keep.consequent))
 
 
 def _wp_all_proved(program, script):

@@ -1,6 +1,7 @@
 """Every name a `ubhl` package exports in `__all__` resolves, so
-deleting a function cannot leave a dangling export, and every name
-defined in `src/` is used somewhere, so dead code cannot pile up."""
+deleting a function cannot leave a dangling export, every name defined
+in `src/` is used somewhere, so dead code cannot pile up, and the
+prover stays within its line budget."""
 
 import ast
 import importlib
@@ -113,3 +114,13 @@ def test_every_src_name_is_referenced_outside_its_definition():
             if (attr_uses if method else uses)[name] == inside:
                 dead.append(f"{path.relative_to(REPO)}:{node.lineno} {qualified}")
     assert not dead
+
+
+# the prover is the largest module of the trusted base; a change that
+# grows it past this has to shrink it elsewhere
+PROVER_MAX_LINES = 1060
+
+
+def test_prover_stays_within_its_line_budget():
+    lines = len((REPO / "src" / "ubhl" / "assertions" / "prover.py").read_text().splitlines())
+    assert lines <= PROVER_MAX_LINES, f"prover.py has {lines} lines, over {PROVER_MAX_LINES}"

@@ -18,14 +18,14 @@ case: the name and bytes of every file, the exit code and the output.
 `PROVER_GOLDEN` pins the prover's search: the printed antecedent and
 consequent, the verdict and the node count of every
 `Prover.prove_implication` call made while checking the three cases and
-cross-checking rnm. Its "verdicts" digest leaves the node counts out,
+cross-checking rnm; the cross-check checks rnm again, so rnm's calls
+are recorded twice. Its "verdicts" digest leaves the node counts out,
 so a change that reorders the search but keeps every verdict moves only
 the "nodes" digest and the node total. Both must hold at hash seed 0
 and at hash seed 1. `CORPUS_PROVER_GOLDEN` pins the same record for
 every call `checker.check` makes on the 22 generated corpus scripts and
 on the 8 tampered scripts of the benchmark's check workload
-(`bench/inputs.py`, loaded without writing bytecode), each checked with
-the kernel's verdict cache emptied, as in a fresh process.
+(`bench/inputs.py`, loaded without writing bytecode).
 """
 
 import hashlib
@@ -144,9 +144,9 @@ def test_check_export_is_byte_identical(name, tmp_path):
 # (antecedent, consequent, verdict, nodes) and "verdicts" the same
 # without nodes, with the readable totals beside them.
 PROVER_GOLDEN = {
-    "nodes": "3e2888367fcb3f4529995d4997e1568a2c8481765bb1141efa8b49bf8769f01a",
-    "verdicts": "2f97958d94b645137554578a7588305e5b0b2ec5644e2458d9b8be9d86e0920f",
-    "calls": 38, "proved": 38, "total_nodes": 745,
+    "nodes": "81e7b4d79ac0cfa4b21188030c39652376ad62b0aa1f089ae5fea32df505d1b3",
+    "verdicts": "e36f9694f37d104d05c4b90079c5fcde329260248bf804532936796bb46145a3",
+    "calls": 54, "proved": 54, "total_nodes": 981,
 }
 
 CORPUS_PROVER_GOLDEN = {
@@ -204,7 +204,6 @@ _CORPUS_PROVER_SCRIPT = _RECORDER + """
 import importlib.util, sys
 from pathlib import Path
 from ubhl.checker import ProofScript, check
-from ubhl.checker.kernel import _implies
 from ubhl.lang.parser import parse_program
 from ubhl.lang.typecheck import typecheck
 
@@ -218,10 +217,8 @@ inputs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(inputs)
 
 for program, script, _ in generate_corpus():
-    _implies.cache_clear()
     check(program, script)
 for case, mutate in inputs.MUTANTS.values():
-    _implies.cache_clear()
     base = root / "cases" / case
     program = parse_program((base / "program.ubhl").read_text())
     typecheck(program)

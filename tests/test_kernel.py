@@ -217,6 +217,9 @@ def test_index_symbolic_equalities():
     assert index_equal(parse_expr("(beta/(Q+1))*(Q+1)"), parse_expr("beta"))
     assert index_equal(parse_expr("size(R0)*(beta/size(R0))"), parse_expr("beta"))
     assert not index_equal(parse_expr("beta/2"), parse_expr("beta"))
+    # with no normal form an index still equals its own text
+    assert index_equal(parse_expr("beta/0"), parse_expr("beta/0"))
+    assert not index_equal(parse_expr("beta/0"), parse_expr("1/0"))
 
 
 def test_verdict_does_not_depend_on_an_earlier_budget():
@@ -283,6 +286,27 @@ def test_finite_exact_post_that_takes_log_of_zero_fails_there(index, accepted):
         assert "enumerated failure mass 1/2 <= 1/2" in [ob.note for ob in res.obligations]
     else:
         assert "probability 1/2" in res.reason
+
+
+def test_post_that_divides_by_zero_equals_itself():
+    """At index 1 the site may fail everywhere, so only the rand rule's
+    comparison of the post with the instantiated one is left. A post
+    with no normal form must still equal its own text."""
+    res = check(ONE_COIN, one_site("x == false && 1/0 > 0", "1"))
+    assert res.fully_proved, res.summary()
+
+
+def test_contract_post_that_divides_by_zero_equals_itself():
+    """The call rule compares the node's post with the contract post
+    after substituting the result, and the body's with it after
+    substituting the return value."""
+    body_post = "x == false && 1/0 > 0"
+    res = check(ONE_COIN, script(node(
+        "call", "true", "res == false && 1/0 > 0", "1", [
+            node("rand", "true", body_post, "1", schema="finite_exact",
+                 site_post=body_post, site_index="1")],
+        proc="main", callee_pre="true", callee_post="res == false && 1/0 > 0")))
+    assert res.fully_proved, res.summary()
 
 
 def test_finite_exact_post_must_be_a_bool_assertion():
