@@ -562,15 +562,15 @@ def _mentions_bvar(key, depth: int) -> bool:
 
 
 def assertions_equal(a: Expr, b: Expr) -> bool:
-    """Equal up to the normal form. Structurally equal assertions are
-    equal even where they have no normal form, as under a division by a
-    literal zero."""
-    if a == b:
-        return True
+    """Equal up to the normal form. An assertion with no numeric form
+    equals none, itself included; one that divides by a literal zero
+    equals itself."""
     try:
         return canon_assertion(a) == canon_assertion(b)
-    except (NonNumeric, ZeroDivisionError):
+    except NonNumeric:
         return False
+    except ZeroDivisionError:
+        return a == b
 
 
 def terms_equal(a: Expr, b: Expr) -> bool:
