@@ -121,10 +121,10 @@ class Checker:
             ob.status = ObStatus.BUILTIN_PROVED
             self.obligations.append(ob)
             return
-        # a fresh prover per goal, over the sorts as they stand now:
-        # `check` and the while rule add `res` and the variant snapshot
-        # after construction
-        if all(Prover(dict(self.env), budget=self.prover_budget)
+        # a fresh prover per goal, over a copy of the sorts as they
+        # stand now: `check` and the while rule add `res` and the
+        # variant snapshot after construction
+        if all(Prover(self.env, budget=self.prover_budget)
                .prove_implication(ante, goal) for goal in residual):
             ob.status = ObStatus.BUILTIN_PROVED
         self.obligations.append(ob)

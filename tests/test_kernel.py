@@ -217,7 +217,7 @@ def test_index_symbolic_equalities():
     assert index_equal(parse_expr("(beta/(Q+1))*(Q+1)"), parse_expr("beta"))
     assert index_equal(parse_expr("size(R0)*(beta/size(R0))"), parse_expr("beta"))
     assert not index_equal(parse_expr("beta/2"), parse_expr("beta"))
-    # with no normal form an index still equals its own text
+    # dividing by zero, an index has no normal form but equals its own text
     assert index_equal(parse_expr("beta/0"), parse_expr("beta/0"))
     assert not index_equal(parse_expr("beta/0"), parse_expr("1/0"))
 
@@ -291,7 +291,7 @@ def test_finite_exact_post_that_takes_log_of_zero_fails_there(index, accepted):
 def test_post_that_divides_by_zero_equals_itself():
     """At index 1 the site may fail everywhere, so only the rand rule's
     comparison of the post with the instantiated one is left. A post
-    with no normal form must still equal its own text."""
+    that divides by zero has no normal form but equals its own text."""
     res = check(ONE_COIN, one_site("x == false && 1/0 > 0", "1"))
     assert res.fully_proved, res.summary()
 
