@@ -8,14 +8,15 @@ tightening and certified interval bounds for ground logs) over Laurent
 monomials. Anything it cannot close is Unknown, never refuted.
 
 A disjunction is proved by proving one disjunct with the negations of
-the others as hypotheses. A cheap pass (no quantifier instantiation, no
-case splits) tries the disjuncts in order; the full pass tries them
-from the last to the first. `nnf` writes `A ==> C` as `!A || C`, so the
-full pass first assumes `A` and proves the consequent `C`; trying to
-refute `A` from `!C` first spends most of the nodes of the largest
-shipped obligations (732 against 206 for rnm's invariant preservation
-under WP). Right-implication is invertible, so this order loses no
-proof, and every disjunct is still tried.
+the others as hypotheses, in one pass from the last disjunct to the
+first. If the hypotheses already give some other disjunct, its negation
+contradicts them and that branch closes at once by key or by FM, so no
+cheaper pass can find more. `nnf` writes `A ==> C` as `!A || C`, so the
+pass first assumes `A` and proves the consequent `C`; trying to refute
+`A` from `!C` first spends most of the nodes of the largest shipped
+obligations (645 against 110 for rnm's invariant preservation under
+WP). Right-implication is invertible, so this order loses no proof, and
+every disjunct is still tried.
 
 Its caches, each keyed by structure, so none can change a verdict:
 - `nnf`, `_linearize`: a term's negation normal form, a comparison's
@@ -297,7 +298,7 @@ class Prover:
         try:
             hyps = [nnf(h) for h in conjuncts(antecedent)]
             return self._prove(hyps, nnf(consequent), depth=0, splits=0,
-                               quick=False, memo=frozenset())
+                               memo=frozenset())
         except (NonNumeric, ZeroDivisionError, RecursionError):
             return False
 
@@ -343,7 +344,7 @@ class Prover:
         return self.nodes <= self.budget
 
     def _prove(self, hyps: list[Expr], goal: Expr, depth: int, splits: int,
-               quick: bool, memo: frozenset = frozenset()) -> bool:
+               memo: frozenset = frozenset()) -> bool:
         if not self._tick() or depth > 300:
             return False
 
@@ -357,24 +358,21 @@ class Prover:
             return goal.value or self._hyps_inconsistent(view)
 
         if isinstance(goal, BinOp) and goal.op == "&&":
-            return all(self._prove(view.items, g, depth + 1, splits, quick, memo)
+            return all(self._prove(view.items, g, depth + 1, splits, memo)
                        for g in conjuncts(goal))
 
         if isinstance(goal, Quant) and goal.kind == "forall":
-            return self._prove_forall(view.items, goal, depth, splits, quick, memo)
+            return self._prove_forall(view.items, goal, depth, splits, memo)
 
         if isinstance(goal, BinOp) and goal.op == "||":
             parts = disjuncts(goal)
             negated = [nnf(neg(p)) for p in parts]
-            # cheap pass first, in order; the full pass from the last
-            # disjunct (see the module docstring)
-            for cheap in (True,) if quick else (True, False):
-                for i in range(len(parts)) if cheap else reversed(range(len(parts))):
-                    extra = negated[:i] + negated[i + 1:]
-                    if self._prove(view.items + extra, parts[i], depth + 1, splits,
-                                   cheap, memo):
-                        return True
-            return not quick and self._stuck_splits(view, goal, depth, splits, memo)
+            # from the last disjunct (see the module docstring)
+            for i in reversed(range(len(parts))):
+                extra = negated[:i] + negated[i + 1:]
+                if self._prove(view.items + extra, parts[i], depth + 1, splits, memo):
+                    return True
+            return self._stuck_splits(view, goal, depth, splits, memo)
 
         # atomic goals
         if view.holds(goal):
@@ -394,8 +392,6 @@ class Prover:
                 return True
         if self._hyps_inconsistent(view):
             return True
-        if quick:
-            return False
         if isinstance(goal, Quant) and goal.kind == "exists":
             if self._prove_exists(view, goal, depth, splits, memo):
                 return True
@@ -403,8 +399,7 @@ class Prover:
         # quantified-hypothesis instantiation, then retry
         inst, keys = self._instantiations(view, goal, memo)
         if inst:
-            return self._prove(view.items + inst, goal, depth + 1, splits, quick,
-                               memo | keys)
+            return self._prove(view.items + inst, goal, depth + 1, splits, memo | keys)
         return self._stuck_splits(view, goal, depth, splits, memo)
 
     # ── saturation ──
@@ -642,10 +637,10 @@ class Prover:
     # ── goal handlers ──
 
     def _prove_forall(self, hyps: list[Expr], goal: Quant, depth: int,
-                      splits: int, quick: bool, memo: frozenset) -> bool:
+                      splits: int, memo: frozenset) -> bool:
         body, extra = self._fresh_instance(goal)
         return self._prove(hyps + [nnf(g) for g in extra], nnf(body),
-                           depth + 1, splits, quick, memo)
+                           depth + 1, splits, memo)
 
     def _prove_exists(self, view: _Hyps, goal: Quant, depth: int,
                       splits: int, memo: frozenset) -> bool:
@@ -655,7 +650,7 @@ class Prover:
             want: Expr = body
             for g in guards:
                 want = BinOp("&&", g, want)
-            if self._prove(view.items, nnf(want), depth + 1, splits, False, memo):
+            if self._prove(view.items, nnf(want), depth + 1, splits, memo):
                 return True
         return False
 
@@ -745,10 +740,9 @@ class Prover:
         if pair is not None:
             i_e, j_e = pair
             eq = BinOp("==", i_e, j_e)
-            if (self._prove(hyps + [nnf(eq)], goal, depth + 1, splits + 1,
-                            False, memo)
+            if (self._prove(hyps + [nnf(eq)], goal, depth + 1, splits + 1, memo)
                     and self._prove(hyps + [nnf(neg(eq))], goal, depth + 1,
-                                    splits + 1, False, memo)):
+                                    splits + 1, memo)):
                 return True
         # 2. boundary split: an integer candidate one past the end of a
         # quantified range is either the last element or inside
@@ -767,10 +761,9 @@ class Prover:
                 if not self._fm_entails(view, BinOp("<=", cand, boundary)):
                     continue
                 memo2 = memo | {("rsplit", k)}
-                if (self._prove(hyps + [nnf(eq)], goal, depth + 1,
-                                splits + 1, False, memo2)
+                if (self._prove(hyps + [nnf(eq)], goal, depth + 1, splits + 1, memo2)
                         and self._prove(hyps + [nnf(neg(eq))], goal, depth + 1,
-                                        splits + 1, False, memo2)):
+                                        splits + 1, memo2)):
                     return True
         # 3. disjunctive hypothesis: case analysis (smallest clause first)
         or_hyps = [(len(disjuncts(h)), i) for i, h in enumerate(hyps)
@@ -779,8 +772,7 @@ class Prover:
             _, i = min(or_hyps)
             h = hyps[i]
             rest = hyps[:i] + hyps[i + 1:]
-            if all(self._prove(rest + [d], goal, depth + 1, splits + 1,
-                               False, memo)
+            if all(self._prove(rest + [d], goal, depth + 1, splits + 1, memo)
                    for d in disjuncts(h)):
                 return True
         return False

@@ -142,17 +142,29 @@ def test_check_export_is_byte_identical(name, tmp_path):
 
 # Each record holds two digests over the calls in order: "nodes" hashes
 # (antecedent, consequent, verdict, nodes) and "verdicts" the same
-# without nodes, with the readable totals beside them.
+# without nodes, with the readable totals beside them. "call_nodes" is
+# each call's node count in order, so a failing node pin names the
+# calls that moved ("call k: old → new").
 PROVER_GOLDEN = {
-    "nodes": "81e7b4d79ac0cfa4b21188030c39652376ad62b0aa1f089ae5fea32df505d1b3",
+    "nodes": "6edb0f847b9fdd9ca707223d93bf26ba7b4dee1247ca30af1afa4cd7d8761812",
     "verdicts": "e36f9694f37d104d05c4b90079c5fcde329260248bf804532936796bb46145a3",
-    "calls": 54, "proved": 54, "total_nodes": 981,
+    "calls": 54, "proved": 54, "total_nodes": 739,
+    "call_nodes": [
+        3, 3, 1, 26, 2, 11, 16, 23, 3, 39, 12, 3, 20, 1, 19, 14, 1, 32, 58,
+        20, 6, 6, 1, 9, 6, 1, 35, 3, 6, 6, 6, 6, 2, 4, 15, 3, 1, 3, 3, 1,
+        26, 2, 11, 16, 23, 3, 39, 12, 3, 20, 1, 14, 110, 29
+    ],
 }
 
 CORPUS_PROVER_GOLDEN = {
-    "nodes": "a1000c4d150da6d15f7ab995329f3cbce400e12b4fdc0ebae955a60643bcc5fe",
+    "nodes": "ede7d30ed4c6d835b72a5a41abe85650dc87c7c54ddf62c6151cbd7b68e2be60",
     "verdicts": "0ecdecea5c833f8402ef05fbb31fc09ba3a1b03cb9c1e576f2972c81f21f76cc",
-    "calls": 53, "proved": 51, "total_nodes": 584,
+    "calls": 53, "proved": 51, "total_nodes": 487,
+    "call_nodes": [
+        2, 2, 2, 2, 2, 2, 2, 1, 2, 1, 2, 1, 3, 3, 1, 26, 4, 2, 11, 16, 23,
+        3, 39, 12, 3, 20, 1, 3, 3, 1, 26, 2, 3, 3, 1, 26, 2, 19, 4, 14, 1,
+        32, 58, 20, 6, 6, 1, 19, 14, 1, 19, 14, 1
+    ],
 }
 
 _RECORDER = """
@@ -180,6 +192,7 @@ def report():
         "calls": len(calls),
         "proved": sum(verdict for _, verdict, _ in calls),
         "total_nodes": sum(nodes for _, _, nodes in calls),
+        "call_nodes": [nodes for _, _, nodes in calls],
     }))
 
 
@@ -245,14 +258,24 @@ def _totals(record: dict) -> str:
             f"{record['total_nodes']} nodes")
 
 
+def _moved(record: dict, golden: dict) -> str:
+    """The calls whose node counts differ from the pinned ones, as
+    "call k: old → new", numbered from 0 in call order."""
+    old, new = golden["call_nodes"], record["call_nodes"]
+    moved = [f"call {k}: {a} → {b}" for k, (a, b) in enumerate(zip(old, new)) if a != b]
+    if len(old) != len(new):
+        moved.append(f"{len(old)} calls pinned, {len(new)} made")
+    return "; ".join(moved)
+
+
 def _assert_pinned(record: dict, golden: dict, keys: tuple[str, ...]) -> None:
     got = {k: record[k] for k in keys}
     assert got == {k: golden[k] for k in keys}, \
-        f"{_totals(record)}; pinned {_totals(golden)}"
+        f"{_totals(record)}; pinned {_totals(golden)}; {_moved(record, golden)}"
 
 
 _VERDICTS = ("verdicts", "calls", "proved")
-_NODES = ("nodes", "total_nodes")
+_NODES = ("nodes", "total_nodes", "call_nodes")
 
 
 def test_prover_verdicts_are_byte_identical():
