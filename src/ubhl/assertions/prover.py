@@ -855,7 +855,10 @@ class Prover:
 
     # ── Fourier-Motzkin ──
 
-    def _fm_entails(self, view: _Hyps, goal: Expr) -> bool:
+    def _fm_entails(self, view: _Hyps, goal: BinOp) -> bool:
+        if goal.op == "==":  # its negation '!=' has no FM rows
+            return (self._fm_entails(view, BinOp("<=", goal.left, goal.right))
+                    and self._fm_entails(view, BinOp(">=", goal.left, goal.right)))
         neg_goal = _linearize(nnf(neg(goal)))
         return neg_goal is not None and self._fm(view, neg_goal)
 

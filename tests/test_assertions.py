@@ -31,6 +31,12 @@ SORTS = {"x": REAL, "y": REAL, "z": REAL, "a": REAL, "b": REAL,
     ("forall s in R . s in S || !flag", "forall t in R . (t in S) || flag == false", True),
     ("i in R && i == 3", "(3 == i) && (i in R)", True),
     ("x / 2 + x / 2 >= y", "x >= y", True),
+    ("i in setdiff(R, S)", "i in R && !(i in S)", True),
+    ("i in setdiff(R, S)", "i in R", False),
+    ("flag <==> i > 0", "(flag ==> i > 0) && (i > 0 ==> flag)", True),
+    ("flag <==> i > 0", "flag ==> i > 0", False),
+    ("i in {0, 2}", "i == 0 || i == 2", True),
+    ("i in {0, 2}", "i == 0", False),
 ])
 def test_assertion_equalities(left, right, expect):
     assert assertions_equal(E(left), E(right)) == expect
@@ -102,6 +108,12 @@ def P(extra=None):
     ("j <= u - 1", "store(arr, u, x)[j] == arr[j]"),
     ("abs(x) <= 2", "x <= 2 && x >= -2"),
     ("forall s in R . s in S || !flag", "i in R ==> (i in S || !flag)"),
+    ("x <= 2 && x >= 2", "x == 2"),
+    ("j <= u && j >= u", "store(arr, u, x)[j] == x"),
+    ("i in setdiff(R, S)", "i in R && !(i in S)"),
+    ("i in {1, 2}", "i >= 1"),
+    ("i in {}", "i > 5"),
+    ("flag <==> i > 0", "flag || i <= 0"),
 ])
 def test_prover_accepts(ante, cons):
     assert P().prove_implication(E(ante), E(cons))
@@ -113,6 +125,7 @@ def test_prover_accepts(ante, cons):
     ("x <= 2", "abs(x) <= 2"),
     ("i in R", "i in S"),
     ("x >= 0", "x > 0"),
+    ("i in setdiff(R, S)", "i in S"),
 ])
 def test_prover_refuses(ante, cons):
     assert not P().prove_implication(E(ante), E(cons))

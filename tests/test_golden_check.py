@@ -146,24 +146,24 @@ def test_check_export_is_byte_identical(name, tmp_path):
 # each call's node count in order, so a failing node pin names the
 # calls that moved ("call k: old → new").
 PROVER_GOLDEN = {
-    "nodes": "6edb0f847b9fdd9ca707223d93bf26ba7b4dee1247ca30af1afa4cd7d8761812",
+    "nodes": "83da2328c4ea1b3a3736bb5a4b733111432bd98adb908aff48131f566b8bd953",
     "verdicts": "e36f9694f37d104d05c4b90079c5fcde329260248bf804532936796bb46145a3",
-    "calls": 54, "proved": 54, "total_nodes": 739,
+    "calls": 54, "proved": 54, "total_nodes": 809,
     "call_nodes": [
-        3, 3, 1, 26, 2, 11, 16, 23, 3, 39, 12, 3, 20, 1, 19, 14, 1, 32, 58,
-        20, 6, 6, 1, 9, 6, 1, 35, 3, 6, 6, 6, 6, 2, 4, 15, 3, 1, 3, 3, 1,
-        26, 2, 11, 16, 23, 3, 39, 12, 3, 20, 1, 14, 110, 29
+        3, 3, 1, 26, 2, 14, 20, 23, 3, 39, 12, 3, 20, 1, 19, 15, 1, 34, 58,
+        22, 6, 6, 1, 9, 6, 1, 37, 3, 6, 6, 6, 6, 2, 4, 17, 3, 1, 3, 3, 1,
+        26, 2, 14, 20, 23, 3, 39, 12, 3, 20, 1, 14, 157, 29
     ],
 }
 
 CORPUS_PROVER_GOLDEN = {
-    "nodes": "ede7d30ed4c6d835b72a5a41abe85650dc87c7c54ddf62c6151cbd7b68e2be60",
+    "nodes": "3c555062924793109a5c710434c8c5ab12c2b323a88b120d1e6b99460432abf6",
     "verdicts": "0ecdecea5c833f8402ef05fbb31fc09ba3a1b03cb9c1e576f2972c81f21f76cc",
-    "calls": 53, "proved": 51, "total_nodes": 487,
+    "calls": 53, "proved": 51, "total_nodes": 501,
     "call_nodes": [
-        2, 2, 2, 2, 2, 2, 2, 1, 2, 1, 2, 1, 3, 3, 1, 26, 4, 2, 11, 16, 23,
-        3, 39, 12, 3, 20, 1, 3, 3, 1, 26, 2, 3, 3, 1, 26, 2, 19, 4, 14, 1,
-        32, 58, 20, 6, 6, 1, 19, 14, 1, 19, 14, 1
+        2, 2, 2, 2, 2, 2, 2, 1, 2, 1, 2, 1, 3, 3, 1, 26, 4, 2, 14, 20, 23,
+        3, 39, 12, 3, 20, 1, 3, 3, 1, 26, 2, 3, 3, 1, 26, 2, 19, 4, 15, 1,
+        34, 58, 22, 6, 6, 1, 19, 15, 1, 19, 15, 1
     ],
 }
 
