@@ -24,7 +24,7 @@ from ..assertions.prover import Prover, neg
 from ..lang.ast import (
     ArrayT, Assign, BinOp, Call, Command, Expr, ExtCall, FALSE, If, Index, IntT,
     LValue, NumLit, Program, Quant, Sample, Seq, Skip, SortDom, TRUE, Type,
-    Var, While, free_vars, fresh_name, modified_vars, subst_expr,
+    Var, While, free_vars, fresh_name, is_numeric, modified_vars, subst_expr,
     subst_lvalue,
 )
 from ..lang.parser import parse_expr
@@ -170,6 +170,16 @@ class Checker:
     def check_tree(self, node: ProofNode, command: Command,
                    path: tuple[str, ...] = ()) -> None:
         pre, post, index = self.node_judgment(node, path)
+        try:
+            check_assertion(pre, self.env)
+            check_assertion(post, self.env)
+        except UbhlTypeError as exc:
+            raise Rejected(path, node.rule, f"pre/post is not a bool assertion: {exc}")
+        try:
+            t = expr_type(index, self.env, allow_quant=True)
+        except UbhlTypeError as exc:
+            raise Rejected(path, node.rule, f"index is not a number: {exc}")
+        self.require(is_numeric(t), path, node.rule, f"index is not a number: got {t}")
         handler = getattr(self, f"_rule_{node.rule}", None)
         if handler is None:
             raise Rejected(path, node.rule, "unknown rule")

@@ -443,9 +443,39 @@ def test_kernel_rejects_a_bad_entry(entry, reason):
 
 @pytest.mark.parametrize("index", ["true", "x && y", "forall i in 1 .. 2 . i > 0"])
 def test_non_numeric_index_is_rejected_where_it_is_compared(index):
-    """No numeric normal form exists for such an index, so it equals no
-    index, itself included: the first rule that compares it rejects."""
+    """Such an index is a bool, so the first node that claims it, the
+    root, rejects it before any rule compares it."""
     res = check(COINS, coin_proof(root_index=index))
     assert not res.accepted
-    assert (res.rule, res.reason) == ("call", "callee body: index does not match"
-                                              " the rule's requirement")
+    assert (res.rule, res.reason) == ("call", "index is not a number: got bool")
+
+
+SORTED = parse_program("var x : int;\nvar b : bool;\nproc main(u) { skip; } return x")
+typecheck(SORTED)
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("size(x)", "size takes (db) or (set<int>), got (int)"),
+    ("x", "assertion must be bool, got int"),
+    ("b + 1 > 0", "'+' needs numbers, got bool, int"),
+    ("forall i in 1 .. 2 . i", "quantifier body must be bool, got int"),
+])
+def test_node_assertions_must_be_bool_assertions(text, reason):
+    """Each node's pre and post is sort-checked, even where every rule
+    compares it only with itself."""
+    res = check(SORTED, script(node("call", text, text, "0", [node("skip", text, text, "0")],
+                                    proc="main", callee_pre=text, callee_post=text)))
+    assert (res.accepted, res.rule, res.path) == (False, "call", ())
+    assert res.reason == f"pre/post is not a bool assertion: {reason}"
+
+
+@pytest.mark.parametrize("index, reason", [
+    ("size(x)", "size takes (db) or (set<int>), got (int)"),
+    ("b", "got bool"),
+])
+def test_weakened_index_must_be_a_number(index, reason):
+    call = node("call", "true", "true", "0", [node("skip", "true", "true", "0")],
+                proc="main", callee_pre="true", callee_post="true")
+    res = check(SORTED, script(node("weak", "true", "true", index, [call])))
+    assert (res.accepted, res.rule, res.path) == (False, "weak", ())
+    assert res.reason == f"index is not a number: {reason}"
