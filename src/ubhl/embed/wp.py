@@ -1,8 +1,9 @@
 """Weakest preconditions over instrumented commands.
 
-Classical partial-correctness WP: havoc quantifies universally, assume
-becomes an implication, ghost addition substitutes, and annotated loops
-contribute initiation, preservation and exit obligations.
+Classical partial-correctness WP: havoc and an external call quantify
+universally over their target, assume becomes an implication, ghost
+addition substitutes, and annotated loops contribute initiation,
+preservation and exit obligations.
 """
 
 from __future__ import annotations
@@ -43,12 +44,7 @@ def wp(command: Command, post: Expr, env: TypeEnv,
             return q
         if isinstance(c, Assign):
             return subst_lvalue(q, c.target, c.expr)
-        if isinstance(c, Havoc):
-            t = lvalue_sort(env, c.target)
-            fresh = fresh_name("v", free_vars(q) | set(env))
-            return Quant("forall", fresh, SortDom(t),
-                         subst_lvalue(q, c.target, Var(fresh)))
-        if isinstance(c, ExtCall):
+        if isinstance(c, (Havoc, ExtCall)):
             t = lvalue_sort(env, c.target)
             fresh = fresh_name("v", free_vars(q) | set(env))
             return Quant("forall", fresh, SortDom(t),
