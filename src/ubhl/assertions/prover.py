@@ -377,14 +377,8 @@ class Prover:
         # atomic goals
         if view.holds(goal):
             return True
-        if isinstance(goal, BinOp) and goal.op in _CMP_OPS and goal.op != "!=":
+        if isinstance(goal, BinOp) and goal.op in _CMP_OPS:
             if self._fm_entails(view, goal):
-                return True
-        if isinstance(goal, BinOp) and goal.op == "!=":
-            # x != y from FM strict separation either way
-            lt = BinOp("<", goal.left, goal.right)
-            gt = BinOp(">", goal.left, goal.right)
-            if self._fm_entails(view, lt) or self._fm_entails(view, gt):
                 return True
         if isinstance(goal, FuncCall) and goal.name == "isempty":
             size_le = BinOp("<=", FuncCall("size", (goal.args[0],)), NumLit(Fraction(0)))
@@ -824,8 +818,7 @@ class Prover:
         want = _key(BinOp("!=", a, b))
         if want is not None and want in view.keys:
             return True
-        return (self._fm_entails(view, BinOp("<", a, b))
-                or self._fm_entails(view, BinOp(">", a, b)))
+        return self._fm_entails(view, BinOp("!=", a, b))
 
     # ── rewriting ──
 
@@ -856,9 +849,11 @@ class Prover:
     # ── Fourier-Motzkin ──
 
     def _fm_entails(self, view: _Hyps, goal: BinOp) -> bool:
+        a, b = goal.left, goal.right
         if goal.op == "==":  # its negation '!=' has no FM rows
-            return (self._fm_entails(view, BinOp("<=", goal.left, goal.right))
-                    and self._fm_entails(view, BinOp(">=", goal.left, goal.right)))
+            return all(self._fm_entails(view, BinOp(op, a, b)) for op in ("<=", ">="))
+        if goal.op == "!=":  # strict separation either way
+            return any(self._fm_entails(view, BinOp(op, a, b)) for op in ("<", ">"))
         neg_goal = _linearize(nnf(neg(goal)))
         return neg_goal is not None and self._fm(view, neg_goal)
 
