@@ -14,7 +14,7 @@ contradicts them and that branch closes at once by key or by FM, so no
 cheaper pass can find more. `nnf` writes `A ==> C` as `!A || C`, so the
 pass first assumes `A` and proves the consequent `C`; trying to refute
 `A` from `!C` first spends most of the nodes of the largest shipped
-obligations (645 against 110 for rnm's invariant preservation under
+obligations (692 against 157 for rnm's invariant preservation under
 WP). Right-implication is invertible, so this order loses no proof, and
 every disjunct is still tried.
 
@@ -815,10 +815,9 @@ class Prover:
         return facts
 
     def _decide_neq(self, view: _Hyps, a: Expr, b: Expr) -> bool:
-        want = _key(BinOp("!=", a, b))
-        if want is not None and want in view.keys:
-            return True
-        return self._fm_entails(view, BinOp("!=", a, b))
+        goal = BinOp("!=", a, b)
+        want = _key(goal)
+        return (want is not None and want in view.keys) or self._fm_entails(view, goal)
 
     # ── rewriting ──
 
